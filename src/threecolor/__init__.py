@@ -7,9 +7,7 @@ the count by 64^(n^g) with g = log base 9/2 of 3.
 """
 from .bounds import (
     BitBudgetExceededError,
-    BoundReport,
     DEFAULT_BIT_BUDGET,
-    Report,
     emit_report,
     eq3_check,
     lemma3_bound,
@@ -19,7 +17,6 @@ from .bounds import (
 )
 from .counting import (
     BruteForceCutoffError,
-    Lemma2Verdict,
     PairCounts,
     count_colorings_bruteforce,
     count_extensions,
@@ -43,8 +40,6 @@ from .embedding import (
 )
 from .gadgets import (
     Gadget,
-    GadgetParams,
-    LeafPairRegistry,
     build_P,
     build_T,
     choose_k,
@@ -52,8 +47,6 @@ from .gadgets import (
     vertex_count_closed_form,
 )
 from .graphs import (
-    COLORS,
-    Coloring,
     Graph,
     TerminalGraph,
     induced_subgraph,
@@ -66,18 +59,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BitBudgetExceededError",
-    "BoundReport",
     "BruteForceCutoffError",
-    "COLORS",
-    "Coloring",
     "DEFAULT_BIT_BUDGET",
     "Gadget",
-    "GadgetParams",
     "Graph",
-    "LeafPairRegistry",
-    "Lemma2Verdict",
     "PairCounts",
-    "Report",
     "RotationSystem",
     "TerminalGraph",
     "build_P",

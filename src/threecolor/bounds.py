@@ -178,8 +178,9 @@ def emit_report(ell_range, *, bit_budget: int = DEFAULT_BIT_BUDGET,
             rows.append(theorem_chain_check(
                 ell, bit_budget=bit_budget, include_decimal=include_decimal))
         except BitBudgetExceededError as exc:
+            k = choose_k(ell)
             rows.append(BoundReport(
-                ell=ell, k=choose_k(ell), n=vertex_count_closed_form(choose_k(ell), ell),
+                ell=ell, k=k, n=vertex_count_closed_form(k, ell),
                 c_bits=0, checks={}, error=str(exc)))
     return Report(tuple(rows))
 

@@ -27,7 +27,7 @@ def _env_bit_budget() -> int:
     try:
         return int(raw)
     except ValueError as exc:
-        raise SystemExit(f"invalid THREECOLOR_BIT_BUDGET: {raw!r}") from exc
+        raise ValueError(f"invalid THREECOLOR_BIT_BUDGET: {raw!r}") from exc
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -211,9 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "bit_budget", None) is None and hasattr(args, "bit_budget"):
-        args.bit_budget = _env_bit_budget()
     try:
+        if getattr(args, "bit_budget", None) is None and hasattr(args, "bit_budget"):
+            args.bit_budget = _env_bit_budget()
         return args.func(args)
     except (ValueError, counting.BruteForceCutoffError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,7 +21,7 @@ from functools import lru_cache
 from typing import Iterator, Mapping, Optional
 
 from .gadgets import Gadget, build_P, build_T
-from .graphs import COLORS, Coloring, Graph, induced_subgraph
+from .graphs import COLORS, Graph, induced_subgraph
 
 DEFAULT_BRUTE_FORCE_CUTOFF = 20
 
@@ -54,50 +54,41 @@ class Lemma2Verdict:
     case_b_applies: bool
 
 
-def _as_assignment(fixed) -> dict[int, int]:
-    if fixed is None:
-        return {}
-    if isinstance(fixed, Coloring):
-        return dict(fixed.assignment)
-    return dict(fixed)
+def _prepare(g: Graph, fixed: Optional[Mapping[int, int]]):
+    """Validate `fixed` and lay out the backtracking state.
 
-
-def degeneracy_order(g: Graph) -> list[int]:
-    """Greedy smallest-last vertex order (each vertex has few earlier neighbors)."""
-    n = g.vertex_count
-    deg = [g.degree(v) for v in range(n)]
-    removed = [False] * n
-    out = []
-    for _ in range(n):
-        v = min((x for x in range(n) if not removed[x]), key=lambda x: deg[x])
-        removed[v] = True
-        out.append(v)
-        for y in g.adjacency[v]:
-            if not removed[y]:
-                deg[y] -= 1
-    out.reverse()
-    return out
-
-
-def _backtrack(g: Graph, fixed: dict[int, int]) -> Iterator[dict[int, int]]:
-    for v, c in fixed.items():
+    Returns the color array (0 = free) and the free vertices in index order,
+    or None when two fixed endpoints of an edge share a color, so that no
+    coloring extends `fixed`.
+    """
+    color = [0] * g.vertex_count
+    conflict = False
+    for v, c in (fixed or {}).items():
         if not (0 <= v < g.vertex_count):
             raise ValueError(f"fixed vertex {v} out of range")
         if c not in COLORS:
             raise ValueError(f"fixed vertex {v} has invalid color {c}")
-    for a, b in g.edges:
-        if a in fixed and b in fixed and fixed[a] == fixed[b]:
-            return  # improper partial assignment extends to nothing
-    color = [0] * g.vertex_count
-    for v, c in fixed.items():
+        conflict = conflict or any(color[nb] == c for nb in g.adjacency[v])
         color[v] = c
-    free = [v for v in degeneracy_order(g) if v not in fixed]
+    if conflict:
+        return None
+    return color, [v for v in range(g.vertex_count) if not color[v]]
+
+
+def iter_colorings(
+    g: Graph, fixed: Optional[Mapping[int, int]] = None
+) -> Iterator[dict[int, int]]:
+    """Yield every proper total 3-coloring extending `fixed` (as dicts)."""
+    state = _prepare(g, fixed)
+    if state is None:
+        return
+    color, free = state
     adjacency = g.adjacency
     m = len(free)
 
     def rec(i: int) -> Iterator[dict[int, int]]:
         if i == m:
-            yield {v: color[v] for v in range(g.vertex_count)}
+            yield dict(enumerate(color))
             return
         v = free[i]
         used = {color[nb] for nb in adjacency[v] if color[nb]}
@@ -110,38 +101,27 @@ def _backtrack(g: Graph, fixed: dict[int, int]) -> Iterator[dict[int, int]]:
     yield from rec(0)
 
 
-def iter_colorings(g: Graph, fixed=None) -> Iterator[dict[int, int]]:
-    """Yield every proper total 3-coloring extending `fixed` (as dicts)."""
-    yield from _backtrack(g, _as_assignment(fixed))
-
-
 def count_colorings_bruteforce(
     g: Graph,
-    fixed=None,
+    fixed: Optional[Mapping[int, int]] = None,
     *,
     cutoff: int = DEFAULT_BRUTE_FORCE_CUTOFF,
     force: bool = False,
 ) -> int:
     """Exact number of proper total 3-colorings extending `fixed`.
 
-    Backtracks over vertices in degeneracy order.  Refuses graphs above the
-    vertex cutoff (default 20) unless `force` is given.
+    Backtracks over the free vertices in index order.  Refuses graphs above
+    the vertex cutoff (default 20) unless `force` is given.
     """
     if g.vertex_count > cutoff and not force:
         raise BruteForceCutoffError(
             f"{g.vertex_count} vertices exceeds the brute-force cutoff {cutoff}"
             " (pass force=True to override)"
         )
-    fixed = _as_assignment(fixed)
-    for a, b in g.edges:
-        if a in fixed and b in fixed and fixed[a] == fixed[b]:
-            return 0
-    color = [0] * g.vertex_count
-    for v, c in fixed.items():
-        if c not in COLORS:
-            raise ValueError(f"fixed vertex {v} has invalid color {c}")
-        color[v] = c
-    free = [v for v in degeneracy_order(g) if v not in fixed]
+    state = _prepare(g, fixed)
+    if state is None:
+        return 0
+    color, free = state
     adjacency = g.adjacency
     m = len(free)
 
@@ -266,29 +246,18 @@ def total_colorings(pc: PairCounts) -> int:
     return 3 * pc.same + 6 * pc.diff
 
 
-_P5_EDGES = None
-
-
-def _p5_edges() -> frozenset:
-    global _P5_EDGES
-    if _P5_EDGES is None:
-        _P5_EDGES = build_P(5, check=False).graph.edges
-    return _P5_EDGES
-
-
-def lemma2_classify(psi: Coloring | Mapping[int, int]) -> Lemma2Verdict:
+def lemma2_classify(psi: Mapping[int, int]) -> Lemma2Verdict:
     """Classify a proper coloring of P(u,v,5) (indices u=0, v=1, v_i=i+1).
 
     Rejects partial or improper colorings; reports which of psi(v1)=psi(v3),
     psi(v2)=psi(v4), psi(v3)=psi(v5) hold and whether psi(u)=psi(v).
     """
-    psi = _as_assignment(psi)
     for v in range(7):
         if v not in psi:
             raise ValueError(f"coloring is partial: vertex {v} has no color")
         if psi[v] not in COLORS:
             raise ValueError(f"vertex {v} assigned invalid color {psi[v]}")
-    for a, b in _p5_edges():
+    for a, b in build_P(5, check=False).graph.edges:
         if psi[a] == psi[b]:
             raise ValueError(f"coloring is improper on edge ({a},{b})")
     witness = frozenset(
@@ -300,7 +269,7 @@ def lemma2_classify(psi: Coloring | Mapping[int, int]) -> Lemma2Verdict:
 def count_extensions(
     k: int,
     ell: int,
-    psi: Coloring | Mapping[int, int],
+    psi: Mapping[int, int],
     gadget: Optional[Gadget] = None,
 ) -> int:
     """Exact number of extensions of an inner-set coloring to the gadget.
@@ -314,9 +283,8 @@ def count_extensions(
         raise ValueError("extension counting needs ell >= 1")
     if gadget is None:
         gadget = build_T(k, ell, check=False)
-    if (gadget.params.k, gadget.params.ell) != (k, ell):
+    if (gadget.k, gadget.ell) != (k, ell):
         raise ValueError("gadget does not match (k, ell)")
-    psi = _as_assignment(psi)
     inner = gadget.registry.inner_set
     if set(psi) != inner:
         raise ValueError("coloring must be total on the inner vertex set V_ell")

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .graphs import Graph
+from .graphs import Graph, induced_subgraph, triangle_count
 
 Face = list[int]
 
@@ -130,12 +130,16 @@ def certify(tg, rot: RotationSystem) -> dict:
     Checks: triangle-freeness, Euler consistency, terminals non-adjacent and
     on the outer face, and that no bounded face is shorter than a
     quadrilateral.  Returns a report dict; the `ok` key is the conjunction.
+    An edgeless v terminal (the degenerate fan P(u,v,1)) lies on no facial
+    walk, so Euler's formula is checked on the graph without it.
     """
-    from .graphs import triangle_count  # local import to keep module deps one-way
-
     g = tg.graph
     faces = trace_faces(g, rot)
-    euler = euler_check(g, faces)
+    if g.degree(tg.terminal_v) == 0:
+        rest, _ = induced_subgraph(g, set(range(g.vertex_count)) - {tg.terminal_v})
+        euler = euler_check(rest, faces)
+    else:
+        euler = euler_check(g, faces)
     outer = outer_face_index(faces, tg.terminal_u, tg.terminal_v, g)
     min_bounded = min_bounded_face_length(faces, outer)
     triangles = triangle_count(g)
@@ -143,6 +147,7 @@ def certify(tg, rot: RotationSystem) -> dict:
         "vertices": g.vertex_count,
         "edges": g.edge_count,
         "faces": len(faces),
+        "outer_face_id": outer,
         "triangle_count": triangles,
         "euler": euler,
         "terminals_nonadjacent": not g.has_edge(tg.terminal_u, tg.terminal_v),

@@ -19,30 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .embedding import RotationSystem, euler_check, outer_face_index, trace_faces
-from .graphs import Graph, TerminalGraph, triangle_count
-
-
-@dataclass(frozen=True)
-class GadgetParams:
-    """Construction parameters: (k, ell) for T, bare b for P."""
-
-    b: int
-    k: Optional[int] = None
-    ell: Optional[int] = None
-
-    def __post_init__(self):
-        if self.b < 1:
-            raise ValueError("b must be >= 1")
-        if (self.k is None) != (self.ell is None):
-            raise ValueError("k and ell must be given together")
-        if self.k is not None:
-            if self.k < 1:
-                raise ValueError("k must be >= 1")
-            if self.ell < 0:
-                raise ValueError("ell must be >= 0")
-            if self.b != 2 ** self.k:
-                raise ValueError("b must equal 2^k")
+from .embedding import RotationSystem, certify
+from .graphs import Graph, TerminalGraph
 
 
 @dataclass(frozen=True)
@@ -66,13 +44,17 @@ class LeafPairRegistry:
 
 @dataclass(frozen=True)
 class Gadget:
-    """A built gadget: terminal graph, parameters, registry and embedding."""
+    """A built gadget: terminal graph, parameters, registry and embedding.
+
+    `k` and `ell` are those of T(u,v,k,ell); both are None for a bare fan
+    P(u,v,b), whose b is `registry.leaf_b`.
+    """
 
     tg: TerminalGraph
-    params: GadgetParams
+    k: Optional[int]
+    ell: Optional[int]
     registry: LeafPairRegistry
     rotation: RotationSystem
-    sub_terminals: Optional[tuple[tuple[int, int], ...]] = None
 
     @property
     def graph(self) -> Graph:
@@ -163,11 +145,11 @@ def _build_gadget(builder: _Builder, leaf_b: int, ell: int, u: int, v: int, pref
     return pairs, inner, u_fan, v_fan
 
 
-def _assemble(params: GadgetParams, ell_eff: int, check: bool) -> Gadget:
+def _assemble(leaf_b: int, k: Optional[int], ell: Optional[int], check: bool) -> Gadget:
     builder = _Builder()
     u = builder.alloc("u")
     v = builder.alloc("v")
-    pairs, inner, u_fan, v_fan = _build_gadget(builder, params.b, ell_eff, u, v, "")
+    pairs, inner, u_fan, v_fan = _build_gadget(builder, leaf_b, ell or 0, u, v, "")
     builder.rot[u] = u_fan
     builder.rot[v] = v_fan
 
@@ -179,37 +161,28 @@ def _assemble(params: GadgetParams, ell_eff: int, check: bool) -> Gadget:
     ]
     graph = Graph(len(builder.rot), edges, builder.labels)
     tg = TerminalGraph(graph, u, v)
-    registry = LeafPairRegistry(tuple(pairs), frozenset(inner), params.b)
+    registry = LeafPairRegistry(tuple(pairs), frozenset(inner), leaf_b)
     order = tuple(tuple(nbrs) for nbrs in builder.rot)
 
     outer_id = None
     if check:
-        rotation = RotationSystem(order, None)
-        faces = trace_faces(graph, rotation)
-        # P(u,v,1) leaves v isolated; Euler needs connectivity.
-        if graph.degree(v) > 0 and not euler_check(graph, faces):
-            raise AssertionError("embedding failed the Euler check")
-        outer_id = outer_face_index(faces, u, v, graph)
-        if triangle_count(graph) != 0:
-            raise AssertionError("constructed gadget contains a triangle")
-        if any(
-            len(faces[i]) < 4 for i in range(len(faces)) if i != outer_id
-        ):
-            raise AssertionError("bounded face shorter than a quadrilateral")
+        report = certify(tg, RotationSystem(order, None))
+        if not report["ok"]:
+            raise AssertionError(f"constructed gadget failed certification: {report}")
+        outer_id = report["outer_face_id"]
 
-    sub_terminals = ((2, 4), (3, 5), (4, 6)) if ell_eff > 0 else None
-    return Gadget(tg, params, registry, RotationSystem(order, outer_id), sub_terminals)
+    return Gadget(tg, k, ell, registry, RotationSystem(order, outer_id))
 
 
 def build_P(b: int, *, check: bool = True) -> Gadget:
     """Build the fan gadget P(u,v,b); b+2 vertices, 2b-1 edges.
 
-    `check` runs the full embedding/triangle certification (quadratic in
-    nothing, but it traces all faces; disable for bulk sweeps).
+    `check` runs `embedding.certify` and raises AssertionError unless it
+    passes (it traces all faces; disable for bulk sweeps).
     """
     if b < 1:
         raise ValueError("b must be >= 1")
-    return _assemble(GadgetParams(b=b), 0, check)
+    return _assemble(b, None, None, check)
 
 
 def build_T(k: int, ell: int, *, check: bool = True) -> Gadget:
@@ -218,7 +191,7 @@ def build_T(k: int, ell: int, *, check: bool = True) -> Gadget:
         raise ValueError("k must be >= 1")
     if ell < 0:
         raise ValueError("ell must be >= 0")
-    return _assemble(GadgetParams(b=2 ** k, k=k, ell=ell), ell, check)
+    return _assemble(2 ** k, k, ell, check)
 
 
 def vertex_count_closed_form(k: int, ell: int) -> int:

@@ -1,12 +1,12 @@
-"""Minimal immutable undirected simple graphs with 3-coloring predicates.
+"""Minimal immutable undirected simple graphs with a proper-coloring check.
 
 Vertices are dense 0-based indices.  Labels are an optional parallel
 decoration (never used for adjacency).  Colors are the literals 1, 2, 3.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Optional
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Optional
 
 COLORS = (1, 2, 3)
 
@@ -78,41 +78,6 @@ class Graph:
 
 
 @dataclass(frozen=True)
-class Coloring:
-    """Assignment of colors from {1,2,3} to vertex indices; may be partial."""
-
-    assignment: Mapping[int, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        frozen = dict(self.assignment)
-        for v, c in frozen.items():
-            if c not in COLORS:
-                raise ValueError(f"vertex {v} assigned invalid color {c}")
-        object.__setattr__(self, "assignment", frozen)
-
-    def __getitem__(self, v: int) -> int:
-        return self.assignment[v]
-
-    def get(self, v: int, default=None):
-        return self.assignment.get(v, default)
-
-    def __contains__(self, v: int) -> bool:
-        return v in self.assignment
-
-    def __len__(self) -> int:
-        return len(self.assignment)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.assignment)
-
-    def items(self):
-        return self.assignment.items()
-
-    def is_total_on(self, g: Graph) -> bool:
-        return all(v in self.assignment for v in range(g.vertex_count))
-
-
-@dataclass(frozen=True)
 class TerminalGraph:
     """Graph with two distinguished non-adjacent terminal vertices."""
 
@@ -147,18 +112,17 @@ def triangle_count(g: Graph) -> int:
     return total // 3
 
 
-def is_proper(g: Graph, coloring: Coloring | Mapping[int, int]) -> bool:
+def is_proper(g: Graph, coloring: Mapping[int, int]) -> bool:
     """True iff every edge has differently colored endpoints.
 
     Requires a total coloring; raises naming the first unassigned vertex.
     """
-    assignment = coloring.assignment if isinstance(coloring, Coloring) else coloring
     for v in range(g.vertex_count):
-        if v not in assignment:
+        if v not in coloring:
             label = g.label_of(v)
             where = f"vertex {v}" if label is None else f"vertex {v} ({label!r})"
             raise ValueError(f"coloring is partial: {where} has no color")
-    return all(assignment[a] != assignment[b] for a, b in g.edges)
+    return all(coloring[a] != coloring[b] for a, b in g.edges)
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int, int]]:

@@ -73,9 +73,9 @@ def gadget_descriptor(gadget: Gadget, *, include_faces: bool = False) -> dict:
     g = gadget.graph
     doc = {
         "format_version": 1,
-        "k": gadget.params.k,
-        "ell": gadget.params.ell,
-        "b": gadget.params.b,
+        "k": gadget.k,
+        "ell": gadget.ell,
+        "b": gadget.registry.leaf_b,
         "vertex_count": g.vertex_count,
         "terminals": [gadget.tg.terminal_u, gadget.tg.terminal_v],
         "edges": sorted(list(e) for e in g.edges),

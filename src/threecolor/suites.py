@@ -56,6 +56,8 @@ def run_lemma2() -> SuiteResult:
 
 def run_remark(b_max: int = 12) -> SuiteResult:
     """The fan has exactly two colorings with both terminals on color 1."""
+    if b_max < 1:
+        raise ValueError("the fan needs b >= 1")
     res = SuiteResult("remark")
     for b in range(1, b_max + 1):
         s = counting.path_pair_counts(b).same

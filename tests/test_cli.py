@@ -32,6 +32,7 @@ class TestGenerate:
         assert code == 0
         doc = json.loads(out)
         assert doc["vertex_count"] == 19
+        assert (doc["k"], doc["ell"], doc["b"]) == (2, 1, 4)
         assert len(doc["leaf_pairs"]) == 3
         assert "faces" in doc
 
@@ -134,6 +135,12 @@ class TestVerify:
                                "--ell-max", "0")
         assert code == 2
 
+    def test_remark_b0_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--suite", "remark",
+                                 "--b-max", "0")
+        assert code == 2
+        assert out == "" and "b >= 1" in err
+
     def test_embedding_sweep(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "embedding",
                                "--ell-max", "1", "--k-max", "2")
@@ -183,6 +190,12 @@ class TestReport:
         code, out, _ = run_cli(capsys, "report", "--ell-min", "8", "--ell-max", "8")
         assert code == 1
         assert "ERROR" in out
+
+    def test_malformed_bit_budget_env_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("THREECOLOR_BIT_BUDGET", "abc")
+        code, out, err = run_cli(capsys, "report")
+        assert code == 2
+        assert out == "" and "invalid THREECOLOR_BIT_BUDGET: 'abc'" in err
 
     def test_full_prints_decimal(self, capsys):
         code, out, _ = run_cli(capsys, "report", "--ell-max", "1", "--full")

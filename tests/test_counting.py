@@ -66,10 +66,22 @@ class TestBruteForce:
     def test_conflicting_fixed_colors_count_zero(self):
         g = Graph(2, [(0, 1)])
         assert count_colorings_bruteforce(g, {0: 1, 1: 1}) == 0
+        assert list(iter_colorings(g, {0: 1, 1: 1})) == []
 
-    def test_invalid_fixed_color_rejected(self):
-        with pytest.raises(ValueError, match="invalid color"):
-            count_colorings_bruteforce(Graph(1, []), {0: 7})
+    @pytest.mark.parametrize("route", [
+        count_colorings_bruteforce,
+        lambda g, fixed: list(iter_colorings(g, fixed)),
+    ], ids=["count", "iter"])
+    @pytest.mark.parametrize("n,fixed,message", [
+        (1, {0: 7}, "invalid color"),
+        (3, {-1: 1}, "out of range"),
+        (3, {5: 1}, "out of range"),
+        (3, {0: 7, 1: 7}, "invalid color"),  # 0-1 is an edge
+    ], ids=["color", "negative-vertex", "vertex-past-end", "invalid-on-edge"])
+    def test_invalid_fixed_color_rejected(self, n, fixed, message, route):
+        g = Graph(n, [(i, i + 1) for i in range(n - 1)])
+        with pytest.raises(ValueError, match=message):
+            route(g, fixed)
 
     @given(small_graphs(max_n=7))
     def test_matches_product_filter(self, g):
@@ -256,6 +268,12 @@ class TestCountExtensions:
             assert ext <= bound
             sigma += ext
         assert sigma == total_colorings(gadget_pair_counts(k, ell))
+
+    def test_mismatched_gadget_rejected(self):
+        psi = {0: 3, 1: 3, 2: 1, 3: 2, 4: 1, 5: 2, 6: 1}
+        for gadget in (build_T(2, 1, check=False), build_P(5, check=False)):
+            with pytest.raises(ValueError, match="does not match"):
+                count_extensions(1, 1, psi, gadget=gadget)
 
     def test_ell0_rejected(self):
         with pytest.raises(ValueError, match="ell >= 1"):

@@ -162,6 +162,12 @@ class TestCertify:
         assert report["outer_face_length"] == 6
         assert report["bounded_faces_ge_4"]
 
+    def test_degenerate_fan_certifies(self):
+        g = build_P(1)  # v is isolated, so Euler runs on the rest
+        report = certify(g.tg, g.rotation)
+        assert report["ok"] and report["euler"]
+        assert report["outer_face_id"] == g.rotation.outer_face_id == 0
+
     def test_construction_check_designates_outer_face(self):
         g = build_T(1, 1)  # check=True by default
         assert g.rotation.outer_face_id is not None

@@ -1,7 +1,6 @@
 import pytest
 
 from threecolor import (
-    GadgetParams,
     build_P,
     build_T,
     choose_k,
@@ -43,6 +42,7 @@ class TestBuildP:
         assert g.registry.pairs == ((0, 1),)
         assert g.registry.inner_set == frozenset({0, 1})
         assert g.registry.leaf_b == b
+        assert (g.k, g.ell) == (None, None)
 
 
 class TestBuildT:
@@ -60,7 +60,7 @@ class TestBuildT:
         assert len(g.registry.pairs) == 3
         assert g.registry.pairs == ((2, 4), (3, 5), (4, 6))
         assert g.registry.inner_set == frozenset(range(7))
-        assert g.sub_terminals == ((2, 4), (3, 5), (4, 6))
+        assert (g.k, g.ell) == (1, 1)
 
     def test_k0_rejected(self):
         with pytest.raises(ValueError):
@@ -170,13 +170,3 @@ class TestChooseK:
         k = choose_k(ell)
         if k > 1:
             assert 2 ** (k - 1 + ell) < 3 ** ell
-
-
-class TestGadgetParams:
-    def test_b_must_match_k(self):
-        with pytest.raises(ValueError):
-            GadgetParams(b=3, k=1, ell=0)
-
-    def test_k_without_ell_rejected(self):
-        with pytest.raises(ValueError):
-            GadgetParams(b=2, k=1)

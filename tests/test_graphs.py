@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given
 
 from threecolor import (
-    Coloring,
     Graph,
     TerminalGraph,
     build_P,
@@ -65,16 +64,6 @@ class TestTerminalGraph:
     def test_rejects_equal_terminals(self):
         with pytest.raises(ValueError, match="distinct"):
             TerminalGraph(Graph(2, []), 0, 0)
-
-
-class TestColoring:
-    def test_rejects_invalid_color(self):
-        with pytest.raises(ValueError, match="invalid color"):
-            Coloring({0: 4})
-
-    def test_partial_allowed(self):
-        c = Coloring({0: 1, 2: 3})
-        assert 0 in c and 1 not in c and c.get(1) is None
 
 
 class TestTriangleCount:
