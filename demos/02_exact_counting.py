@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
-"""Exact 3-coloring counts: three independent routes that must agree.
+"""Exact 3-coloring counts: independent routes that must agree.
 
-The brute-force backtracker enumerates colorings directly.  The transfer
-counter slides along the fan's path.  The pair-count recursion multiplies
-child counts through the frame.  Totals expand from the pair counts (S, D)
-as 3S + 6D by color-permutation symmetry.
+The brute-force backtracker enumerates colorings directly.  The fan's pair
+counts come from a closed form, S = 2 and D = F(b+2), a Fibonacci number;
+the transfer counter that slides along the fan's path is kept as its
+oracle.  The pair-count recursion multiplies child counts through the
+frame, in the closed form S' = 2S^3, D' = S(3S^2 + 6SD + 4D^2).  Totals
+expand from the pair counts (S, D) as 3S + 6D by color-permutation
+symmetry.
 """
 from threecolor import (
     build_T,

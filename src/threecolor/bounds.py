@@ -20,6 +20,7 @@ exponent itself is never evaluated.  No check ever compares floats.
 """
 from __future__ import annotations
 
+import decimal
 import json
 from dataclasses import dataclass
 from typing import Optional
@@ -185,19 +186,55 @@ def emit_report(ell_range, *, bit_budget: int = DEFAULT_BIT_BUDGET,
     return Report(tuple(rows))
 
 
+# Integers below this many bits (at most 603 digits) convert directly:
+# str() is fastest there, and it stays under the smallest int-to-str digit
+# limit an interpreter accepts (640).  Pieces of the recursion below it
+# become Decimal(piece), which no such limit applies to.
+_BASE_BITS = 2000
+
+# Decimal arithmetic that can never round: every result must be exact.
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                         Emin=decimal.MIN_EMIN)
+_EXACT.traps[decimal.Inexact] = _EXACT.traps[decimal.Rounded] = True
+
+
 def int_to_decimal(value: int) -> str:
-    """Decimal string of a possibly huge integer.
+    """Decimal string of a possibly huge integer, in subquadratic time.
 
-    Python >= 3.11 caps int-to-str conversion; lift the cap as needed.
+    str() of an int is quadratic in the digit count (and capped by the
+    interpreter's int-to-str limit).  Instead, split the integer by bits,
+    convert both halves recursively to `decimal.Decimal`, and join them as
+    hi * 2^w + lo, with 2^w itself an exact Decimal cached for the call;
+    Decimal multiplies huge numbers in subquadratic time and prints them in
+    linear time.  The process-wide int-to-str limit is neither read nor
+    changed.
     """
-    import sys
+    if value < 0:
+        return "-" + int_to_decimal(-value)
+    if value.bit_length() < _BASE_BITS:
+        return str(value)
+    powers: dict[int, decimal.Decimal] = {}
 
-    setter = getattr(sys, "set_int_max_str_digits", None)
-    if setter is not None:
-        needed = value.bit_length() // 3 + 20  # digits < bits/log2(10) + slack
-        if sys.get_int_max_str_digits() < needed:
-            setter(needed)
-    return str(value)
+    def power_of_two(w: int) -> decimal.Decimal:
+        p = powers.get(w)
+        if p is None:
+            if w < _BASE_BITS:
+                p = decimal.Decimal(1 << w)
+            else:
+                p = power_of_two(w >> 1) * power_of_two(w - (w >> 1))
+            powers[w] = p
+        return p
+
+    def convert(n: int, w: int) -> decimal.Decimal:
+        # n < 2^w
+        if w < _BASE_BITS:
+            return decimal.Decimal(n)
+        half = w >> 1
+        hi = n >> half
+        return convert(hi, w - half) * power_of_two(half) + convert(n - (hi << half), half)
+
+    with decimal.localcontext(_EXACT):
+        return str(convert(value, value.bit_length()))
 
 
 def report_to_json(report: Report, *, indent: Optional[int] = 2) -> str:

@@ -69,6 +69,12 @@ def _parse_fix(raw: str | None):
 def cmd_count(args) -> int:
     fix = _parse_fix(args.fix)
     if args.method == "dp":
+        bits = counting.predicted_count_bits(args.k, args.ell)
+        if bits > args.bit_budget:
+            raise bounds.BitBudgetExceededError(
+                f"the count of T({args.k},{args.ell}) may need up to {bits:.4g} bits,"
+                f" over the budget of {args.bit_budget}"
+            )
         pc = counting.gadget_pair_counts(args.k, args.ell)
         if fix is None:
             value = counting.total_colorings(pc)
@@ -183,7 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run the brute-force oracle past its cutoff")
     p_cnt.add_argument("--cutoff", type=int, default=counting.DEFAULT_BRUTE_FORCE_CUTOFF)
     p_cnt.add_argument("--json", action="store_true")
-    p_cnt.set_defaults(func=cmd_count)
+    # No flag: the budget comes from $THREECOLOR_BIT_BUDGET or the default.
+    p_cnt.set_defaults(func=cmd_count, bit_budget=None)
 
     p_ver = sub.add_parser("verify", help="run a named verification suite")
     p_ver.add_argument("--suite", required=True,

@@ -1,11 +1,14 @@
 """Exact proper-3-coloring counting.
 
-Four routes, kept deliberately independent so they can cross-check each
-other:
+The hot path is closed forms: the fan P(u,v,b) has S = 2 and D = F(b+2), a
+Fibonacci number computed by fast doubling, and each recursion level of
+T(u,v,k,l) maps (S, D) to (2S^3, S(3S^2 + 6SD + 4D^2)).  Four slower routes,
+kept deliberately independent, are the oracles that check them:
 
 * a brute-force backtracking oracle over any small graph,
-* a left-to-right transfer counter for the fan P(u,v,b),
-* a recursive pair-count dynamic program for T(u,v,k,l),
+* a left-to-right transfer counter for the fan (`_path_interior_transfer`),
+* the frame recursion as a sum over the 13 proper frame colorings
+  (`_frame_combine_patterns`),
 * a per-coloring extension counter for colorings of the inner vertex set.
 
 Pair counts (S, D) are the number of colorings with the two terminals fixed
@@ -16,6 +19,7 @@ exact arbitrary-precision integers.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Mapping, Optional
@@ -141,17 +145,42 @@ def count_colorings_bruteforce(
     return rec(0)
 
 
-@lru_cache(maxsize=None)
-def path_interior_count(b: int, color_u: int, color_v: int) -> int:
-    """Colorings of the path interior of P(u,v,b) with the terminals fixed.
-
-    Left-to-right transfer over v_1..v_b; the state is the color of v_i,
-    constrained away from u's color (odd i) or v's color (even i).
-    """
+def _check_terminals(b: int, color_u: int, color_v: int) -> None:
     if b < 1:
         raise ValueError("b must be >= 1")
     if color_u not in COLORS or color_v not in COLORS:
         raise ValueError("terminal colors must be in {1,2,3}")
+
+
+def _fibonacci(n: int) -> int:
+    """F(n) by fast doubling: F(2j) = F(j)(2F(j+1) - F(j)) and
+    F(2j+1) = F(j)^2 + F(j+1)^2, one bit of n per step."""
+    a, b = 0, 1  # F(j), F(j+1) for j = the bits of n read so far
+    for bit in bin(n)[2:]:
+        a, b = a * (2 * b - a), a * a + b * b
+        if bit == "1":
+            a, b = b, a + b
+    return a
+
+
+@lru_cache(maxsize=None)
+def path_interior_count(b: int, color_u: int, color_v: int) -> int:
+    """Colorings of the path interior of P(u,v,b) with the terminals fixed.
+
+    Equal terminal colors leave the two alternating colorings.  With u and v
+    colored differently, the odd path vertices pick from two colors and the
+    even ones from two, and only the shared third color can clash, so the
+    count is the Fibonacci number F(b+2).
+    """
+    _check_terminals(b, color_u, color_v)
+    return 2 if color_u == color_v else _fibonacci(b + 2)
+
+
+def _path_interior_transfer(b: int, color_u: int, color_v: int) -> int:
+    """Reference route for `path_interior_count`: a left-to-right transfer
+    over v_1..v_b; the state is the color of v_i, constrained away from u's
+    color (odd i) or v's color (even i)."""
+    _check_terminals(b, color_u, color_v)
     state = {c: 1 for c in COLORS if c != color_u}
     for i in range(2, b + 1):
         banned = color_u if i % 2 == 1 else color_v
@@ -197,9 +226,32 @@ assert _FRAME_PATTERNS_SAME == ((True, True, True),) * 2
 assert len(_FRAME_PATTERNS_DIFF) == 13
 
 
+def _equality_profile(patterns) -> tuple[int, ...]:
+    """How many patterns hold 0, 1, 2 and 3 equal child terminal pairs."""
+    profile = [0] * 4
+    for pattern in patterns:
+        profile[sum(pattern)] += 1
+    return tuple(profile)
+
+
+# A pattern with j equal child pairs contributes S^j D^(3-j), so these
+# profiles are the coefficients of the closed form in `_frame_combine`.
+assert _equality_profile(_FRAME_PATTERNS_SAME) == (0, 0, 0, 2)
+assert _equality_profile(_FRAME_PATTERNS_DIFF) == (0, 4, 6, 3)
+
+
 def _frame_combine(child: PairCounts) -> PairCounts:
-    """One recursion level: sum over proper frame colorings of the product
-    of child pair counts, one factor per hosted terminal pair."""
+    """One recursion level in closed form: S' = 2S^3 and
+    D' = 3S^3 + 6S^2 D + 4S D^2 = S(3S^2 + 6SD + 4D^2)."""
+    s, d = child.same, child.diff
+    s2 = s * s
+    return PairCounts(2 * s2 * s, s * (3 * s2 + 6 * s * d + 4 * d * d))
+
+
+def _frame_combine_patterns(child: PairCounts) -> PairCounts:
+    """Reference route for `_frame_combine`: sum over proper frame colorings
+    of the product of child pair counts, one factor per hosted terminal
+    pair."""
 
     def weight(patterns):
         total = 0
@@ -214,16 +266,49 @@ def _frame_combine(child: PairCounts) -> PairCounts:
     return PairCounts(weight(_FRAME_PATTERNS_SAME), weight(_FRAME_PATTERNS_DIFF))
 
 
-def gadget_pair_counts(k: int, ell: int) -> PairCounts:
-    """Pair counts of T(u,v,k,ell) in O(ell) big-integer multiplications."""
+def _check_gadget_args(k: int, ell: int) -> None:
     if k < 1:
         raise ValueError("k must be >= 1")
     if ell < 0:
         raise ValueError("ell must be >= 0")
+
+
+def gadget_pair_counts(k: int, ell: int) -> PairCounts:
+    """Pair counts of T(u,v,k,ell) in O(ell) big-integer multiplications."""
+    _check_gadget_args(k, ell)
     pc = path_pair_counts(2 ** k)
     for _ in range(ell):
         pc = _frame_combine(pc)
     return pc
+
+
+# F(n) = (phi^n - (-1/phi)^n) / sqrt(5) < phi^n / sqrt(5) for even n > 0.
+_LOG2_PHI = math.log2((1 + math.sqrt(5)) / 2)
+_LOG2_SQRT5 = math.log2(5) / 2
+
+
+def predicted_count_bits(k: int, ell: int) -> float:
+    """An upper bound on the bit length of the total count of T(u,v,k,ell).
+
+    Runs the closed-form recursion on log2 S and log2 D in floating point,
+    in O(ell) steps and with no big integer, so that a caller can refuse a
+    count over its bit budget before computing it.  The fan starts from
+    log2 of phi^(b+2) / sqrt(5), which exceeds log2 F(b+2) because b + 2 is
+    even.  The bit length is at most log2(c) + 1; the result adds a relative
+    margin of 2^-20 and one more bit for float rounding.  It is infinite
+    where a float would overflow.
+    """
+    _check_gadget_args(k, ell)
+    if k >= 1024:
+        return math.inf
+    s = 1.0                                          # log2 S, S = 2
+    d = (2.0 ** k + 2) * _LOG2_PHI - _LOG2_SQRT5     # log2 D, D = F(2^k + 2)
+    for _ in range(ell):
+        if d == math.inf:
+            return math.inf
+        r = 2.0 ** (s - d)                           # S / D <= 1
+        s, d = 1 + 3 * s, s + 2 * d + math.log2(3 * r * r + 6 * r + 4)
+    return (d + math.log2(6 + 3 * 2.0 ** (s - d))) * (1 + 2.0 ** -20) + 2
 
 
 def inner_subgraph_pair_counts(ell: int) -> PairCounts:

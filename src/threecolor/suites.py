@@ -60,7 +60,8 @@ def run_remark(b_max: int = 12) -> SuiteResult:
         raise ValueError("the fan needs b >= 1")
     res = SuiteResult("remark")
     for b in range(1, b_max + 1):
-        s = counting.path_pair_counts(b).same
+        # The transfer, not the closed form: the claim keeps two routes.
+        s = counting._path_interior_transfer(b, 1, 1)
         oracle = counting.count_colorings_bruteforce(
             build_P(b, check=False).graph, {0: 1, 1: 1}, force=True
         )

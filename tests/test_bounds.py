@@ -1,6 +1,11 @@
+import contextlib
 import json
+import random
+import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from threecolor import (
     BitBudgetExceededError,
@@ -16,7 +21,7 @@ from threecolor import (
     theorem_chain_check,
     total_colorings,
 )
-from threecolor.bounds import CHECK_NAMES, int_to_decimal
+from threecolor.bounds import _BASE_BITS, CHECK_NAMES, int_to_decimal
 
 
 class TestLemma3Bound:
@@ -146,6 +151,28 @@ class TestEmitReport:
         assert "all checks pass" in text
 
 
+@contextlib.contextmanager
+def unlimited_int_str():
+    """Lift the interpreter's int/str digit limit for the block, if it has one."""
+    setter = getattr(sys, "set_int_max_str_digits", None)
+    if setter is None:
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    setter(0)
+    try:
+        yield
+    finally:
+        setter(old)
+
+
+def plain_str(value: int) -> str:
+    """str(value) with the limit lifted only for this call, so that the
+    conversion under test runs under the interpreter's own limit."""
+    with unlimited_int_str():
+        return str(value)
+
+
 class TestIntToDecimal:
     def test_small(self):
         assert int_to_decimal(1056) == "1056"
@@ -155,4 +182,38 @@ class TestIntToDecimal:
         big = 1 << 40000
         text = int_to_decimal(big)
         assert len(text) == 12042  # floor(40000*log10(2)) + 1
-        assert int(text) == big
+        with unlimited_int_str():
+            assert int(text) == big
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="the interpreter has no int-to-str limit")
+    def test_leaves_the_int_str_limit_alone(self):
+        before = sys.get_int_max_str_digits()
+        text = int_to_decimal(10 ** 499_999 + 7)
+        assert len(text) == 500_000
+        assert text == "1" + "0" * 499_993 + "000007"
+        assert sys.get_int_max_str_digits() == before
+
+    @pytest.mark.parametrize("value", [
+        0, 1, -1,
+        *(sign * (10 ** j + d) for j in (1, 601, 602, 603, 2000)
+          for d in (-1, 1) for sign in (1, -1)),
+        *(2 ** w + d for w in (_BASE_BITS - 1, _BASE_BITS, _BASE_BITS + 1,
+                               2 * _BASE_BITS - 1, 2 * _BASE_BITS, 2 * _BASE_BITS + 1)
+          for d in (-1, 0, 1)),
+    ])
+    def test_matches_str_at_boundaries(self, value):
+        assert int_to_decimal(value) == plain_str(value)
+
+    @pytest.mark.parametrize("bits", [
+        2_500, 7_919, 33_333, 123_457, 400_000, 1_000_000])
+    def test_matches_str_on_large_values(self, bits):
+        value = random.Random(bits).getrandbits(bits) | 1 << (bits - 1)
+        expected = plain_str(value)
+        assert int_to_decimal(value) == expected
+        assert int_to_decimal(-value) == "-" + expected
+
+    @given(st.integers(min_value=0, max_value=40_000), st.randoms(use_true_random=False))
+    def test_matches_str_on_random_values(self, bits, rng):
+        value = rng.getrandbits(bits) if bits else 0
+        assert int_to_decimal(value) == plain_str(value)

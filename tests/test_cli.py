@@ -1,7 +1,16 @@
+import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import networkx as nx
+import pytest
+import threecolor
 from threecolor.cli import main
+
+SRC = pathlib.Path(threecolor.__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -115,6 +124,47 @@ class TestCount:
         _, brute_out, _ = run_cli(capsys, "count", "--k", "2", "--ell", "1",
                                   "--method", "brute", "--full")
         assert dp_out == brute_out
+
+
+    def test_huge_fan_refused_before_any_work(self):
+        env = {k: v for k, v in os.environ.items() if k != "THREECOLOR_BIT_BUDGET"}
+        env["PYTHONPATH"] = str(SRC)
+        proc = subprocess.run(
+            [sys.executable, "-m", "threecolor.cli", "count", "--k", "40", "--ell", "0"],
+            capture_output=True, text=True, env=env, timeout=10,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == "" and "over the budget of 10000000" in proc.stderr
+
+    def test_bit_budget_env_applies_to_count(self, capsys, monkeypatch):
+        monkeypatch.setenv("THREECOLOR_BIT_BUDGET", "1000")
+        code, out, err = run_cli(capsys, "count", "--k", "1", "--ell", "14")
+        assert code == 2
+        assert out == "" and "over the budget of 1000" in err
+
+    def test_largest_level_under_the_default_budget_runs(self, capsys, monkeypatch):
+        monkeypatch.delenv("THREECOLOR_BIT_BUDGET", raising=False)
+        code, out, _ = run_cli(capsys, "count", "--k", "1", "--ell", "14")
+        assert code == 0
+        assert out.strip() == "bit_length: 7211279"
+
+
+# SHA-256 of stdout, recorded before the closed forms and the divide-and-
+# conquer decimal conversion replaced the transfer, the pattern sum and str().
+GOLDEN_STDOUT_SHA256 = {
+    ("report", "--ell-max", "12", "--full", "--json"):
+        "552b928dca77c5523e2538201c89aaac981c1d1bdb15240b74055b8b6e313439",
+    ("count", "--k", "3", "--ell", "6", "--full", "--json"):
+        "1caa8e8e69050b98ab77ce49504270ec44598cd3f5897e8d8168f1c25cbda26e",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_STDOUT_SHA256), ids=" ".join)
+def test_golden_stdout(argv, capsys, monkeypatch):
+    monkeypatch.delenv("THREECOLOR_BIT_BUDGET", raising=False)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == GOLDEN_STDOUT_SHA256[argv]
 
 
 class TestVerify:

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from threecolor import (
     BruteForceCutoffError,
@@ -20,6 +21,12 @@ from threecolor import (
     path_interior_count,
     path_pair_counts,
     total_colorings,
+)
+from threecolor.counting import (
+    _frame_combine,
+    _frame_combine_patterns,
+    _path_interior_transfer,
+    predicted_count_bits,
 )
 
 from graph_strategies import small_graphs
@@ -140,6 +147,74 @@ class TestPathPairCounts:
             diff = {v for (cu, cv), v in values.items() if cu != cv}
             assert same == {2}
             assert len(diff) == 1
+
+
+COLOR_PAIRS = list(itertools.product((1, 2, 3), repeat=2))
+
+
+class TestClosedFormsAgainstReferenceRoutes:
+    """The closed forms on the hot path against the routes they replaced."""
+
+    @pytest.mark.parametrize("cu,cv", COLOR_PAIRS)
+    def test_fan_closed_form_matches_transfer(self, cu, cv):
+        for b in range(1, 301):
+            assert path_interior_count(b, cu, cv) == _path_interior_transfer(b, cu, cv)
+
+    @pytest.mark.parametrize("b", range(1, 13))
+    def test_fan_closed_form_matches_brute_force(self, b):
+        g = build_P(b, check=False).graph
+        for cu, cv in COLOR_PAIRS:
+            assert path_interior_count(b, cu, cv) == \
+                count_colorings_bruteforce(g, {0: cu, 1: cv})
+
+    def test_transfer_keeps_the_argument_checks(self):
+        with pytest.raises(ValueError, match="b must be"):
+            _path_interior_transfer(0, 1, 2)
+        with pytest.raises(ValueError, match="terminal colors"):
+            path_interior_count(3, 1, 4)
+
+    @given(st.integers(min_value=0), st.integers(min_value=0))
+    def test_frame_closed_form_matches_pattern_sum(self, s, d):
+        child = PairCounts(s, d)
+        assert _frame_combine(child) == _frame_combine_patterns(child)
+
+    @pytest.mark.parametrize("ell", range(7))
+    def test_inner_subgraph_counts_unchanged(self, ell):
+        pc = PairCounts(1, 1)
+        for _ in range(ell):
+            pc = _frame_combine_patterns(pc)
+        assert inner_subgraph_pair_counts(ell) == pc
+
+    @pytest.mark.parametrize("k,ell", [(k, ell) for k in range(1, 5) for ell in range(5)])
+    def test_gadget_counts_match_reference_routes(self, k, ell):
+        b = 2 ** k
+        pc = PairCounts(_path_interior_transfer(b, 1, 1), _path_interior_transfer(b, 1, 2))
+        for _ in range(ell):
+            pc = _frame_combine_patterns(pc)
+        assert gadget_pair_counts(k, ell) == pc
+
+
+class TestPredictedCountBits:
+    @pytest.mark.parametrize("k,ell", [(k, ell) for k in range(1, 7) for ell in range(9)]
+                             + [(1, 14)])
+    def test_bounds_the_exact_bit_length(self, k, ell):
+        exact = total_colorings(gadget_pair_counts(k, ell)).bit_length()
+        assert exact <= predicted_count_bits(k, ell)
+
+    def test_admits_the_largest_level_under_the_default_budget(self):
+        # c(T(1,14)) has 7,211,279 bits; the default budget is 10^7.
+        assert 7_211_279 <= predicted_count_bits(1, 14) < 10 ** 7
+
+    def test_huge_arguments_stay_cheap(self):
+        assert predicted_count_bits(40, 0) > 7e11     # D = F(2^40 + 2)
+        assert predicted_count_bits(5000, 3) == float("inf")
+        assert predicted_count_bits(1, 10 ** 9) == float("inf")
+
+    def test_domain_guards(self):
+        with pytest.raises(ValueError, match="k must be"):
+            predicted_count_bits(0, 1)
+        with pytest.raises(ValueError, match="ell must be"):
+            predicted_count_bits(1, -1)
 
 
 class TestGadgetPairCounts:
