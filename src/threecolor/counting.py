@@ -376,9 +376,11 @@ def count_extensions(
     for v, c in psi.items():
         if c not in COLORS:
             raise ValueError(f"vertex {v} assigned invalid color {c}")
-    for a, b in gadget.graph.edges:
-        if a in inner and b in inner and psi[a] == psi[b]:
-            raise ValueError(f"coloring is improper on inner edge ({a},{b})")
+    adjacency = gadget.graph.adjacency
+    for a in psi:
+        for b in adjacency[a]:
+            if a < b and b in inner and psi[a] == psi[b]:
+                raise ValueError(f"coloring is improper on inner edge ({a},{b})")
     b = gadget.registry.leaf_b
     product = 1
     for x, y in gadget.registry.pairs:

@@ -36,38 +36,37 @@ def trace_faces(g: Graph, rot: RotationSystem | Sequence[Sequence[int]]) -> list
     """Facial walks of the combinatorial map (g, rot).
 
     Each directed edge side is used exactly once; a face is returned as the
-    list of vertices along its closed walk (walk length = len(face)).
+    list of vertices along its closed walk (walk length = len(face)).  Dart i
+    of vertex a runs a -> order[a][i]; its reverse is found by scanning
+    order[b], so no per-dart index is built.
     Raises ValueError if the rotation is inconsistent with the graph.
     """
     order = _orders_of(rot)
     n = g.vertex_count
     if len(order) != n:
         raise ValueError("rotation must list every vertex")
+    offset = [0] * (n + 1)
     for a in range(n):
         if sorted(order[a]) != list(g.adjacency[a]):
             raise ValueError(f"rotation at vertex {a} does not match its edges")
-
-    index_of = {}
-    offset = [0] * (n + 1)
-    for a in range(n):
         offset[a + 1] = offset[a] + len(order[a])
-        for i, b in enumerate(order[a]):
-            index_of[a * n + b] = i
 
     visited = bytearray(offset[n])
     faces: list[Face] = []
     for a0 in range(n):
-        for i0, b0 in enumerate(order[a0]):
+        for i0 in range(len(order[a0])):
             if visited[offset[a0] + i0]:
                 continue
             walk: Face = []
-            a, b = a0, b0
+            a, i = a0, i0
             while True:
                 walk.append(a)
-                visited[offset[a] + index_of[a * n + b]] = 1
-                j = index_of[b * n + a] - 1  # next dart: clockwise past a at b
-                a, b = b, order[b][j]
-                if (a, b) == (a0, b0):
+                visited[offset[a] + i] = 1
+                b = order[a][i]
+                # next dart: clockwise past a at b
+                i = (order[b].index(a) - 1) % len(order[b])
+                a = b
+                if a == a0 and i == i0:
                     break
             faces.append(walk)
     return faces

@@ -1,7 +1,8 @@
 """Minimal immutable undirected simple graphs with a proper-coloring check.
 
-Vertices are dense 0-based indices.  Labels are an optional parallel
-decoration (never used for adjacency).  Colors are the literals 1, 2, 3.
+Vertices are dense 0-based indices, and a sorted neighbor tuple per vertex is
+the only edge store.  Labels are an optional parallel decoration (never used
+for adjacency).  Colors are the literals 1, 2, 3.
 """
 from __future__ import annotations
 
@@ -16,12 +17,11 @@ Edge = tuple[int, int]
 class Graph:
     """Undirected simple graph: no self-loops, no parallel edges.
 
-    Edges are kept both as a frozenset of sorted pairs (containment) and as
-    adjacency tuples (iteration); consistency between the two is asserted at
-    construction, never left to callers.
+    The sorted adjacency tuples are the only edge store; `edges` and
+    `has_edge` read them.
     """
 
-    __slots__ = ("vertex_count", "edges", "adjacency", "labels")
+    __slots__ = ("vertex_count", "edge_count", "adjacency", "labels")
 
     def __init__(
         self,
@@ -31,15 +31,12 @@ class Graph:
     ):
         if vertex_count < 0:
             raise ValueError("vertex_count must be nonnegative")
-        edge_set = set()
+        adj: list[list[int]] = [[] for _ in range(vertex_count)]
         for a, b in edges:
             if a == b:
                 raise ValueError(f"self-loop at vertex {a}")
             if not (0 <= a < vertex_count and 0 <= b < vertex_count):
                 raise ValueError(f"edge ({a},{b}) out of range for n={vertex_count}")
-            edge_set.add((a, b) if a < b else (b, a))
-        adj: list[list[int]] = [[] for _ in range(vertex_count)]
-        for a, b in edge_set:
             adj[a].append(b)
             adj[b].append(a)
         if labels is not None:
@@ -49,23 +46,22 @@ class Graph:
             if len(set(labels)) != len(labels):
                 raise ValueError("labels must be unique")
 
+        adjacency = tuple(tuple(sorted(set(nbrs))) for nbrs in adj)
         object.__setattr__(self, "vertex_count", vertex_count)
-        object.__setattr__(self, "edges", frozenset(edge_set))
-        object.__setattr__(
-            self, "adjacency", tuple(tuple(sorted(nbrs)) for nbrs in adj)
-        )
+        object.__setattr__(self, "edge_count", sum(map(len, adjacency)) // 2)
+        object.__setattr__(self, "adjacency", adjacency)
         object.__setattr__(self, "labels", labels)
-        assert sum(len(nbrs) for nbrs in self.adjacency) == 2 * len(self.edges)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
     @property
-    def edge_count(self) -> int:
-        return len(self.edges)
+    def edges(self) -> tuple[Edge, ...]:
+        """Every edge once as (a, b) with a < b, in ascending order."""
+        return tuple((a, b) for a, nbrs in enumerate(self.adjacency) for b in nbrs if a < b)
 
     def has_edge(self, a: int, b: int) -> bool:
-        return ((a, b) if a < b else (b, a)) in self.edges
+        return 0 <= a < self.vertex_count and b in self.adjacency[a]
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -100,14 +96,15 @@ def triangle_count(g: Graph) -> int:
     """Exact number of 3-cliques, via common-neighbor intersection per edge.
 
     Each triangle is seen once per edge, so the intersection total is 3x.
+    Only the neighbor set of the current lower endpoint is held.
     """
-    adj_sets = [set(nbrs) for nbrs in g.adjacency]
+    adjacency = g.adjacency
     total = 0
-    for a, b in g.edges:
-        sa, sb = adj_sets[a], adj_sets[b]
-        if len(sb) < len(sa):
-            sa, sb = sb, sa
-        total += len(sa & sb)
+    for a, nbrs in enumerate(adjacency):
+        sa = set(nbrs)
+        for b in nbrs:
+            if a < b:
+                total += len(sa.intersection(adjacency[b]))
     assert total % 3 == 0
     return total // 3
 
@@ -137,8 +134,9 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int
     index_map = {old: new for new, old in enumerate(kept)}
     sub_edges = [
         (index_map[a], index_map[b])
-        for a, b in g.edges
-        if a in index_map and b in index_map
+        for a in kept
+        for b in g.adjacency[a]
+        if a < b and b in index_map
     ]
     labels = None
     if g.labels is not None:

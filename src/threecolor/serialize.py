@@ -38,10 +38,10 @@ def to_graph6(g: Graph) -> str:
     out = bytearray(_graph6_size_bytes(n))
     group = 0
     nbits = 0
-    edges = g.edges
     for j in range(1, n):
+        nbrs = g.adjacency[j]
         for i in range(j):
-            group = (group << 1) | ((i, j) in edges)
+            group = (group << 1) | (i in nbrs)
             nbits += 1
             if nbits == 6:
                 out.append(group + 63)
@@ -62,7 +62,7 @@ def to_dot(g: Graph, name: str = "G") -> str:
         else:
             escaped = label.replace('"', '\\"')
             lines.append(f'  {v} [label="{escaped}"];')
-    for a, b in sorted(g.edges):
+    for a, b in g.edges:
         lines.append(f"  {a} -- {b};")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -78,7 +78,7 @@ def gadget_descriptor(gadget: Gadget, *, include_faces: bool = False) -> dict:
         "b": gadget.registry.leaf_b,
         "vertex_count": g.vertex_count,
         "terminals": [gadget.tg.terminal_u, gadget.tg.terminal_v],
-        "edges": sorted(list(e) for e in g.edges),
+        "edges": [list(e) for e in g.edges],
         "labels": list(g.labels) if g.labels is not None else None,
         "leaf_pairs": [list(p) for p in gadget.registry.pairs],
         "inner_set": sorted(gadget.registry.inner_set),

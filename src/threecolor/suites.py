@@ -115,7 +115,7 @@ def run_eq3(ell_max: int = 6, bit_budget: int = bounds.DEFAULT_BIT_BUDGET) -> Su
             f"ell={ell} (k={r.k})",
             r.ok,
             f"c has {r.c_total.bit_length()} bits < 2^{r.bound_exponent};"
-            f" inner count {r.inner_total}",
+            f" inner count {bounds.int_to_decimal(r.inner_total)}",
         )
     return res
 

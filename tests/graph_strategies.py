@@ -23,3 +23,14 @@ def graphs_with_total_colorings(draw, min_n=1, max_n=8):
         )
     )
     return g, dict(enumerate(colors))
+
+
+@st.composite
+def edge_lists_with_repeats(draw, max_n=8):
+    """(n, edges) where edges may repeat a pair and use either orientation."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=3 * n) if pairs else st.just([]))
+    # Append half of the list reversed and its first edge again, so that any
+    # nonempty list repeats an edge, in both orientations from two edges on.
+    return n, edges + [(b, a) for a, b in edges[: len(edges) // 2]] + edges[:1]

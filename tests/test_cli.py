@@ -156,6 +156,14 @@ GOLDEN_STDOUT_SHA256 = {
         "552b928dca77c5523e2538201c89aaac981c1d1bdb15240b74055b8b6e313439",
     ("count", "--k", "3", "--ell", "6", "--full", "--json"):
         "1caa8e8e69050b98ab77ce49504270ec44598cd3f5897e8d8168f1c25cbda26e",
+    ("generate", "--k", "2", "--ell", "3", "--format", "json", "--faces"):
+        "fdd5cee41b683ef9526e39f7597750189e231f2f4b5e82834cb010d40a80c438",
+    ("generate", "--k", "3", "--ell", "2", "--format", "dot"):
+        "73e7868e503036fd1dbfe5a23946efb33253f0a6646466dc3d0dcc0b3870c1ed",
+    ("generate", "--k", "2", "--ell", "2", "--format", "graph6"):
+        "e61cc8d3ec66be36508a26362188bf7bed3598c409b9d01ff98727062b5a0546",
+    ("verify", "--suite", "all"):
+        "41f159e0cd185ff77cb68b7cd26f2a0c3e9ae0730c4c37a420fc4ff8c6c9eeb5",
 }
 
 
@@ -204,6 +212,19 @@ class TestVerify:
         assert doc["passed"] is True
         assert doc["suites"][0]["suite"] == "remark"
         assert len(doc["suites"][0]["checks"]) == 12
+
+    def test_eq3_prints_counts_past_the_int_str_limit(self):
+        # A fresh interpreter keeps the default 4300-digit int-to-str limit,
+        # which the ell = 10 inner count exceeds.
+        env = {k: v for k, v in os.environ.items() if k != "THREECOLOR_BIT_BUDGET"}
+        env["PYTHONPATH"] = str(SRC)
+        proc = subprocess.run(
+            [sys.executable, "-m", "threecolor.cli", "verify", "--suite", "eq3",
+             "--ell-max", "10"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "suite eq3: PASS"
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run_cli(capsys, "verify", "--suite", "eq3", "--ell-max", "2")

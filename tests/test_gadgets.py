@@ -15,7 +15,7 @@ class TestBuildP:
     def test_b1_smallest_fan(self):
         g = build_P(1)
         assert g.graph.vertex_count == 3
-        assert g.graph.edges == {(0, 2)}  # u-v1 only; v isolated
+        assert g.graph.edges == ((0, 2),)  # u-v1 only; v isolated
         assert g.graph.labels == ("u", "v", "v1")
 
     def test_b5_frame(self):

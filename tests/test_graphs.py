@@ -12,7 +12,7 @@ from threecolor import (
     triangle_count,
 )
 
-from graph_strategies import graphs_with_total_colorings, small_graphs
+from graph_strategies import edge_lists_with_repeats, graphs_with_total_colorings, small_graphs
 
 
 def naive_triangle_count(g: Graph) -> int:
@@ -54,6 +54,24 @@ class TestGraph:
         g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         assert g.adjacency == ((1, 3), (0, 2), (1, 3), (0, 2))
         assert g.has_edge(3, 0) and not g.has_edge(0, 2)
+
+    @given(edge_lists_with_repeats())
+    def test_single_store_agrees_with_input(self, case):
+        n, edge_list = case
+        g = Graph(n, edge_list)
+        normalized = {(min(a, b), max(a, b)) for a, b in edge_list}
+        for a, nbrs in enumerate(g.adjacency):
+            assert list(nbrs) == sorted(set(nbrs))
+            assert all(a in g.adjacency[b] for b in nbrs)
+        assert list(g.edges) == sorted(g.edges)
+        assert all(a < b for a, b in g.edges)
+        assert set(g.edges) == normalized
+        assert g.edge_count == len(g.edges)
+        for a, b in itertools.product(range(n), repeat=2):
+            expected = (min(a, b), max(a, b)) in normalized
+            assert g.has_edge(a, b) == g.has_edge(b, a) == expected
+        assert not g.has_edge(-1, 0)
+        assert not g.has_edge(0, n)
 
 
 class TestTerminalGraph:
@@ -107,7 +125,7 @@ class TestIsProper:
         if not is_proper(g, coloring):
             return
         for removed in g.edges:
-            sub = Graph(g.vertex_count, g.edges - {removed})
+            sub = Graph(g.vertex_count, [e for e in g.edges if e != removed])
             assert is_proper(sub, coloring)
 
 
