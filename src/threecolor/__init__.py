@@ -9,7 +9,6 @@ from .bounds import (
     BitBudgetExceededError,
     DEFAULT_BIT_BUDGET,
     emit_report,
-    eq3_check,
     lemma3_bound,
     report_to_json,
     report_to_text,
@@ -73,7 +72,6 @@ __all__ = [
     "count_colorings_bruteforce",
     "count_extensions",
     "emit_report",
-    "eq3_check",
     "euler_check",
     "face_length_histogram",
     "gadget_descriptor",

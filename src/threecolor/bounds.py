@@ -17,6 +17,10 @@ where n and c are the exact vertex and 3-coloring counts of T(u,v,k,l).
 Together, n >= (9/2)^l and c <= 2^(6*3^l) give c <= 64^(n^g) with
 g = log base 9/2 of 3, since 3^l <= n^g follows monotonically; the irrational
 exponent itself is never evaluated.  No check ever compares floats.
+
+`theorem_chain_check` alone counts a level.  It compares c with powers of
+two by bit length, so nothing larger than c is built, and refuses a level
+before counting when 2^E, E its eq3 exponent, exceeds the bit budget.
 """
 from __future__ import annotations
 
@@ -49,12 +53,17 @@ class BitBudgetExceededError(RuntimeError):
     """A requested power of two would exceed the configured bit budget."""
 
 
-def _guarded_pow2(exponent: int, bit_budget: int) -> int:
+def _require_bits(exponent: int, bit_budget: int) -> None:
     if exponent + 1 > bit_budget:
         raise BitBudgetExceededError(
             f"2^{exponent} needs {exponent + 1} bits, over the budget of {bit_budget}"
         )
-    return 1 << exponent
+
+
+def _below_pow2(x: int, exponent: int) -> bool:
+    """x < 2^exponent for any integer x and exponent >= 0, decided by bit
+    length without building the power; x <= 2^m is _below_pow2(x - 1, m)."""
+    return x < 0 or x.bit_length() <= exponent
 
 
 def lemma3_bound(k: int, ell: int, *, bit_budget: int = DEFAULT_BIT_BUDGET) -> int:
@@ -63,62 +72,22 @@ def lemma3_bound(k: int, ell: int, *, bit_budget: int = DEFAULT_BIT_BUDGET) -> i
         raise ValueError("the extension bound is stated for ell >= 1")
     if k < 1:
         raise ValueError("k must be >= 1")
-    return _guarded_pow2(2 ** (k + ell) + 3 ** ell, bit_budget)
-
-
-@dataclass(frozen=True)
-class Eq3Result:
-    ell: int
-    k: int
-    c_total: int
-    bound_exponent: int
-    total_bound_ok: bool
-    inner_total: int
-    inner_bound_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.total_bound_ok and self.inner_bound_ok
-
-
-def eq3_check(ell: int, k: Optional[int] = None, *,
-              bit_budget: int = DEFAULT_BIT_BUDGET) -> Eq3Result:
-    """Verify the total-count bound c < 2^(2^(k+ell) + 4*3^ell).
-
-    Also verifies the intermediate step: the subgraph induced by the inner
-    vertex set has at most 3 * 2^(|V_ell| - 1) proper 3-colorings (its count
-    is computed exactly by the skeleton pair-count recursion).
-    """
-    if ell < 1:
-        raise ValueError("the bound chain starts at ell = 1")
-    if k is None:
-        k = choose_k(ell)
-    exponent = 2 ** (k + ell) + 4 * 3 ** ell
-    # c itself has about this many bits, so guard before running the DP.
-    bound = _guarded_pow2(exponent, bit_budget)
-    c = total_colorings(gadget_pair_counts(k, ell))
-    inner_total = total_colorings(inner_subgraph_pair_counts(ell))
-    inner_bound = 3 * _guarded_pow2(inner_set_size(ell) - 1, bit_budget)
-    return Eq3Result(
-        ell=ell,
-        k=k,
-        c_total=c,
-        bound_exponent=exponent,
-        total_bound_ok=c < bound,
-        inner_total=inner_total,
-        inner_bound_ok=inner_total <= inner_bound,
-    )
+    exponent = 2 ** (k + ell) + 3 ** ell
+    _require_bits(exponent, bit_budget)
+    return 1 << exponent
 
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Per-level record: parameters, exact sizes, and named check results."""
+    """Per-level record: parameters, exact sizes, and named check results;
+    `inner_total` counts the colorings of the V_ell subgraph (None on errors)."""
 
     ell: int
     k: int
     n: int
     c_bits: int
     checks: dict[str, bool]
+    inner_total: Optional[int] = None
     c_decimal: Optional[str] = None
     error: Optional[str] = None
 
@@ -127,26 +96,27 @@ class BoundReport:
         return self.error is None and all(self.checks.values())
 
 
-def theorem_chain_check(ell: int, k: Optional[int] = None, *,
-                        bit_budget: int = DEFAULT_BIT_BUDGET,
+def theorem_chain_check(ell: int, *, bit_budget: int = DEFAULT_BIT_BUDGET,
                         include_decimal: bool = False) -> BoundReport:
-    """Run every named check for one level; ell >= 1."""
+    """Run every named check for one level ell >= 1, with k = choose_k(ell)."""
     if ell < 1:
         raise ValueError("the bound chain starts at ell = 1")
-    if k is None:
-        k = choose_k(ell)
+    k = choose_k(ell)
     p3 = 3 ** ell
     p2 = 2 ** (k + ell)
     n = vertex_count_closed_form(k, ell)
-    eq3 = eq3_check(ell, k, bit_budget=bit_budget)
-    c = eq3.c_total
+    exponent = p2 + 4 * p3
+    _require_bits(exponent, bit_budget)
+    c = total_colorings(gadget_pair_counts(k, ell))
+    inner_total = total_colorings(inner_subgraph_pair_counts(ell))
     checks = {
         "eq1": n >= p3 * 2 ** k,
         "eq2": 2 * inner_set_size(ell) < 5 * p3,
         "k_window": p3 <= p2 <= 2 * p3,
-        "lemma3_exponent": 5 * p3 + 2 + 2 * (p2 + p3) < 2 * (p2 + 4 * p3),
-        "eq3": eq3.ok,
-        "c_le_2pow6_3ell": c <= _guarded_pow2(6 * p3, bit_budget),
+        "lemma3_exponent": 5 * p3 + 2 + 2 * (p2 + p3) < 2 * exponent,
+        "eq3": _below_pow2(c, exponent)
+        and inner_total <= 3 << (inner_set_size(ell) - 1),
+        "c_le_2pow6_3ell": _below_pow2(c - 1, 6 * p3),
         "n_ge_9half_ell": 9 ** ell <= n * 2 ** ell,
     }
     assert set(checks) == set(CHECK_NAMES)
@@ -156,6 +126,7 @@ def theorem_chain_check(ell: int, k: Optional[int] = None, *,
         n=n,
         c_bits=c.bit_length(),
         checks=checks,
+        inner_total=inner_total,
         c_decimal=int_to_decimal(c) if include_decimal else None,
     )
 
@@ -163,7 +134,6 @@ def theorem_chain_check(ell: int, k: Optional[int] = None, *,
 @dataclass(frozen=True)
 class Report:
     rows: tuple[BoundReport, ...]
-    version: int = 1
 
     @property
     def ok(self) -> bool:
@@ -239,7 +209,7 @@ def int_to_decimal(value: int) -> str:
 
 def report_to_json(report: Report, *, indent: Optional[int] = 2) -> str:
     doc = {
-        "version": report.version,
+        "version": 1,
         "rows": [
             {
                 "ell": row.ell,

@@ -110,12 +110,12 @@ def run_eq3(ell_max: int = 6, bit_budget: int = bounds.DEFAULT_BIT_BUDGET) -> Su
         raise ValueError("the bound chain starts at ell = 1")
     res = SuiteResult("eq3")
     for ell in range(1, ell_max + 1):
-        r = bounds.eq3_check(ell, bit_budget=bit_budget)
+        row = bounds.theorem_chain_check(ell, bit_budget=bit_budget)
         res.add(
-            f"ell={ell} (k={r.k})",
-            r.ok,
-            f"c has {r.c_total.bit_length()} bits < 2^{r.bound_exponent};"
-            f" inner count {bounds.int_to_decimal(r.inner_total)}",
+            f"ell={ell} (k={row.k})",
+            row.checks["eq3"],
+            f"c has {row.c_bits} bits < 2^{2 ** (row.k + ell) + 4 * 3 ** ell};"
+            f" inner count {bounds.int_to_decimal(row.inner_total)}",
         )
     return res
 
@@ -159,12 +159,12 @@ def run_embedding(ell_max: int = 4, k_max: int = 6) -> SuiteResult:
     return res
 
 
-def run_all(ell_max_theorem: int = 8) -> list[SuiteResult]:
+def run_all() -> list[SuiteResult]:
     return [
         run_lemma2(),
         run_remark(),
         run_lemma3(),
         run_eq3(),
-        run_theorem(ell_max_theorem),
+        run_theorem(),
         run_embedding(),
     ]

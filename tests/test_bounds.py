@@ -13,7 +13,6 @@ from threecolor import (
     choose_k,
     count_colorings_bruteforce,
     emit_report,
-    eq3_check,
     gadget_pair_counts,
     lemma3_bound,
     report_to_json,
@@ -21,7 +20,8 @@ from threecolor import (
     theorem_chain_check,
     total_colorings,
 )
-from threecolor.bounds import _BASE_BITS, CHECK_NAMES, int_to_decimal
+from threecolor import bounds
+from threecolor.bounds import _BASE_BITS, CHECK_NAMES, _below_pow2, int_to_decimal
 
 
 class TestLemma3Bound:
@@ -43,43 +43,13 @@ class TestLemma3Bound:
             lemma3_bound(3, 10, bit_budget=1000)
 
 
-class TestEq3Check:
-    def test_worked_level(self):
-        r = eq3_check(1)
-        assert r.k == 1
-        assert r.c_total == 1056
-        assert r.bound_exponent == 16
-        assert r.total_bound_ok  # 1056 < 65536
-        assert r.inner_total == 84
-        assert r.inner_bound_ok  # 84 <= 3 * 2^6 = 192
-        assert r.ok
-
-    def test_inner_count_verified_by_oracle_at_small_levels(self):
-        from threecolor import inner_subgraph
-
-        for ell in (1, 2):
-            sub, _ = inner_subgraph(build_T(1, ell, check=False))
-            assert eq3_check(ell).inner_total == \
-                count_colorings_bruteforce(sub, force=True)
-
-    @pytest.mark.parametrize("ell", range(1, 7))
-    def test_strict_inequality_holds(self, ell):
-        assert eq3_check(ell).ok
-
-    def test_ell0_rejected(self):
-        with pytest.raises(ValueError):
-            eq3_check(0)
-
-    def test_budget_guard_precedes_dp(self):
-        with pytest.raises(BitBudgetExceededError):
-            eq3_check(8, bit_budget=10000)
-
-
 class TestTheoremChain:
     def test_worked_level(self):
         row = theorem_chain_check(1)
         assert (row.ell, row.k, row.n) == (1, 1, 13)
-        assert row.c_bits == 11  # 1056
+        assert row.c_bits == 11  # 1056 < 2^16
+        assert row.inner_total == 84  # <= 3 * 2^6 = 192
+        assert row.checks["eq3"]
         assert row.checks["n_ge_9half_ell"]  # 9 <= 26
         assert row.checks["c_le_2pow6_3ell"]  # 1056 <= 2^18
         assert row.ok
@@ -102,10 +72,42 @@ class TestTheoremChain:
         c = total_colorings(gadget_pair_counts(row.k, 3))
         assert row.c_bits == c.bit_length()
 
+    def test_inner_total_verified_by_oracle_at_small_levels(self):
+        from threecolor import inner_subgraph
+
+        for ell in (1, 2):
+            sub, _ = inner_subgraph(build_T(1, ell, check=False))
+            assert theorem_chain_check(ell).inner_total == \
+                count_colorings_bruteforce(sub, force=True)
+
+    def test_budget_guard_precedes_dp(self, monkeypatch):
+        def no_dp(*args):
+            raise AssertionError("the DP ran before the budget check")
+
+        monkeypatch.setattr(bounds, "gadget_pair_counts", no_dp)
+        with pytest.raises(BitBudgetExceededError):
+            theorem_chain_check(8, bit_budget=10000)
+
+    def test_budget_window_is_the_eq3_exponent(self):
+        # eq3 exponent at ell = 8: 2^13 + 4*3^8 = 34436.  The count itself
+        # has 15,589 bits and 2^(6*3^8) is never built.
+        assert theorem_chain_check(8, bit_budget=34437).ok
+        with pytest.raises(BitBudgetExceededError) as info:
+            theorem_chain_check(8, bit_budget=34436)
+        assert str(info.value) == "2^34436 needs 34437 bits, over the budget of 34436"
+
     def test_decimal_on_demand(self):
         row = theorem_chain_check(1, include_decimal=True)
         assert row.c_decimal == "1056"
         assert theorem_chain_check(1).c_decimal is None
+
+
+class TestBelowPow2:
+    @pytest.mark.parametrize("m", [0, 1, 2, 7, 64, 1000])
+    def test_agrees_with_the_built_power(self, m):
+        for x in (0, 1, 2 ** m - 1, 2 ** m, 2 ** m + 1):
+            assert _below_pow2(x, m) == (x < 2 ** m)
+            assert _below_pow2(x - 1, m) == (x <= 2 ** m)
 
 
 class TestEmitReport:
@@ -128,6 +130,7 @@ class TestEmitReport:
         # eq3 exponents: 12844 bits at ell=7, 34436 at ell=8
         report = emit_report(range(7, 10), bit_budget=30000)
         assert [row.error is None for row in report.rows] == [True, False, False]
+        assert [row.inner_total is None for row in report.rows] == [False, True, True]
         assert report.rows[0].ok and not report.ok
         assert "ERROR" in report_to_text(report)
 

@@ -164,6 +164,10 @@ GOLDEN_STDOUT_SHA256 = {
         "e61cc8d3ec66be36508a26362188bf7bed3598c409b9d01ff98727062b5a0546",
     ("verify", "--suite", "all"):
         "41f159e0cd185ff77cb68b7cd26f2a0c3e9ae0730c4c37a420fc4ff8c6c9eeb5",
+    ("verify", "--suite", "eq3", "--ell-max", "8"):
+        "072639be746da8ccda381a60c1b7160928c8aefd7fb75cbfefdaddc4cbf7f0ee",
+    ("verify", "--suite", "theorem", "--ell-max", "8", "--json"):
+        "77f72d28f45adfec6177fdfb4deee8265a80700cb74498e4e2203b6d3d1df7de",
 }
 
 
@@ -226,6 +230,14 @@ class TestVerify:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "suite eq3: PASS"
 
+    def test_theorem_budget_at_the_eq3_exponent_passes(self, capsys):
+        # At ell = 8 the eq3 exponent is 34,436 and c has 15,589 bits; the
+        # budget must not be charged for 2^(6*3^8) = 2^39366 as well.
+        code, out, err = run_cli(capsys, "verify", "--suite", "theorem",
+                                 "--ell-max", "8", "--bit-budget", "35000")
+        assert code == 0, err
+        assert out.splitlines()[-1] == "suite theorem: PASS"
+
     def test_deterministic_output(self, capsys):
         _, first, _ = run_cli(capsys, "verify", "--suite", "eq3", "--ell-max", "2")
         _, second, _ = run_cli(capsys, "verify", "--suite", "eq3", "--ell-max", "2")
@@ -255,6 +267,14 @@ class TestReport:
                                "--ell-max", "8", "--bit-budget", "1000")
         assert code == 1
         assert "ERROR" in out
+
+    def test_budget_error_row_names_the_eq3_power(self, capsys, monkeypatch):
+        monkeypatch.delenv("THREECOLOR_BIT_BUDGET", raising=False)
+        code, out, _ = run_cli(capsys, "report", "--ell-min", "7", "--ell-max", "9",
+                               "--bit-budget", "30000")
+        assert code == 1
+        line = next(row for row in out.splitlines() if row.split()[:1] == ["8"])
+        assert line.endswith("ERROR: 2^34436 needs 34437 bits, over the budget of 30000")
 
     def test_bit_budget_env(self, capsys, monkeypatch):
         monkeypatch.setenv("THREECOLOR_BIT_BUDGET", "1000")
