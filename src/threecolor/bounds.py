@@ -34,7 +34,7 @@ from .counting import (
     inner_subgraph_pair_counts,
     total_colorings,
 )
-from .gadgets import choose_k, inner_set_size, vertex_count_closed_form
+from .gadgets import check_k_ell, choose_k, inner_set_size, vertex_count_closed_form
 
 DEFAULT_BIT_BUDGET = 10 ** 7
 
@@ -70,8 +70,7 @@ def lemma3_bound(k: int, ell: int, *, bit_budget: int = DEFAULT_BIT_BUDGET) -> i
     """The extension bound 2^(2^(k+ell) + 3^ell) as an exact integer."""
     if ell < 1:
         raise ValueError("the extension bound is stated for ell >= 1")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    check_k_ell(k, ell)
     exponent = 2 ** (k + ell) + 3 ** ell
     _require_bits(exponent, bit_budget)
     return 1 << exponent
@@ -207,7 +206,7 @@ def int_to_decimal(value: int) -> str:
         return str(convert(value, value.bit_length()))
 
 
-def report_to_json(report: Report, *, indent: Optional[int] = 2) -> str:
+def report_to_json(report: Report) -> str:
     doc = {
         "version": 1,
         "rows": [
@@ -223,7 +222,7 @@ def report_to_json(report: Report, *, indent: Optional[int] = 2) -> str:
             for row in report.rows
         ],
     }
-    return json.dumps(doc, indent=indent)
+    return json.dumps(doc, indent=2)
 
 
 def report_to_text(report: Report) -> str:

@@ -13,6 +13,7 @@ import sys
 
 from . import bounds, counting, serialize, suites
 from .gadgets import build_T, vertex_count_closed_form
+from .graphs import COLORS
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -61,7 +62,7 @@ def _parse_fix(raw: str | None):
     if len(parts) != 2:
         raise ValueError("--fix expects two comma-separated colors, e.g. 1,2")
     cu, cv = (int(p) for p in parts)
-    if cu not in (1, 2, 3) or cv not in (1, 2, 3):
+    if cu not in COLORS or cv not in COLORS:
         raise ValueError("--fix colors must be in {1,2,3}")
     return cu, cv
 
@@ -108,23 +109,28 @@ def cmd_count(args) -> int:
     return EXIT_OK
 
 
+def _given(args, *names: str) -> dict:
+    """The named options the user set; the suites own every default."""
+    return {name: getattr(args, name) for name in names
+            if getattr(args, name) is not None}
+
+
 def cmd_verify(args) -> int:
     budget = args.bit_budget
     if args.suite == "lemma2":
         results = [suites.run_lemma2()]
     elif args.suite == "remark":
-        results = [suites.run_remark(args.b_max)]
+        results = [suites.run_remark(**_given(args, "b_max"))]
     elif args.suite == "lemma3":
-        results = [suites.run_lemma3(args.ell_max if args.ell_max is not None else 2)]
+        results = [suites.run_lemma3(**_given(args, "ell_max"), bit_budget=budget)]
     elif args.suite == "eq3":
-        results = [suites.run_eq3(args.ell_max if args.ell_max is not None else 6, budget)]
+        results = [suites.run_eq3(**_given(args, "ell_max"), bit_budget=budget)]
     elif args.suite == "theorem":
-        results = [suites.run_theorem(args.ell_max if args.ell_max is not None else 8, budget)]
+        results = [suites.run_theorem(**_given(args, "ell_max"), bit_budget=budget)]
     elif args.suite == "embedding":
-        results = [suites.run_embedding(
-            args.ell_max if args.ell_max is not None else 4, args.k_max)]
+        results = [suites.run_embedding(**_given(args, "ell_max", "k_max"))]
     else:
-        results = suites.run_all()
+        results = suites.run_all(bit_budget=budget)
     passed = all(r.passed for r in results)
     if args.json:
         doc = {
@@ -197,8 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("lemma2", "remark", "lemma3", "eq3",
                                 "theorem", "embedding", "all"))
     p_ver.add_argument("--ell-max", type=int, default=None)
-    p_ver.add_argument("--k-max", type=int, default=6)
-    p_ver.add_argument("--b-max", type=int, default=12)
+    p_ver.add_argument("--k-max", type=int, default=None)
+    p_ver.add_argument("--b-max", type=int, default=None)
     p_ver.add_argument("--bit-budget", type=int, default=None)
     p_ver.add_argument("--json", action="store_true")
     p_ver.set_defaults(func=cmd_verify)
@@ -222,10 +228,7 @@ def main(argv=None) -> int:
         if getattr(args, "bit_budget", None) is None and hasattr(args, "bit_budget"):
             args.bit_budget = _env_bit_budget()
         return args.func(args)
-    except (ValueError, counting.BruteForceCutoffError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except bounds.BitBudgetExceededError as exc:
+    except (ValueError, bounds.BitBudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Mapping, Optional
 
-from .gadgets import Gadget, build_P, build_T
+from .gadgets import Gadget, build_P, check_k_ell
 from .graphs import COLORS, Graph, induced_subgraph
 
 DEFAULT_BRUTE_FORCE_CUTOFF = 20
@@ -266,16 +266,9 @@ def _frame_combine_patterns(child: PairCounts) -> PairCounts:
     return PairCounts(weight(_FRAME_PATTERNS_SAME), weight(_FRAME_PATTERNS_DIFF))
 
 
-def _check_gadget_args(k: int, ell: int) -> None:
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if ell < 0:
-        raise ValueError("ell must be >= 0")
-
-
 def gadget_pair_counts(k: int, ell: int) -> PairCounts:
     """Pair counts of T(u,v,k,ell) in O(ell) big-integer multiplications."""
-    _check_gadget_args(k, ell)
+    check_k_ell(k, ell)
     pc = path_pair_counts(2 ** k)
     for _ in range(ell):
         pc = _frame_combine(pc)
@@ -298,7 +291,7 @@ def predicted_count_bits(k: int, ell: int) -> float:
     margin of 2^-20 and one more bit for float rounding.  It is infinite
     where a float would overflow.
     """
-    _check_gadget_args(k, ell)
+    check_k_ell(k, ell)
     if k >= 1024:
         return math.inf
     s = 1.0                                          # log2 S, S = 2
@@ -355,19 +348,18 @@ def count_extensions(
     k: int,
     ell: int,
     psi: Mapping[int, int],
-    gadget: Optional[Gadget] = None,
+    *,
+    gadget: Gadget,
 ) -> int:
     """Exact number of extensions of an inner-set coloring to the gadget.
 
     psi must be total and proper on the subgraph of T(u,v,k,ell) induced by
-    V_ell; the extension count is the product over leaf pairs of the leaf
+    V_ell, and `gadget` the built T(u,v,k,ell), so that sweeps build it
+    once; the extension count is the product over leaf pairs of the leaf
     interior count given the pair's colors (exactly 2 when they agree).
-    Pass the prebuilt gadget to amortize sweeps.
     """
     if ell < 1:
         raise ValueError("extension counting needs ell >= 1")
-    if gadget is None:
-        gadget = build_T(k, ell, check=False)
     if (gadget.k, gadget.ell) != (k, ell):
         raise ValueError("gadget does not match (k, ell)")
     inner = gadget.registry.inner_set

@@ -9,30 +9,27 @@ algorithm involved.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .graphs import Graph, induced_subgraph, triangle_count
 
 Face = list[int]
 
 
-@dataclass(frozen=True)
+@dataclass
 class RotationSystem:
     """Per-vertex cyclic neighbor order, plus the designated outer face.
 
     `outer_face_id` indexes into the (deterministic) trace_faces output;
-    None means not yet designated.
+    None means not yet designated.  It is the one field set after
+    construction, once `certify` has found the outer face.
     """
 
     order: tuple[tuple[int, ...], ...]
     outer_face_id: Optional[int] = None
 
 
-def _orders_of(rot: RotationSystem | Sequence[Sequence[int]]) -> Sequence[Sequence[int]]:
-    return rot.order if isinstance(rot, RotationSystem) else rot
-
-
-def trace_faces(g: Graph, rot: RotationSystem | Sequence[Sequence[int]]) -> list[Face]:
+def trace_faces(g: Graph, rot: RotationSystem) -> list[Face]:
     """Facial walks of the combinatorial map (g, rot).
 
     Each directed edge side is used exactly once; a face is returned as the
@@ -41,7 +38,7 @@ def trace_faces(g: Graph, rot: RotationSystem | Sequence[Sequence[int]]) -> list
     order[b], so no per-dart index is built.
     Raises ValueError if the rotation is inconsistent with the graph.
     """
-    order = _orders_of(rot)
+    order = rot.order
     n = g.vertex_count
     if len(order) != n:
         raise ValueError("rotation must list every vertex")
@@ -94,14 +91,14 @@ def euler_check(g: Graph, faces: list[Face]) -> bool:
 
 
 def outer_face_index(faces: list[Face], terminal_u: int, terminal_v: int,
-                     g: Optional[Graph] = None) -> int:
+                     g: Graph) -> int:
     """Designate the outer face: the unique walk visiting both terminals.
 
     If the v terminal is edgeless (the degenerate fan P(u,v,1)) it appears in
     no walk and the face carrying u alone is taken instead.
     """
     hits = [i for i, f in enumerate(faces) if terminal_u in f and terminal_v in f]
-    if not hits and g is not None and g.degree(terminal_v) == 0:
+    if not hits and g.degree(terminal_v) == 0:
         hits = [i for i, f in enumerate(faces) if terminal_u in f]
     if len(hits) != 1:
         raise ValueError(

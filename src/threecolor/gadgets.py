@@ -36,11 +36,6 @@ class LeafPairRegistry:
     inner_set: frozenset[int]
     leaf_b: int
 
-    def __post_init__(self):
-        for x, y in self.pairs:
-            if x not in self.inner_set or y not in self.inner_set:
-                raise ValueError("leaf pair endpoints must lie in inner_set")
-
 
 @dataclass(frozen=True)
 class Gadget:
@@ -162,16 +157,13 @@ def _assemble(leaf_b: int, k: Optional[int], ell: Optional[int], check: bool) ->
     graph = Graph(len(builder.rot), edges, builder.labels)
     tg = TerminalGraph(graph, u, v)
     registry = LeafPairRegistry(tuple(pairs), frozenset(inner), leaf_b)
-    order = tuple(tuple(nbrs) for nbrs in builder.rot)
-
-    outer_id = None
+    rotation = RotationSystem(tuple(tuple(nbrs) for nbrs in builder.rot))
     if check:
-        report = certify(tg, RotationSystem(order, None))
+        report = certify(tg, rotation)
         if not report["ok"]:
             raise AssertionError(f"constructed gadget failed certification: {report}")
-        outer_id = report["outer_face_id"]
-
-    return Gadget(tg, k, ell, registry, RotationSystem(order, outer_id))
+        rotation.outer_face_id = report["outer_face_id"]
+    return Gadget(tg, k, ell, registry, rotation)
 
 
 def build_P(b: int, *, check: bool = True) -> Gadget:
@@ -185,19 +177,23 @@ def build_P(b: int, *, check: bool = True) -> Gadget:
     return _assemble(b, None, None, check)
 
 
-def build_T(k: int, ell: int, *, check: bool = True) -> Gadget:
-    """Build T(u,v,k,ell); for ell=0 this is P(u,v,2^k) with one leaf pair."""
+def check_k_ell(k: int, ell: int) -> None:
+    """Raise ValueError unless (k, ell) names a gadget T(u,v,k,ell)."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if ell < 0:
         raise ValueError("ell must be >= 0")
+
+
+def build_T(k: int, ell: int, *, check: bool = True) -> Gadget:
+    """Build T(u,v,k,ell); for ell=0 this is P(u,v,2^k) with one leaf pair."""
+    check_k_ell(k, ell)
     return _assemble(2 ** k, k, ell, check)
 
 
 def vertex_count_closed_form(k: int, ell: int) -> int:
     """Exact vertex count of T(u,v,k,ell): solves t_l = 3 t_{l-1} + 1."""
-    if k < 1 or ell < 0:
-        raise ValueError("need k >= 1 and ell >= 0")
+    check_k_ell(k, ell)
     p3 = 3 ** ell
     return p3 * (2 ** k + 2) + (p3 - 1) // 2
 

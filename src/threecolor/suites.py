@@ -69,10 +69,14 @@ def run_remark(b_max: int = 12) -> SuiteResult:
     return res
 
 
-def run_lemma3(ell_max: int = 2) -> SuiteResult:
-    """Per-coloring extension bound plus the partition identity."""
+def run_lemma3(ell_max: int = 2,
+               bit_budget: int = bounds.DEFAULT_BIT_BUDGET) -> SuiteResult:
+    """Per-coloring extension bound plus the partition identity, for
+    ell <= 2 (level 3 has about 1.1e9 inner colorings)."""
     if ell_max < 1:
         raise ValueError("the extension bound needs ell >= 1")
+    if ell_max > 2:
+        raise ValueError("the lemma3 sweep covers ell <= 2 only")
     res = SuiteResult("lemma3")
     for k, ell in LEMMA3_DEFAULT_CASES:
         if ell > ell_max:
@@ -80,7 +84,7 @@ def run_lemma3(ell_max: int = 2) -> SuiteResult:
         gadget = build_T(k, ell, check=False)
         sub, index_map = counting.inner_subgraph(gadget)
         back = {new: old for old, new in index_map.items()}
-        bound = bounds.lemma3_bound(k, ell)
+        bound = bounds.lemma3_bound(k, ell, bit_budget=bit_budget)
         worst = 0
         sigma = 0
         count = 0
@@ -159,12 +163,12 @@ def run_embedding(ell_max: int = 4, k_max: int = 6) -> SuiteResult:
     return res
 
 
-def run_all() -> list[SuiteResult]:
+def run_all(bit_budget: int = bounds.DEFAULT_BIT_BUDGET) -> list[SuiteResult]:
     return [
         run_lemma2(),
         run_remark(),
-        run_lemma3(),
-        run_eq3(),
-        run_theorem(),
+        run_lemma3(bit_budget=bit_budget),
+        run_eq3(bit_budget=bit_budget),
+        run_theorem(bit_budget=bit_budget),
         run_embedding(),
     ]

@@ -1,7 +1,7 @@
 """Hypothesis strategies shared by the property tests."""
 from hypothesis import strategies as st
 
-from threecolor import Graph
+from threecolor.graphs import Graph
 
 
 @st.composite

@@ -14,21 +14,20 @@ from threecolor import (
     build_P,
     build_T,
     certify,
-    choose_k,
     count_colorings_bruteforce,
     count_extensions,
     gadget_pair_counts,
-    inner_set_size,
     inner_subgraph,
-    inner_subgraph_pair_counts,
     iter_colorings,
     lemma2_classify,
-    lemma3_bound,
     path_pair_counts,
     theorem_chain_check,
     total_colorings,
     vertex_count_closed_form,
 )
+from threecolor.bounds import lemma3_bound
+from threecolor.counting import inner_subgraph_pair_counts
+from threecolor.gadgets import choose_k, inner_set_size
 
 SWEEP_K_MAX = 6
 SWEEP_ELL_MAX = 8

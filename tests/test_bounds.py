@@ -8,20 +8,25 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from threecolor import (
-    BitBudgetExceededError,
     build_T,
-    choose_k,
     count_colorings_bruteforce,
     emit_report,
     gadget_pair_counts,
-    lemma3_bound,
-    report_to_json,
     report_to_text,
     theorem_chain_check,
     total_colorings,
 )
 from threecolor import bounds
-from threecolor.bounds import _BASE_BITS, CHECK_NAMES, _below_pow2, int_to_decimal
+from threecolor.bounds import (
+    _BASE_BITS,
+    CHECK_NAMES,
+    BitBudgetExceededError,
+    _below_pow2,
+    int_to_decimal,
+    lemma3_bound,
+    report_to_json,
+)
+from threecolor.gadgets import choose_k
 
 
 class TestLemma3Bound:

@@ -83,6 +83,12 @@ class TestCount:
         assert out.strip() == "bit_length: 11"
         assert "count:" not in out
 
+    def test_brute_negative_ell_names_the_domain(self, capsys):
+        code, out, err = run_cli(capsys, "count", "--k", "1", "--ell", "-1",
+                                 "--method", "brute")
+        assert code == 2
+        assert out == "" and err == "error: ell must be >= 0\n"
+
     def test_brute_cutoff_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "count", "--k", "5", "--ell", "8",
                                "--method", "brute")
@@ -196,6 +202,32 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--suite", "lemma3",
                                "--ell-max", "0")
         assert code == 2
+        assert err == "error: the extension bound needs ell >= 1\n"
+
+    def test_lemma3_past_its_sweep_exit_2(self, capsys):
+        # Level 3 has about 1.1e9 inner colorings; the sweep stops at ell = 2.
+        code, out, err = run_cli(capsys, "verify", "--suite", "lemma3",
+                                 "--ell-max", "3")
+        assert code == 2
+        assert out == "" and err == "error: the lemma3 sweep covers ell <= 2 only\n"
+
+    @pytest.mark.parametrize("suite, budget, power", [
+        ("lemma3", "5", "2^7 needs 8 bits"),
+        ("all", "25", "2^25 needs 26 bits"),
+    ])
+    def test_bit_budget_flag_reaches_every_budgeted_suite(self, suite, budget, power,
+                                                          capsys, monkeypatch):
+        monkeypatch.delenv("THREECOLOR_BIT_BUDGET", raising=False)
+        code, out, err = run_cli(capsys, "verify", "--suite", suite,
+                                 "--bit-budget", budget)
+        assert code == 2
+        assert out == "" and err == f"error: {power}, over the budget of {budget}\n"
+
+    def test_bit_budget_env_reaches_suite_all(self, capsys, monkeypatch):
+        monkeypatch.setenv("THREECOLOR_BIT_BUDGET", "25")
+        code, out, err = run_cli(capsys, "verify", "--suite", "all")
+        assert code == 2
+        assert out == "" and err == "error: 2^25 needs 26 bits, over the budget of 25\n"
 
     def test_remark_b0_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--suite", "remark",

@@ -5,29 +5,29 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from threecolor import (
-    BruteForceCutoffError,
-    Graph,
-    PairCounts,
     build_P,
     build_T,
     count_colorings_bruteforce,
     count_extensions,
     gadget_pair_counts,
     inner_subgraph,
-    inner_subgraph_pair_counts,
     iter_colorings,
     lemma2_classify,
-    lemma3_bound,
-    path_interior_count,
     path_pair_counts,
     total_colorings,
 )
+from threecolor.bounds import lemma3_bound
 from threecolor.counting import (
+    BruteForceCutoffError,
+    PairCounts,
     _frame_combine,
     _frame_combine_patterns,
     _path_interior_transfer,
+    inner_subgraph_pair_counts,
+    path_interior_count,
     predicted_count_bits,
 )
+from threecolor.graphs import Graph
 
 from graph_strategies import small_graphs
 
@@ -352,7 +352,7 @@ class TestCountExtensions:
 
     def test_ell0_rejected(self):
         with pytest.raises(ValueError, match="ell >= 1"):
-            count_extensions(1, 0, {0: 1, 1: 1})
+            count_extensions(1, 0, {0: 1, 1: 1}, gadget=build_T(1, 0))
 
     def test_improper_inner_coloring_rejected(self):
         g = build_T(1, 1, check=False)

@@ -1,17 +1,15 @@
 import pytest
 
-from threecolor import (
-    Graph,
+from threecolor import build_P, build_T, certify
+from threecolor.embedding import (
     RotationSystem,
-    build_P,
-    build_T,
-    certify,
     euler_check,
     face_length_histogram,
     min_bounded_face_length,
     outer_face_index,
     trace_faces,
 )
+from threecolor.graphs import Graph
 
 
 def face_key(walk):
@@ -29,7 +27,7 @@ def face_key(walk):
 class TestTraceFaces:
     def test_four_cycle_two_quad_faces(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-        rot = [(1, 3), (2, 0), (3, 1), (0, 2)]
+        rot = RotationSystem(((1, 3), (2, 0), (3, 1), (0, 2)))
         faces = trace_faces(g, rot)
         assert sorted(len(f) for f in faces) == [4, 4]
 
@@ -52,18 +50,18 @@ class TestTraceFaces:
     def test_inconsistent_rotation_rejected(self):
         g = Graph(3, [(0, 1), (1, 2)])
         with pytest.raises(ValueError, match="rotation at vertex 1"):
-            trace_faces(g, [(1,), (0,), (1,)])
+            trace_faces(g, RotationSystem(((1,), (0,), (1,))))
 
     def test_rotation_missing_vertex_rejected(self):
         g = Graph(3, [(0, 1), (1, 2)])
         with pytest.raises(ValueError, match="every vertex"):
-            trace_faces(g, [(1,), (0, 2)])
+            trace_faces(g, RotationSystem(((1,), (0, 2))))
 
 
 class TestEulerCheck:
     def test_single_edge(self):
         g = Graph(2, [(0, 1)])
-        faces = trace_faces(g, [(1,), (0,)])
+        faces = trace_faces(g, RotationSystem(((1,), (0,))))
         assert len(faces) == 1 and len(faces[0]) == 2
         assert euler_check(g, faces)
 
@@ -105,7 +103,7 @@ class TestOuterFace:
 class TestFaceLengths:
     def test_four_cycle(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-        faces = trace_faces(g, [(1, 3), (2, 0), (3, 1), (0, 2)])
+        faces = trace_faces(g, RotationSystem(((1, 3), (2, 0), (3, 1), (0, 2))))
         assert min_bounded_face_length(faces, 0) == 4
 
     @pytest.mark.parametrize("b", [3, 4, 5, 8, 16])

@@ -1,14 +1,10 @@
 import pytest
 
-from threecolor import (
-    build_P,
-    build_T,
-    choose_k,
-    induced_subgraph,
-    inner_set_size,
-    triangle_count,
-    vertex_count_closed_form,
-)
+from threecolor import build_P, build_T, gadget_pair_counts, vertex_count_closed_form
+from threecolor.bounds import lemma3_bound
+from threecolor.counting import predicted_count_bits
+from threecolor.gadgets import choose_k, inner_set_size
+from threecolor.graphs import induced_subgraph, triangle_count
 
 
 class TestBuildP:
@@ -124,6 +120,26 @@ class TestBuildT:
     @pytest.mark.parametrize("k,ell", [(1, 0), (1, 1), (2, 1), (1, 2), (2, 2), (4, 1)])
     def test_triangle_free(self, k, ell):
         assert triangle_count(build_T(k, ell, check=False).graph) == 0
+
+
+class TestKEllDomain:
+    """Every function of (k, ell) shares one checker and its messages."""
+
+    @pytest.mark.parametrize("func", [build_T, vertex_count_closed_form,
+                                      gadget_pair_counts, predicted_count_bits])
+    @pytest.mark.parametrize("k, ell, message", [
+        (0, 1, "k must be >= 1"),
+        (1, -1, "ell must be >= 0"),
+    ])
+    def test_out_of_domain_message(self, func, k, ell, message):
+        with pytest.raises(ValueError) as info:
+            func(k, ell)
+        assert str(info.value) == message
+
+    def test_lemma3_bound_shares_the_k_message(self):
+        with pytest.raises(ValueError) as info:
+            lemma3_bound(0, 1)
+        assert str(info.value) == "k must be >= 1"
 
 
 class TestClosedForms:

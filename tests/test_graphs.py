@@ -3,10 +3,10 @@ import itertools
 import pytest
 from hypothesis import given
 
-from threecolor import (
+from threecolor import build_P
+from threecolor.graphs import (
     Graph,
     TerminalGraph,
-    build_P,
     induced_subgraph,
     is_proper,
     triangle_count,

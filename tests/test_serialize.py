@@ -4,15 +4,9 @@ import networkx as nx
 import pytest
 from hypothesis import given
 
-from threecolor import (
-    Graph,
-    build_P,
-    build_T,
-    gadget_descriptor,
-    gadget_to_json,
-    to_dot,
-    to_graph6,
-)
+from threecolor import build_P, build_T, gadget_to_json, to_dot, to_graph6
+from threecolor.graphs import Graph
+from threecolor.serialize import gadget_descriptor
 
 from graph_strategies import small_graphs
 
