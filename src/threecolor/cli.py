@@ -21,10 +21,11 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
-def _env_bit_budget() -> int:
-    raw = os.environ.get("THREECOLOR_BIT_BUDGET")
-    if raw is None:
-        return bounds.DEFAULT_BIT_BUDGET
+def _bit_budget(flag: int | None = None) -> int:
+    """The --bit-budget flag if given, else $THREECOLOR_BIT_BUDGET or the default."""
+    if flag is not None:
+        return flag
+    raw = os.environ.get("THREECOLOR_BIT_BUDGET", str(bounds.DEFAULT_BIT_BUDGET))
     try:
         return int(raw)
     except ValueError as exc:
@@ -45,6 +46,8 @@ def _write_output(text: str, path: str | None) -> None:
 
 def cmd_generate(args) -> int:
     gadget = build_T(args.k, args.ell, check=not args.no_check)
+    if not args.faces:
+        gadget.rotation.faces = None  # the check's walks, kept only to be printed
     if args.format == "json":
         text = serialize.gadget_to_json(gadget, include_faces=args.faces)
     elif args.format == "dot":
@@ -68,13 +71,14 @@ def _parse_fix(raw: str | None):
 
 
 def cmd_count(args) -> int:
+    budget = _bit_budget()
     fix = _parse_fix(args.fix)
     if args.method == "dp":
         bits = counting.predicted_count_bits(args.k, args.ell)
-        if bits > args.bit_budget:
+        if bits > budget:
             raise bounds.BitBudgetExceededError(
                 f"the count of T({args.k},{args.ell}) may need up to {bits:.4g} bits,"
-                f" over the budget of {args.bit_budget}"
+                f" over the budget of {budget}"
             )
         pc = counting.gadget_pair_counts(args.k, args.ell)
         if fix is None:
@@ -109,28 +113,29 @@ def cmd_count(args) -> int:
     return EXIT_OK
 
 
-def _given(args, *names: str) -> dict:
-    """The named options the user set; the suites own every default."""
-    return {name: getattr(args, name) for name in names
-            if getattr(args, name) is not None}
+# Each suite's runner and the options it takes; the suites own every default.
+VERIFY_SUITES = {
+    "lemma2": (suites.run_lemma2, ()),
+    "remark": (suites.run_remark, ("b_max",)),
+    "lemma3": (suites.run_lemma3, ("ell_max", "bit_budget")),
+    "eq3": (suites.run_eq3, ("ell_max", "bit_budget")),
+    "theorem": (suites.run_theorem, ("ell_max", "bit_budget")),
+    "embedding": (suites.run_embedding, ("ell_max", "k_max")),
+    "all": (suites.run_all, ("bit_budget",)),
+}
 
 
 def cmd_verify(args) -> int:
-    budget = args.bit_budget
-    if args.suite == "lemma2":
-        results = [suites.run_lemma2()]
-    elif args.suite == "remark":
-        results = [suites.run_remark(**_given(args, "b_max"))]
-    elif args.suite == "lemma3":
-        results = [suites.run_lemma3(**_given(args, "ell_max"), bit_budget=budget)]
-    elif args.suite == "eq3":
-        results = [suites.run_eq3(**_given(args, "ell_max"), bit_budget=budget)]
-    elif args.suite == "theorem":
-        results = [suites.run_theorem(**_given(args, "ell_max"), bit_budget=budget)]
-    elif args.suite == "embedding":
-        results = [suites.run_embedding(**_given(args, "ell_max", "k_max"))]
-    else:
-        results = suites.run_all(bit_budget=budget)
+    budget = _bit_budget(args.bit_budget)  # read (and checked) for every suite
+    run, takes = VERIFY_SUITES[args.suite]
+    for name in ("ell_max", "k_max", "b_max", "bit_budget"):
+        if getattr(args, name) is not None and name not in takes:
+            raise ValueError(f"--{name.replace('_', '-')} does not apply to --suite {args.suite}")
+    options = {name: getattr(args, name) for name in takes if getattr(args, name) is not None}
+    if "bit_budget" in takes:
+        options["bit_budget"] = budget
+    results = run(**options)
+    results = results if isinstance(results, list) else [results]
     passed = all(r.passed for r in results)
     if args.json:
         doc = {
@@ -151,7 +156,7 @@ def cmd_verify(args) -> int:
 def cmd_report(args) -> int:
     report = bounds.emit_report(
         range(args.ell_min, args.ell_max + 1),
-        bit_budget=args.bit_budget,
+        bit_budget=_bit_budget(args.bit_budget),
         include_decimal=args.full,
     )
     if args.json:
@@ -196,12 +201,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_cnt.add_argument("--cutoff", type=int, default=counting.DEFAULT_BRUTE_FORCE_CUTOFF)
     p_cnt.add_argument("--json", action="store_true")
     # No flag: the budget comes from $THREECOLOR_BIT_BUDGET or the default.
-    p_cnt.set_defaults(func=cmd_count, bit_budget=None)
+    p_cnt.set_defaults(func=cmd_count)
 
     p_ver = sub.add_parser("verify", help="run a named verification suite")
-    p_ver.add_argument("--suite", required=True,
-                       choices=("lemma2", "remark", "lemma3", "eq3",
-                                "theorem", "embedding", "all"))
+    p_ver.add_argument("--suite", required=True, choices=tuple(VERIFY_SUITES))
     p_ver.add_argument("--ell-max", type=int, default=None)
     p_ver.add_argument("--k-max", type=int, default=None)
     p_ver.add_argument("--b-max", type=int, default=None)
@@ -225,8 +228,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "bit_budget", None) is None and hasattr(args, "bit_budget"):
-            args.bit_budget = _env_bit_budget()
         return args.func(args)
     except (ValueError, bounds.BitBudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,7 +8,7 @@ algorithm involved.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .graphs import Graph, induced_subgraph, triangle_count
@@ -21,12 +21,13 @@ class RotationSystem:
     """Per-vertex cyclic neighbor order, plus the designated outer face.
 
     `outer_face_id` indexes into the (deterministic) trace_faces output;
-    None means not yet designated.  It is the one field set after
-    construction, once `certify` has found the outer face.
+    None means not yet designated.  It and `faces`, the walks traced when
+    a gadget was built with its check, are the fields set after construction.
     """
 
     order: tuple[tuple[int, ...], ...]
     outer_face_id: Optional[int] = None
+    faces: Optional[list[Face]] = field(default=None, repr=False, compare=False)
 
 
 def trace_faces(g: Graph, rot: RotationSystem) -> list[Face]:
@@ -129,6 +130,11 @@ def certify(tg, rot: RotationSystem) -> dict:
     An edgeless v terminal (the degenerate fan P(u,v,1)) lies on no facial
     walk, so Euler's formula is checked on the graph without it.
     """
+    return certify_with_faces(tg, rot)[0]
+
+
+def certify_with_faces(tg, rot: RotationSystem) -> tuple[dict, list[Face]]:
+    """`certify`'s report together with the faces it traced."""
     g = tg.graph
     faces = trace_faces(g, rot)
     if g.degree(tg.terminal_v) == 0:
@@ -163,4 +169,4 @@ def certify(tg, rot: RotationSystem) -> dict:
         and report["terminals_on_outer_face"]
         and report["bounded_faces_ge_4"]
     )
-    return report
+    return report, faces

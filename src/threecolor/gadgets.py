@@ -10,16 +10,20 @@ terminals identified with (v1,v3), (v2,v4), (v3,v5).
 
 Canonical numbering: u=0, v=1, then frame (or path) vertices in order, then
 the children depth-first in slot order.  Labels encode the recursion path,
-e.g. "T2.T1.v3".  Every gadget carries its plane embedding as a rotation
-system, built by splicing each child's edge fans into the terminal rotations
-inside the host quadrilateral.
+e.g. "T2.T1.v3", and are made on first use.  Every gadget carries its plane
+embedding as a rotation system.  The fan's is written directly; each level
+above it is the frame's seven rotations plus three relabelled copies of the
+level below, whose terminal fans go into the frame rotations on the side
+facing their quadrilateral.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import islice
 from typing import Optional
 
-from .embedding import RotationSystem, certify
+from .embedding import RotationSystem, certify_with_faces
 from .graphs import Graph, TerminalGraph
 
 
@@ -56,114 +60,63 @@ class Gadget:
         return self.tg.graph
 
 
-class _Builder:
-    __slots__ = ("rot", "labels")
-
-    def __init__(self):
-        self.rot: list[list[int]] = []
-        self.labels: list[str] = []
-
-    def alloc(self, label: str) -> int:
-        self.rot.append([])
-        self.labels.append(label)
-        return len(self.labels) - 1
+# The children's terminals (cu, cv): (v1, v3), (v2, v4) and (v3, v5).
+_SLOTS = ((2, 4), (3, 5), (4, 6))
 
 
-def _insert_between(rot_list: list[int], first: int, second: int, fan: list[int]) -> None:
-    """Splice `fan` into the cyclic order between neighbors first -> second."""
-    m = len(rot_list)
-    for i in range(m):
-        if rot_list[i] == first and rot_list[(i + 1) % m] == second:
-            rot_list[i + 1:i + 1] = fan
-            return
-    raise AssertionError(f"rotation gap ({first},{second}) not found")
+def _fan(b: int) -> list[tuple[int, ...]]:
+    """Rotation of P(u,v,b) in canonical numbering (path vertex vi is i + 1);
+    u's fan runs up the odd path vertices, v's down the even ones."""
+    if b == 1:
+        return [(2,), (), (0,)]
+    order = [tuple(range(2, b + 2, 2)), tuple(range(2 * (b // 2) + 1, 2, -2)), (3, 0)]
+    order += [(i + 2, 0, i) if i % 2 else (1, i + 2, i) for i in range(2, b)]
+    order.append((0 if b % 2 else 1, b))
+    return order
 
 
-def _build_path(builder: _Builder, b: int, u: int, v: int, prefix: str):
-    """Fan P(u,v,b) interior; terminal rotations are left to the caller.
-
-    Returns (u_fan, v_fan): u's neighbors in rotation order starting at the
-    left outer edge, and v's starting at the right outer edge.
-    """
-    w = [builder.alloc(f"{prefix}v{i}") for i in range(1, b + 1)]
-    rot = builder.rot
-    for i in range(1, b + 1):
-        anchor = u if i % 2 == 1 else v
-        if b == 1:
-            rot[w[0]] = [u]
-        elif i == 1:
-            rot[w[0]] = [w[1], u]
-        elif i == b:
-            rot[w[-1]] = [anchor, w[-2]]
-        elif i % 2 == 1:
-            rot[w[i - 1]] = [w[i], u, w[i - 2]]
-        else:
-            rot[w[i - 1]] = [v, w[i], w[i - 2]]
-    u_fan = [w[i - 1] for i in range(1, b + 1) if i % 2 == 1]
-    v_fan = [w[i - 1] for i in range(b, 0, -1) if i % 2 == 0]
-    return [(u, v)], [u, v], u_fan, v_fan
+def _level(order: list[tuple[int, ...]], pairs, inner: frozenset[int]):
+    """T(.,.,k,l) from T(.,.,k,l-1): the frame P(u,v,5), then three copies
+    of the child relabelled by one lookup list per slot: 0 -> cu, 1 -> cv
+    and x -> base + x - 2, the bases following the frame's seven vertices."""
+    m = len(order) - 2
+    luts = [[cu, cv, *range(base, base + m)]
+            for (cu, cv), base in zip(_SLOTS, (7, 7 + m, 7 + 2 * m))]
+    (c1u, c1v), (c2u, c2v), (c3u, c3v) = (
+        [tuple(map(lut.__getitem__, fan)) for fan in order[:2]] for lut in luts)
+    # u = (v1, v3, v5) and v = (v4, v2); each child's u- and v-fan goes into
+    # its terminals' rotations in the gap facing its quadrilateral.
+    out = [(2, 4, 6), (5, 3), (3, *c1u, 0), (1, *c2u, 4, 2), (5, *c3u, 0, *c1v, 3),
+           (1, 6, 4, *c2v), (0, *c3v, 5)]
+    for lut in luts:
+        get = lut.__getitem__
+        out += [tuple(map(get, nbrs)) for nbrs in islice(order, 2, None)]
+    pairs = tuple((lut[x], lut[y]) for lut in luts for x, y in pairs)
+    inner = frozenset(range(7)).union(*(map(lut.__getitem__, inner) for lut in luts))
+    return out, pairs, inner
 
 
-def _build_gadget(builder: _Builder, leaf_b: int, ell: int, u: int, v: int, prefix: str):
-    if ell == 0:
-        return _build_path(builder, leaf_b, u, v, prefix)
-
-    f = [builder.alloc(f"{prefix}v{i}") for i in range(1, 6)]
-    f1, f2, f3, f4, f5 = f
-    rot = builder.rot
-    rot[f1] = [f2, u]
-    rot[f2] = [v, f3, f1]
-    rot[f3] = [f4, u, f2]
-    rot[f4] = [v, f5, f3]
-    rot[f5] = [u, f4]
-
-    # Each child sits in one bounded quadrilateral of the frame; its edge
-    # fans at the shared terminals go into the rotation gap facing that quad.
-    slots = (
-        (f1, f3, (f2, u), (u, f2)),
-        (f2, f4, (v, f3), (f3, v)),
-        (f3, f5, (f4, u), (u, f4)),
-    )
-    pairs: list[tuple[int, int]] = []
-    inner = [u, v, f1, f2, f3, f4, f5]
-    for slot, (cu, cv, gap_u, gap_v) in enumerate(slots, start=1):
-        c_pairs, c_inner, c_ufan, c_vfan = _build_gadget(
-            builder, leaf_b, ell - 1, cu, cv, f"{prefix}T{slot}."
-        )
-        _insert_between(rot[cu], gap_u[0], gap_u[1], c_ufan)
-        _insert_between(rot[cv], gap_v[0], gap_v[1], c_vfan)
-        pairs.extend(c_pairs)
-        inner.extend(c_inner)
-
-    u_fan = [f1, f3, f5]
-    v_fan = [f4, f2]
-    return pairs, inner, u_fan, v_fan
+def _labels(b: int, ell: int) -> list[str]:
+    """Labels in canonical order, replicated level by level: "T2.T1.v3"."""
+    labels = ["u", "v", *(f"v{i}" for i in range(1, b + 1))]
+    for _ in range(ell):
+        labels = ["u", "v", "v1", "v2", "v3", "v4", "v5",
+                  *(f"T{s}.{x}" for s in (1, 2, 3) for x in labels[2:])]
+    return labels
 
 
 def _assemble(leaf_b: int, k: Optional[int], ell: Optional[int], check: bool) -> Gadget:
-    builder = _Builder()
-    u = builder.alloc("u")
-    v = builder.alloc("v")
-    pairs, inner, u_fan, v_fan = _build_gadget(builder, leaf_b, ell or 0, u, v, "")
-    builder.rot[u] = u_fan
-    builder.rot[v] = v_fan
-
-    edges = [
-        (a, b)
-        for a, nbrs in enumerate(builder.rot)
-        for b in nbrs
-        if a < b
-    ]
-    graph = Graph(len(builder.rot), edges, builder.labels)
-    tg = TerminalGraph(graph, u, v)
-    registry = LeafPairRegistry(tuple(pairs), frozenset(inner), leaf_b)
-    rotation = RotationSystem(tuple(tuple(nbrs) for nbrs in builder.rot))
+    order, pairs, inner = _fan(leaf_b), ((0, 1),), frozenset((0, 1))
+    for _ in range(ell or 0):
+        order, pairs, inner = _level(order, pairs, inner)
+    tg = TerminalGraph(Graph.from_rotation(order, partial(_labels, leaf_b, ell or 0)), 0, 1)
+    rotation = RotationSystem(tuple(order))
     if check:
-        report = certify(tg, rotation)
+        report, rotation.faces = certify_with_faces(tg, rotation)
         if not report["ok"]:
             raise AssertionError(f"constructed gadget failed certification: {report}")
         rotation.outer_face_id = report["outer_face_id"]
-    return Gadget(tg, k, ell, registry, rotation)
+    return Gadget(tg, k, ell, LeafPairRegistry(pairs, inner, leaf_b), rotation)
 
 
 def build_P(b: int, *, check: bool = True) -> Gadget:

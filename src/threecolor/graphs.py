@@ -2,16 +2,27 @@
 
 Vertices are dense 0-based indices, and a sorted neighbor tuple per vertex is
 the only edge store.  Labels are an optional parallel decoration (never used
-for adjacency).  Colors are the literals 1, 2, 3.
+for adjacency), possibly made on first use.  Colors are the literals 1, 2, 3.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from itertools import chain, repeat
+from operator import contains, getitem, itemgetter, ne
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 COLORS = (1, 2, 3)
 
 Edge = tuple[int, int]
+
+
+def _checked_labels(labels: Iterable[str], vertex_count: int) -> tuple[str, ...]:
+    labels = tuple(labels)
+    if len(labels) != vertex_count:
+        raise ValueError("labels length must equal vertex_count")
+    if len(set(labels)) != len(labels):
+        raise ValueError("labels must be unique")
+    return labels
 
 
 class Graph:
@@ -21,14 +32,10 @@ class Graph:
     `has_edge` read them.
     """
 
-    __slots__ = ("vertex_count", "edge_count", "adjacency", "labels")
+    __slots__ = ("vertex_count", "edge_count", "adjacency", "_labels")
 
-    def __init__(
-        self,
-        vertex_count: int,
-        edges: Iterable[Edge],
-        labels: Optional[Iterable[str]] = None,
-    ):
+    def __init__(self, vertex_count: int, edges: Iterable[Edge],
+                 labels: Optional[Iterable[str]] = None):
         if vertex_count < 0:
             raise ValueError("vertex_count must be nonnegative")
         adj: list[list[int]] = [[] for _ in range(vertex_count)]
@@ -40,20 +47,52 @@ class Graph:
             adj[a].append(b)
             adj[b].append(a)
         if labels is not None:
-            labels = tuple(labels)
-            if len(labels) != vertex_count:
-                raise ValueError("labels length must equal vertex_count")
-            if len(set(labels)) != len(labels):
-                raise ValueError("labels must be unique")
+            labels = _checked_labels(labels, vertex_count)
+        self._store(tuple(tuple(sorted(set(nbrs))) for nbrs in adj), labels)
 
-        adjacency = tuple(tuple(sorted(set(nbrs))) for nbrs in adj)
-        object.__setattr__(self, "vertex_count", vertex_count)
+    @classmethod
+    def from_rotation(cls, order: Sequence[Sequence[int]],
+                      labels: Optional[Callable[[], Iterable[str]]] = None) -> Graph:
+        """The graph whose neighbors of vertex a are `order[a]`, sorted.
+
+        Raises ValueError for a neighbor out of range, a self-loop, a repeated
+        neighbor or a dart a -> b without b -> a.  `labels` runs on first read.
+        """
+        adjacency = tuple([tuple(sorted(nbrs)) for nbrs in order])
+        n = len(adjacency)
+        ends = list(chain.from_iterable(map(itemgetter(0, -1), filter(None, adjacency))))
+        if ends and not 0 <= min(ends) <= max(ends) < n:
+            raise ValueError(f"a neighbor is out of range for n={n}")
+        if any(map(contains, adjacency, range(n))):
+            raise ValueError("the rotation has a self-loop")
+        degrees = list(map(len, adjacency))
+        if any(map(ne, map(len, map(set, adjacency)), degrees)):
+            raise ValueError("the rotation has a repeated neighbor")
+        # Dart by dart: is the source among the target's neighbors?
+        sources = chain.from_iterable(map(repeat, range(n), degrees))
+        rows = map(getitem, repeat(adjacency), chain.from_iterable(adjacency))
+        if not all(map(contains, rows, sources)):
+            raise ValueError("a dart of the rotation has no reverse")
+        return cls.__new__(cls)._store(adjacency, labels)
+
+    def _store(self, adjacency: tuple[tuple[int, ...], ...], labels) -> Graph:
+        object.__setattr__(self, "vertex_count", len(adjacency))
         object.__setattr__(self, "edge_count", sum(map(len, adjacency)) // 2)
         object.__setattr__(self, "adjacency", adjacency)
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "_labels", labels)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
+
+    @property
+    def labels(self) -> Optional[tuple[str, ...]]:
+        """One label per vertex, or None; a deferred maker runs on first read."""
+        labels = self._labels
+        if callable(labels):
+            labels = _checked_labels(labels(), self.vertex_count)
+            object.__setattr__(self, "_labels", labels)
+        return labels
 
     @property
     def edges(self) -> tuple[Edge, ...]:
@@ -67,7 +106,7 @@ class Graph:
         return len(self.adjacency[v])
 
     def label_of(self, v: int) -> Optional[str]:
-        return self.labels[v] if self.labels is not None else None
+        return None if self.labels is None else self.labels[v]
 
     def __repr__(self) -> str:
         return f"Graph(n={self.vertex_count}, m={self.edge_count})"

@@ -88,7 +88,8 @@ def gadget_descriptor(gadget: Gadget, *, include_faces: bool = False) -> dict:
         },
     }
     if include_faces:
-        doc["faces"] = trace_faces(g, gadget.rotation)
+        faces = gadget.rotation.faces
+        doc["faces"] = trace_faces(g, gadget.rotation) if faces is None else faces
     return doc
 
 

@@ -8,6 +8,7 @@ import sys
 import networkx as nx
 import pytest
 import threecolor
+from threecolor import embedding, serialize
 from threecolor.cli import main
 
 SRC = pathlib.Path(threecolor.__file__).resolve().parent.parent
@@ -27,6 +28,23 @@ class TestGenerate:
         line = out.strip()
         G = nx.from_graph6_bytes(line.encode("ascii"))
         assert G.number_of_nodes() == 13 and G.number_of_edges() == 18
+
+    @pytest.mark.parametrize("extra", [(), ("--no-check",)])
+    def test_faces_traced_once(self, extra, capsys, monkeypatch):
+        calls = []
+        real = embedding.trace_faces
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(embedding, "trace_faces", counted)
+        monkeypatch.setattr(serialize, "trace_faces", counted)
+        code, out, _ = run_cli(capsys, "generate", "--k", "3", "--ell", "3",
+                               "--faces", *extra)
+        assert code == 0
+        assert len(calls) == 1
+        assert len(json.loads(out)["faces"]) == 27 * 6 + 3 * 26 + 1
 
     def test_dot_smallest_gadget(self, capsys):
         code, out, _ = run_cli(capsys, "generate", "--k", "1", "--ell", "0",
@@ -228,6 +246,32 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "--suite", "all")
         assert code == 2
         assert out == "" and err == "error: 2^25 needs 26 bits, over the budget of 25\n"
+
+    @pytest.mark.parametrize("suite, flag", [
+        ("lemma2", "--ell-max"), ("lemma2", "--k-max"), ("lemma2", "--b-max"),
+        ("lemma2", "--bit-budget"),
+        ("remark", "--ell-max"), ("remark", "--k-max"), ("remark", "--bit-budget"),
+        ("lemma3", "--k-max"), ("lemma3", "--b-max"),
+        ("eq3", "--k-max"), ("eq3", "--b-max"),
+        ("theorem", "--k-max"), ("theorem", "--b-max"),
+        ("embedding", "--b-max"), ("embedding", "--bit-budget"),
+        ("all", "--ell-max"), ("all", "--k-max"), ("all", "--b-max"),
+    ])
+    def test_option_the_suite_does_not_take_exit_2(self, suite, flag, capsys):
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, flag, "1")
+        assert code == 2
+        assert out == "" and err == f"error: {flag} does not apply to --suite {suite}\n"
+
+    def test_first_foreign_option_is_named(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--suite", "lemma2", "--ell-max", "7",
+                                 "--k-max", "0", "--b-max", "0")
+        assert code == 2
+        assert out == "" and err == "error: --ell-max does not apply to --suite lemma2\n"
+
+    def test_env_budget_applies_to_every_suite(self, capsys, monkeypatch):
+        monkeypatch.setenv("THREECOLOR_BIT_BUDGET", "5")
+        code, out, _ = run_cli(capsys, "verify", "--suite", "lemma2")
+        assert code == 0 and out.splitlines()[-1] == "suite lemma2: PASS"
 
     def test_remark_b0_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--suite", "remark",

@@ -1,6 +1,8 @@
 import pytest
 
-from threecolor import build_P, build_T, gadget_pair_counts, vertex_count_closed_form
+from splice_builder import build_reference
+from threecolor import build_P, build_T, gadget_pair_counts, gadget_to_json, gadgets
+from threecolor import vertex_count_closed_form
 from threecolor.bounds import lemma3_bound
 from threecolor.counting import predicted_count_bits
 from threecolor.gadgets import choose_k, inner_set_size
@@ -120,6 +122,40 @@ class TestBuildT:
     @pytest.mark.parametrize("k,ell", [(1, 0), (1, 1), (2, 1), (1, 2), (2, 2), (4, 1)])
     def test_triangle_free(self, k, ell):
         assert triangle_count(build_T(k, ell, check=False).graph) == 0
+
+
+# (leaf b, k, ell): every fan with b <= 12, every T(k, ell) with k, ell <= 4,
+# and T(6, 2).  Fans carry no (k, ell).
+ORACLE_CASES = (
+    [(b, None, None) for b in range(1, 13)]
+    + [(2 ** k, k, ell) for k in range(1, 5) for ell in range(5)]
+    + [(64, 6, 2)]
+)
+
+
+class TestReplicationMatchesSplicing:
+    """The level-by-level builder against the recursive splice builder."""
+
+    @pytest.mark.parametrize("b, k, ell", ORACLE_CASES,
+                             ids=lambda x: "-" if x is None else str(x))
+    def test_byte_identical(self, b, k, ell):
+        built = build_P(b) if k is None else build_T(k, ell)
+        reference = build_reference(b, k, ell)
+        assert built.rotation.order == reference.rotation.order
+        assert built.graph.adjacency == reference.graph.adjacency
+        assert built.graph.labels == reference.graph.labels
+        assert built.registry == reference.registry
+        assert (gadget_to_json(built, include_faces=True)
+                == gadget_to_json(reference, include_faces=True))
+
+    def test_labels_made_on_first_read_only(self, monkeypatch):
+        made = []
+        real = gadgets._labels
+        monkeypatch.setattr(gadgets, "_labels", lambda *a: made.append(a) or real(*a))
+        g = build_T(2, 3).graph
+        assert made == []
+        assert g.label_of(100) == "T2.T2.T3.v3"
+        assert g.labels[100] == "T2.T2.T3.v3" and made == [(4, 3)]
 
 
 class TestKEllDomain:

@@ -1,9 +1,9 @@
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
-from threecolor import build_P
+from threecolor import build_P, build_T
 from threecolor.graphs import (
     Graph,
     TerminalGraph,
@@ -72,6 +72,49 @@ class TestGraph:
             assert g.has_edge(a, b) == g.has_edge(b, a) == expected
         assert not g.has_edge(-1, 0)
         assert not g.has_edge(0, n)
+
+
+class TestFromRotation:
+    """The builder's path: a Graph from rotation tuples, checked as strictly
+    as one built from an edge list."""
+
+    @given(small_graphs(), st.randoms(use_true_random=False))
+    def test_agrees_with_the_edge_list_constructor(self, g, rng):
+        order = [rng.sample(nbrs, len(nbrs)) for nbrs in g.adjacency]
+        h = Graph.from_rotation(order)
+        assert h.adjacency == g.adjacency
+        assert (h.vertex_count, h.edge_count) == (g.vertex_count, g.edge_count)
+        assert h.labels is None
+
+    def test_corrupted_gadget_rotations_rejected(self):
+        order = list(build_T(2, 2, check=False).rotation.order)
+        n, a = len(order), 9
+        corruptions = {
+            "out of range": order[a] + (n,),
+            "self-loop": order[a] + (a,),
+            "repeated neighbor": order[a] + order[a][:1],
+            "no reverse": order[a][1:],
+        }
+        for message, nbrs in corruptions.items():
+            with pytest.raises(ValueError, match=message):
+                Graph.from_rotation(order[:a] + [nbrs] + order[a + 1:])
+        Graph.from_rotation(order)  # the intact rotation passes
+
+        g = build_T(3, 4, check=False).graph
+        firsts = [g.label_of(v) for v in range(g.vertex_count)]
+        assert firsts == list(g.labels)
+
+    def test_deferred_labels_checked_on_first_read(self):
+        short = Graph.from_rotation(((1,), (0,)), lambda: ["a"])
+        with pytest.raises(ValueError, match="length"):
+            short.labels
+        twice = Graph.from_rotation(((1,), (0,)), lambda: ["a", "a"])
+        with pytest.raises(ValueError, match="unique"):
+            twice.label_of(0)
+        made = []
+        g = Graph.from_rotation(((1,), (0,)), lambda: made.append(1) or ["a", "b"])
+        assert made == []
+        assert g.label_of(1) == "b" and g.labels == ("a", "b") and made == [1]
 
 
 class TestTerminalGraph:
