@@ -92,6 +92,7 @@ def cmd_count(args) -> int:
                 f"{n} vertices exceeds the brute-force cutoff {args.cutoff}"
                 " (use --force to override)"
             )
+        counting.check_free_vertices(n - (0 if fix is None else 2))
         gadget = build_T(args.k, args.ell, check=False)
         fixed = None if fix is None else {0: fix[0], 1: fix[1]}
         value = counting.count_colorings_bruteforce(

@@ -5,7 +5,9 @@ Fibonacci number computed by fast doubling, and each recursion level of
 T(u,v,k,l) maps (S, D) to (2S^3, S(3S^2 + 6SD + 4D^2)).  Four slower routes,
 kept deliberately independent, are the oracles that check them:
 
-* a brute-force backtracking oracle over any small graph,
+* a brute-force backtracking oracle over any small graph, which lists each
+  free vertex's colored neighbors once, counts the last free vertex in bulk
+  and refuses more than MAX_FREE_VERTICES free vertices,
 * a left-to-right transfer counter for the fan (`_path_interior_transfer`),
 * the frame recursion as a sum over the 13 proper frame colorings
   (`_frame_combine_patterns`),
@@ -28,6 +30,9 @@ from .gadgets import Gadget, build_P, check_k_ell
 from .graphs import COLORS, Graph, induced_subgraph
 
 DEFAULT_BRUTE_FORCE_CUTOFF = 20
+MAX_FREE_VERTICES = 800  # a frame each, leaving 200 of Python's 1000 to callers
+# Color c is the bit 1 << (c - 1); _ALLOWED[used] lists the bits clear in used.
+_ALLOWED = tuple(tuple(bit for bit in (1, 2, 4) if not used & bit) for used in range(8))
 
 
 class BruteForceCutoffError(ValueError):
@@ -58,49 +63,58 @@ class Lemma2Verdict:
     case_b_applies: bool
 
 
-def _prepare(g: Graph, fixed: Optional[Mapping[int, int]]):
-    """Validate `fixed` and lay out the backtracking state.
+def check_free_vertices(count: int) -> None:
+    """Refuse to backtrack over more than MAX_FREE_VERTICES free vertices."""
+    if count > MAX_FREE_VERTICES:
+        raise ValueError(f"{count} free vertices exceed the limit of {MAX_FREE_VERTICES}")
 
-    Returns the color array (0 = free) and the free vertices in index order,
-    or None when two fixed endpoints of an edge share a color, so that no
-    coloring extends `fixed`.
+
+def _prepare(g: Graph, fixed: Optional[Mapping[int, int]]):
+    """Validate `fixed`, check the free-vertex limit and lay out the backtracking state.
+
+    Returns the color bits (0 = free) and, for each free vertex in index
+    order, the vertex and its neighbors colored when it is reached: the
+    fixed ones and the earlier free ones.  Returns None when two fixed
+    endpoints of an edge share a color, so that no coloring extends `fixed`.
     """
-    color = [0] * g.vertex_count
+    bits = [0] * g.vertex_count
     conflict = False
     for v, c in (fixed or {}).items():
         if not (0 <= v < g.vertex_count):
             raise ValueError(f"fixed vertex {v} out of range")
         if c not in COLORS:
             raise ValueError(f"fixed vertex {v} has invalid color {c}")
-        conflict = conflict or any(color[nb] == c for nb in g.adjacency[v])
-        color[v] = c
+        bits[v] = 1 << (c - 1)
+        conflict = conflict or any(bits[nb] == bits[v] for nb in g.adjacency[v])
     if conflict:
         return None
-    return color, [v for v in range(g.vertex_count) if not color[v]]
+    check_free_vertices(bits.count(0))
+    return bits, [(v, tuple(nb for nb in nbrs if bits[nb] or nb < v))
+                  for v, nbrs in enumerate(g.adjacency) if not bits[v]]
 
 
 def iter_colorings(
     g: Graph, fixed: Optional[Mapping[int, int]] = None
 ) -> Iterator[dict[int, int]]:
-    """Yield every proper total 3-coloring extending `fixed` (as dicts)."""
+    """Yield every proper total 3-coloring extending `fixed` (as dicts), by the
+    backtracking and limit of `count_colorings_bruteforce`, minus its bulk last level."""
     state = _prepare(g, fixed)
     if state is None:
         return
-    color, free = state
-    adjacency = g.adjacency
-    m = len(free)
+    bits, order = state
 
     def rec(i: int) -> Iterator[dict[int, int]]:
-        if i == m:
-            yield dict(enumerate(color))
+        if i == len(order):
+            yield dict(enumerate(map(int.bit_length, bits)))
             return
-        v = free[i]
-        used = {color[nb] for nb in adjacency[v] if color[nb]}
-        for c in COLORS:
-            if c not in used:
-                color[v] = c
-                yield from rec(i + 1)
-                color[v] = 0
+        v, colored = order[i]
+        used = 0
+        for nb in colored:
+            used |= bits[nb]
+        for b in _ALLOWED[used]:
+            bits[v] = b
+            yield from rec(i + 1)
+        bits[v] = 0
 
     yield from rec(0)
 
@@ -114,8 +128,11 @@ def count_colorings_bruteforce(
 ) -> int:
     """Exact number of proper total 3-colorings extending `fixed`.
 
-    Backtracks over the free vertices in index order.  Refuses graphs above
-    the vertex cutoff (default 20) unless `force` is given.
+    Backtracks over the free vertices in index order, with no memoization;
+    each looks up the colors its colored neighbors leave in `_ALLOWED`, and
+    the last adds their number.  Refuses graphs above the vertex cutoff
+    (default 20) unless `force` is given, and always refuses more than
+    MAX_FREE_VERTICES free vertices.
     """
     if g.vertex_count > cutoff and not force:
         raise BruteForceCutoffError(
@@ -125,24 +142,25 @@ def count_colorings_bruteforce(
     state = _prepare(g, fixed)
     if state is None:
         return 0
-    color, free = state
-    adjacency = g.adjacency
-    m = len(free)
+    bits, order = state
+    last = len(order) - 1
 
     def rec(i: int) -> int:
-        if i == m:
-            return 1
-        v = free[i]
-        used = {color[nb] for nb in adjacency[v] if color[nb]}
+        v, colored = order[i]
+        used = 0
+        for nb in colored:
+            used |= bits[nb]
+        allowed = _ALLOWED[used]
+        if i == last:
+            return len(allowed)
         total = 0
-        for c in COLORS:
-            if c not in used:
-                color[v] = c
-                total += rec(i + 1)
-        color[v] = 0
+        for b in allowed:
+            bits[v] = b
+            total += rec(i + 1)
+        bits[v] = 0
         return total
 
-    return rec(0)
+    return rec(0) if order else 1
 
 
 def _check_terminals(b: int, color_u: int, color_v: int) -> None:

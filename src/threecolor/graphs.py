@@ -164,20 +164,15 @@ def is_proper(g: Graph, coloring: Mapping[int, int]) -> bool:
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int, int]]:
     """Subgraph induced by `vertices`, plus the old->new index mapping.
 
-    New indices follow ascending old-index order.
+    New indices follow ascending old-index order.  If `g` has labels, the
+    subgraph keeps `g` and copies its labels on the first read of `labels`.
     """
     kept = sorted(set(vertices))
     for v in kept:
         if not (0 <= v < g.vertex_count):
             raise ValueError(f"vertex {v} out of range")
     index_map = {old: new for new, old in enumerate(kept)}
-    sub_edges = [
-        (index_map[a], index_map[b])
-        for a in kept
-        for b in g.adjacency[a]
-        if a < b and b in index_map
-    ]
-    labels = None
-    if g.labels is not None:
-        labels = [g.labels[old] for old in kept]
-    return Graph(len(kept), sub_edges, labels), index_map
+    # The map keeps the order, so each row stays sorted.
+    adjacency = tuple(tuple(index_map[b] for b in g.adjacency[a] if b in index_map) for a in kept)
+    labels = None if g._labels is None else lambda: map(g.labels.__getitem__, kept)
+    return Graph.__new__(Graph)._store(adjacency, labels), index_map

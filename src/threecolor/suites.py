@@ -58,6 +58,7 @@ def run_remark(b_max: int = 12) -> SuiteResult:
     """The fan has exactly two colorings with both terminals on color 1."""
     if b_max < 1:
         raise ValueError("the fan needs b >= 1")
+    counting.check_free_vertices(b_max)  # both terminals are fixed
     res = SuiteResult("remark")
     for b in range(1, b_max + 1):
         # The transfer, not the closed form: the claim keeps two routes.

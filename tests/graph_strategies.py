@@ -13,6 +13,16 @@ def small_graphs(draw, min_n=0, max_n=8):
 
 
 @st.composite
+def graphs_with_partial_colorings(draw, max_n=7):
+    """(g, fixed): a small graph and colors for any subset of its vertices,
+    so a fixed vertex may follow a free neighbor in index order and two
+    fixed neighbors may share a color."""
+    g = draw(small_graphs(max_n=max_n))
+    vertices = st.sampled_from(range(g.vertex_count)) if g.vertex_count else st.nothing()
+    return g, draw(st.dictionaries(vertices, st.sampled_from((1, 2, 3))))
+
+
+@st.composite
 def graphs_with_total_colorings(draw, min_n=1, max_n=8):
     g = draw(small_graphs(min_n=min_n, max_n=max_n))
     colors = draw(

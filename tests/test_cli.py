@@ -10,6 +10,7 @@ import pytest
 import threecolor
 from threecolor import embedding, serialize
 from threecolor.cli import main
+from threecolor.counting import MAX_FREE_VERTICES
 
 SRC = pathlib.Path(threecolor.__file__).resolve().parent.parent
 
@@ -18,6 +19,14 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_cli_process(*argv, timeout):
+    """Run the CLI in a fresh interpreter, with the default bit budget."""
+    env = {k: v for k, v in os.environ.items() if k != "THREECOLOR_BIT_BUDGET"}
+    env["PYTHONPATH"] = str(SRC)
+    return subprocess.run([sys.executable, "-m", "threecolor.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=timeout)
 
 
 class TestGenerate:
@@ -151,14 +160,19 @@ class TestCount:
 
 
     def test_huge_fan_refused_before_any_work(self):
-        env = {k: v for k, v in os.environ.items() if k != "THREECOLOR_BIT_BUDGET"}
-        env["PYTHONPATH"] = str(SRC)
-        proc = subprocess.run(
-            [sys.executable, "-m", "threecolor.cli", "count", "--k", "40", "--ell", "0"],
-            capture_output=True, text=True, env=env, timeout=10,
-        )
+        proc = run_cli_process("count", "--k", "40", "--ell", "0", timeout=10)
         assert proc.returncode == 2
         assert proc.stdout == "" and "over the budget of 10000000" in proc.stderr
+
+    @pytest.mark.parametrize("argv,free", [
+        (("--k", "10", "--ell", "0", "--fix", "1,1"), 1024),
+        (("--k", "40", "--ell", "0"), 2 ** 40 + 2),  # refused before build_T
+    ], ids=["fixed-P1024", "unfixed-P2^40"])
+    def test_brute_past_the_free_vertex_limit_exit_2(self, argv, free):
+        proc = run_cli_process("count", "--method", "brute", "--force", *argv, timeout=10)
+        assert proc.returncode == 2
+        assert proc.stdout == "" and proc.stderr == (
+            f"error: {free} free vertices exceed the limit of {MAX_FREE_VERTICES}\n")
 
     def test_bit_budget_env_applies_to_count(self, capsys, monkeypatch):
         monkeypatch.setenv("THREECOLOR_BIT_BUDGET", "1000")
@@ -279,6 +293,12 @@ class TestVerify:
         assert code == 2
         assert out == "" and "b >= 1" in err
 
+    def test_remark_past_the_free_vertex_limit_exit_2(self):
+        proc = run_cli_process("verify", "--suite", "remark", "--b-max", "1200", timeout=10)
+        assert proc.returncode == 2
+        assert proc.stdout == "" and proc.stderr == (
+            f"error: 1200 free vertices exceed the limit of {MAX_FREE_VERTICES}\n")
+
     def test_embedding_sweep(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "embedding",
                                "--ell-max", "1", "--k-max", "2")
@@ -296,13 +316,7 @@ class TestVerify:
     def test_eq3_prints_counts_past_the_int_str_limit(self):
         # A fresh interpreter keeps the default 4300-digit int-to-str limit,
         # which the ell = 10 inner count exceeds.
-        env = {k: v for k, v in os.environ.items() if k != "THREECOLOR_BIT_BUDGET"}
-        env["PYTHONPATH"] = str(SRC)
-        proc = subprocess.run(
-            [sys.executable, "-m", "threecolor.cli", "verify", "--suite", "eq3",
-             "--ell-max", "10"],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        proc = run_cli_process("verify", "--suite", "eq3", "--ell-max", "10", timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "suite eq3: PASS"
 

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from threecolor import (
@@ -16,8 +16,10 @@ from threecolor import (
     path_pair_counts,
     total_colorings,
 )
+from threecolor import gadgets
 from threecolor.bounds import lemma3_bound
 from threecolor.counting import (
+    MAX_FREE_VERTICES,
     BruteForceCutoffError,
     PairCounts,
     _frame_combine,
@@ -29,7 +31,7 @@ from threecolor.counting import (
 )
 from threecolor.graphs import Graph
 
-from graph_strategies import small_graphs
+from graph_strategies import graphs_with_partial_colorings, small_graphs
 
 # Fibonacci-like growth of the distinct-terminal transfer values, frozen
 # from exhaustive enumeration.
@@ -37,17 +39,19 @@ FAN_DIFF_COUNTS = {1: 2, 2: 3, 3: 5, 4: 8, 5: 13, 6: 21, 7: 34, 8: 55,
                    9: 89, 10: 144, 11: 233, 12: 377}
 
 
-def product_filter_count(g: Graph, fixed=None) -> int:
+def product_filter_colorings(g: Graph, fixed=None):
     """Independent oracle: filter all 3^n assignments."""
     fixed = dict(fixed or {})
     free = [v for v in range(g.vertex_count) if v not in fixed]
-    count = 0
     for combo in itertools.product((1, 2, 3), repeat=len(free)):
         col = dict(fixed)
         col.update(zip(free, combo))
         if all(col[a] != col[b] for a, b in g.edges):
-            count += 1
-    return count
+            yield col
+
+
+def product_filter_count(g: Graph, fixed=None) -> int:
+    return sum(1 for _ in product_filter_colorings(g, fixed))
 
 
 class TestBruteForce:
@@ -103,6 +107,32 @@ class TestBruteForce:
                     bigger = Graph(g.vertex_count, set(g.edges) | {(a, b)})
                     assert count_colorings_bruteforce(bigger) <= base
                     break
+
+    # A fixed vertex after a free neighbor; two fixed neighbors that clash.
+    @example((Graph(3, [(0, 1), (1, 2)]), {2: 1}))
+    @example((Graph(4, [(0, 1), (1, 2), (2, 3)]), {1: 2, 2: 2}))
+    @given(graphs_with_partial_colorings())
+    def test_routes_match_product_filter_with_fixed_vertices(self, case):
+        g, fixed = case
+        expected = sorted(tuple(sorted(c.items())) for c in product_filter_colorings(g, fixed))
+        yielded = sorted(tuple(sorted(c.items())) for c in iter_colorings(g, fixed))
+        assert yielded == expected
+        assert count_colorings_bruteforce(g, fixed) == len(expected)
+
+    def test_free_vertex_limit(self):
+        equal = {0: 1, 1: 1}
+        at = build_P(MAX_FREE_VERTICES, check=False).graph
+        assert count_colorings_bruteforce(at, equal, force=True) == 2
+        assert len(list(iter_colorings(at, equal))) == 2
+        over = build_P(MAX_FREE_VERTICES + 1, check=False).graph
+        message = f"{MAX_FREE_VERTICES + 1} free vertices exceed the limit of {MAX_FREE_VERTICES}"
+        with pytest.raises(ValueError, match=message):
+            count_colorings_bruteforce(over, equal, force=True)
+        with pytest.raises(ValueError, match=message):
+            next(iter_colorings(over, equal))
+        # Clashing fixed neighbors leave nothing to backtrack over.
+        assert count_colorings_bruteforce(over, {0: 1, 2: 1}, force=True) == 0
+        assert list(iter_colorings(over, {0: 1, 2: 1})) == []
 
     def test_iter_colorings_yields_each_once(self):
         g = build_P(3).graph
@@ -269,6 +299,16 @@ class TestInnerSubgraphCounts:
         assert total_colorings(pc) == 10176
         sub, _ = inner_subgraph(build_T(1, 2, check=False))
         assert count_colorings_bruteforce(sub, force=True) == 10176
+
+    def test_labels_made_on_first_read_only(self, monkeypatch):
+        expected = build_T(2, 2, check=False).graph.labels
+        made = []
+        real = gadgets._labels
+        monkeypatch.setattr(gadgets, "_labels", lambda *a: made.append(a) or real(*a))
+        sub, index_map = inner_subgraph(build_T(2, 2, check=False))
+        assert made == []
+        assert sub.labels == tuple(expected[old] for old in sorted(index_map))
+        assert made == [(4, 2)]
 
     @pytest.mark.parametrize("ell", [1, 2])
     def test_independent_of_k(self, ell):

@@ -203,3 +203,4 @@ class TestInducedSubgraph:
         assert {tuple(sorted(e)) for e in sub.edges} == {
             tuple(sorted(e)) for e in expected
         }
+        assert sub.adjacency == Graph(sub.vertex_count, sub.edges).adjacency
