@@ -31,7 +31,7 @@ print("DOT document:")
 print(to_dot(gadget.graph, name="T_1_1"))
 
 print("JSON descriptor (truncated):")
-text = gadget_to_json(gadget, indent=None)
+text = gadget_to_json(gadget)
 print(text[:160], "...")
 
 # The recursion path is readable off the labels.

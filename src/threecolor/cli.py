@@ -7,6 +7,7 @@ for bound computations defaults to $THREECOLOR_BIT_BUDGET or 10^7 bits.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -33,14 +34,10 @@ def _bit_budget(flag: int | None = None) -> int:
 
 
 def _write_output(text: str, path: str | None) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-        return
-    with open(path, "w", encoding="ascii") as fh:
+    with (contextlib.nullcontext(sys.stdout) if path in (None, "-")
+          else open(path, "w", encoding="ascii")) as fh:
         fh.write(text)
-        if not text.endswith("\n"):
+        if not text.endswith("\n"):  # a separate write: text may be 100 MiB
             fh.write("\n")
 
 
@@ -104,8 +101,10 @@ def cmd_count(args) -> int:
             "ell": args.ell,
             "method": args.method,
             "fixed_terminal_colors": list(fix) if fix is not None else None,
-            "count": serialize.count_to_json_dict(value, include_decimal=args.full),
+            "count": {"bit_length": value.bit_length()},
         }
+        if args.full:  # exact in JSON: a decimal string, never a number
+            doc["count"]["decimal_string"] = bounds.int_to_decimal(value)
         print(json.dumps(doc, indent=2))
     else:
         print(f"bit_length: {value.bit_length()}")

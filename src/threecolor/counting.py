@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Mapping, Optional
 
 from .gadgets import Gadget, build_P, check_k_ell
@@ -181,7 +180,6 @@ def _fibonacci(n: int) -> int:
     return a
 
 
-@lru_cache(maxsize=None)
 def path_interior_count(b: int, color_u: int, color_v: int) -> int:
     """Colorings of the path interior of P(u,v,b) with the terminals fixed.
 
@@ -373,8 +371,9 @@ def count_extensions(
 
     psi must be total and proper on the subgraph of T(u,v,k,ell) induced by
     V_ell, and `gadget` the built T(u,v,k,ell), so that sweeps build it
-    once; the extension count is the product over leaf pairs of the leaf
-    interior count given the pair's colors (exactly 2 when they agree).
+    once.  A leaf interior has 2 colorings when its pair's ends agree and
+    F(b+2) when not, so with p leaf pairs, e of them agreeing, the count is
+    the closed form 2^e * F(b+2)^(p-e).
     """
     if ell < 1:
         raise ValueError("extension counting needs ell >= 1")
@@ -391,11 +390,9 @@ def count_extensions(
         for b in adjacency[a]:
             if a < b and b in inner and psi[a] == psi[b]:
                 raise ValueError(f"coloring is improper on inner edge ({a},{b})")
-    b = gadget.registry.leaf_b
-    product = 1
-    for x, y in gadget.registry.pairs:
-        product *= path_interior_count(b, psi[x], psi[y])
-    return product
+    pairs = gadget.registry.pairs
+    equal = sum(psi[x] == psi[y] for x, y in pairs)
+    return _fibonacci(gadget.registry.leaf_b + 2) ** (len(pairs) - equal) << equal
 
 
 def inner_subgraph(gadget: Gadget) -> tuple[Graph, dict[int, int]]:

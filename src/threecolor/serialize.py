@@ -8,9 +8,7 @@ it is meant for small gadgets.
 from __future__ import annotations
 
 import json
-from typing import Optional
 
-from .bounds import int_to_decimal
 from .embedding import trace_faces
 from .gadgets import Gadget
 from .graphs import Graph
@@ -69,7 +67,8 @@ def to_dot(g: Graph, name: str = "G") -> str:
 
 
 def gadget_descriptor(gadget: Gadget, *, include_faces: bool = False) -> dict:
-    """JSON-ready descriptor of a built gadget."""
+    """JSON-ready descriptor of a built gadget; edges, labels and the rotation
+    are the gadget's own tuples, which `json` writes as lists."""
     g = gadget.graph
     doc = {
         "format_version": 1,
@@ -78,12 +77,12 @@ def gadget_descriptor(gadget: Gadget, *, include_faces: bool = False) -> dict:
         "b": gadget.registry.leaf_b,
         "vertex_count": g.vertex_count,
         "terminals": [gadget.tg.terminal_u, gadget.tg.terminal_v],
-        "edges": [list(e) for e in g.edges],
-        "labels": list(g.labels) if g.labels is not None else None,
+        "edges": g.edges,
+        "labels": g.labels,
         "leaf_pairs": [list(p) for p in gadget.registry.pairs],
         "inner_set": sorted(gadget.registry.inner_set),
         "rotation": {
-            "order": [list(cycle) for cycle in gadget.rotation.order],
+            "order": gadget.rotation.order,
             "outer_face_id": gadget.rotation.outer_face_id,
         },
     }
@@ -93,15 +92,7 @@ def gadget_descriptor(gadget: Gadget, *, include_faces: bool = False) -> dict:
     return doc
 
 
-def gadget_to_json(gadget: Gadget, *, include_faces: bool = False,
-                   indent: Optional[int] = 2) -> str:
+def gadget_to_json(gadget: Gadget, *, include_faces: bool = False) -> str:
+    """The descriptor as `generate --format json` writes it, indented by 2."""
     return json.dumps(gadget_descriptor(gadget, include_faces=include_faces),
-                      indent=indent)
-
-
-def count_to_json_dict(value: int, *, include_decimal: bool = True) -> dict:
-    """Counts travel as {decimal_string, bit_length} to stay exact in JSON."""
-    doc = {"bit_length": value.bit_length()}
-    if include_decimal:
-        doc["decimal_string"] = int_to_decimal(value)
-    return doc
+                      indent=2)

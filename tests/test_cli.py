@@ -84,6 +84,19 @@ class TestGenerate:
         assert code == 0
         assert target.read_text().strip()
 
+    @pytest.mark.parametrize("fmt", [("--format", "json", "--faces"),
+                                     ("--format", "dot"), ("--format", "graph6")],
+                             ids=lambda fmt: fmt[1])
+    def test_output_file_holds_the_stdout_bytes(self, fmt, tmp_path, capsys):
+        argv = ("generate", "--k", "2", "--ell", "1", *fmt)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.endswith("\n") and not out.endswith("\n\n")
+        target = tmp_path / "out"
+        assert run_cli(capsys, *argv, "-o", str(target)) == (0, "", "")
+        assert target.read_bytes() == out.encode("ascii")
+        assert run_cli(capsys, *argv, "-o", "-") == (0, out, "")
+
     def test_unwritable_output_exit_3(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "generate", "--k", "1", "--ell", "0",
                                "-o", str(tmp_path / "no" / "such" / "dir" / "f"))
@@ -150,6 +163,12 @@ class TestCount:
         assert code == 0
         doc = json.loads(out)
         assert doc["count"] == {"bit_length": 11, "decimal_string": "1056"}
+
+    def test_json_output_without_full_has_no_decimal(self, capsys):
+        code, out, _ = run_cli(capsys, "count", "--k", "1", "--ell", "1", "--json")
+        assert code == 0
+        assert '"count": {\n    "bit_length": 11\n  }' in out
+        assert json.loads(out)["count"] == {"bit_length": 11}
 
     def test_dp_and_brute_agree(self, capsys):
         _, dp_out, _ = run_cli(capsys, "count", "--k", "2", "--ell", "1",

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import example, given
@@ -157,6 +158,18 @@ class TestPathPairCounts:
     def test_total_via_symmetry_matches_oracle(self, b):
         g = build_P(b, check=False).graph
         assert total_colorings(path_pair_counts(b)) == count_colorings_bruteforce(g)
+
+    def test_counts_are_not_kept(self):
+        """A sweep over a thousand fan sizes leaves no table of big integers."""
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for b in range(10_000, 11_000):
+                path_pair_counts(b)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept < 64 * 1024
 
     def test_color_symmetry_classes(self):
         """What licenses the 3S + 6D expansion."""

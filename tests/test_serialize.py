@@ -84,3 +84,27 @@ class TestGadgetDescriptor:
         doc = json.loads(gadget_to_json(build_T(1, 0)))
         assert doc["vertex_count"] == 4
         assert doc["labels"] == ["u", "v", "v1", "v2"]
+
+
+def as_lists(value):
+    """The descriptor in its earlier form: every sequence a new list."""
+    if isinstance(value, dict):
+        return {key: as_lists(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [as_lists(item) for item in value]
+    return value
+
+
+GADGETS = [("T", k, ell) for k in (1, 2, 3) for ell in range(4)] + \
+    [("P", b, None) for b in range(1, 6)]
+
+
+class TestGadgetToJson:
+    @pytest.mark.parametrize("check", [True, False])
+    @pytest.mark.parametrize("kind,a,ell", GADGETS)
+    def test_bytes_match_the_list_descriptor(self, kind, a, ell, check):
+        gadget = build_T(a, ell, check=check) if kind == "T" else build_P(a, check=check)
+        for faces in (False, True):
+            reference = as_lists(gadget_descriptor(gadget, include_faces=faces))
+            assert gadget_to_json(gadget, include_faces=faces) == \
+                json.dumps(reference, indent=2)

@@ -34,9 +34,8 @@ def readme_commands(checkout: Path) -> list[list[str]]:
         raise SystemExit(f"no 'Command line' section in {checkout / 'README.md'}")
     commands = []
     for line in section.group(1).splitlines():
-        words = shlex.split(line, comments=True)
-        if words[:1] == ["threecolor"]:
-            commands.append(words[1:])
+        if line.startswith("threecolor "):  # prose may hold an unpaired quote
+            commands.append(shlex.split(line, comments=True)[1:])
     return commands
 
 
