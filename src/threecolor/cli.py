@@ -11,9 +11,10 @@ import contextlib
 import json
 import os
 import sys
+from typing import Iterable
 
 from . import bounds, counting, serialize, suites
-from .gadgets import build_T, vertex_count_closed_form
+from .gadgets import build_T, checked_vertex_count, vertex_count_closed_form
 from .graphs import COLORS
 
 EXIT_OK = 0
@@ -33,25 +34,32 @@ def _bit_budget(flag: int | None = None) -> int:
         raise ValueError(f"invalid THREECOLOR_BIT_BUDGET: {raw!r}") from exc
 
 
-def _write_output(text: str, path: str | None) -> None:
+def _write_output(chunks: Iterable[str], path: str | None) -> None:
+    """Write each chunk as it comes, then a newline unless the text ends in one."""
     with (contextlib.nullcontext(sys.stdout) if path in (None, "-")
           else open(path, "w", encoding="ascii")) as fh:
-        fh.write(text)
-        if not text.endswith("\n"):  # a separate write: text may be 100 MiB
+        last = ""
+        for chunk in chunks:
+            fh.write(chunk)
+            last = chunk or last
+        if not last.endswith("\n"):
             fh.write("\n")
 
 
 def cmd_generate(args) -> int:
+    if args.format == "graph6":  # refused before anything is built
+        serialize.check_graph6_size(checked_vertex_count(args.k, args.ell))
     gadget = build_T(args.k, args.ell, check=not args.no_check)
     if not args.faces:
         gadget.rotation.faces = None  # the check's walks, kept only to be printed
     if args.format == "json":
-        text = serialize.gadget_to_json(gadget, include_faces=args.faces)
+        chunks = serialize.json_chunks(
+            serialize.gadget_descriptor(gadget, include_faces=args.faces))
     elif args.format == "dot":
-        text = serialize.to_dot(gadget.graph, name=f"T_{args.k}_{args.ell}")
+        chunks = (serialize.to_dot(gadget.graph, name=f"T_{args.k}_{args.ell}"),)
     else:
-        text = serialize.to_graph6(gadget.graph)
-    _write_output(text, args.output)
+        chunks = (serialize.to_graph6(gadget.graph),)
+    _write_output(chunks, args.output)
     return EXIT_OK
 
 

@@ -60,6 +60,9 @@ class Gadget:
         return self.tg.graph
 
 
+# Largest gadget that build_T and build_P make; T(6,9) has 1,308,919 vertices.
+MAX_VERTICES = 2 ** 21
+
 # The children's terminals (cu, cv): (v1, v3), (v2, v4) and (v3, v5).
 _SLOTS = ((2, 4), (3, 5), (4, 6))
 
@@ -127,6 +130,8 @@ def build_P(b: int, *, check: bool = True) -> Gadget:
     """
     if b < 1:
         raise ValueError("b must be >= 1")
+    if b + 2 > MAX_VERTICES:
+        raise ValueError(f"P(u,v,{b}) has {b + 2} vertices, over the limit of {MAX_VERTICES}")
     return _assemble(b, None, None, check)
 
 
@@ -139,9 +144,25 @@ def check_k_ell(k: int, ell: int) -> None:
 
 
 def build_T(k: int, ell: int, *, check: bool = True) -> Gadget:
-    """Build T(u,v,k,ell); for ell=0 this is P(u,v,2^k) with one leaf pair."""
-    check_k_ell(k, ell)
+    """Build T(u,v,k,ell); for ell=0 this is P(u,v,2^k) with one leaf pair.
+
+    Raises ValueError, before allocating, if it has over MAX_VERTICES vertices.
+    """
+    checked_vertex_count(k, ell)
     return _assemble(2 ** k, k, ell, check)
+
+
+def checked_vertex_count(k: int, ell: int) -> int:
+    """`vertex_count_closed_form(k, ell)`, or ValueError if over MAX_VERTICES."""
+    check_k_ell(k, ell)
+    # n > 2^k 3^ell >= 2^(k+ell): a large k + ell is refused before any power is formed
+    if k + ell >= MAX_VERTICES.bit_length():
+        raise ValueError(f"T({k},{ell}) has more than 2^{k + ell} vertices,"
+                         f" over the limit of {MAX_VERTICES}")
+    n = vertex_count_closed_form(k, ell)
+    if n > MAX_VERTICES:
+        raise ValueError(f"T({k},{ell}) has {n} vertices, over the limit of {MAX_VERTICES}")
+    return n
 
 
 def vertex_count_closed_form(k: int, ell: int) -> int:

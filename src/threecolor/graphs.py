@@ -158,7 +158,8 @@ def is_proper(g: Graph, coloring: Mapping[int, int]) -> bool:
             label = g.label_of(v)
             where = f"vertex {v}" if label is None else f"vertex {v} ({label!r})"
             raise ValueError(f"coloring is partial: {where} has no color")
-    return all(coloring[a] != coloring[b] for a, b in g.edges)
+    return all(coloring[a] != coloring[b]
+               for a, nbrs in enumerate(g.adjacency) for b in nbrs if a < b)
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int, int]]:

@@ -2,16 +2,25 @@
 
 graph6 follows the standard bit packing: N(n) header, then the upper
 triangle of the adjacency matrix column by column, six bits per printable
-character (offset 63).  Beware that graph6 is quadratic in the vertex count;
-it is meant for small gadgets.
+character (offset 63).  graph6 is quadratic in the vertex count, so a line
+longer than GRAPH6_MAX_BYTES is refused before it is encoded.
+
+The JSON descriptor is written in the layout of `json.dumps(doc, indent=2)`
+by `json_chunks`, which yields it in chunks of at most CHUNK_ITEMS numbers
+or strings, so a large gadget's text is never held as one string.
 """
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
+from typing import Iterator
 
 from .embedding import trace_faces
 from .gadgets import Gadget
 from .graphs import Graph
+
+GRAPH6_MAX_BYTES = 2 ** 24
+CHUNK_ITEMS = 1024
 
 
 def _graph6_size_bytes(n: int) -> bytes:
@@ -30,9 +39,19 @@ def _graph6_size_bytes(n: int) -> bytes:
     raise ValueError("n too large for graph6")
 
 
+def check_graph6_size(n: int) -> int:
+    """The length of the graph6 line of n vertices; ValueError over GRAPH6_MAX_BYTES."""
+    size = len(_graph6_size_bytes(n)) + (n * (n - 1) // 2 + 5) // 6
+    if size > GRAPH6_MAX_BYTES:
+        raise ValueError(f"the graph6 line of {n} vertices would take {size} bytes,"
+                         f" over the limit of {GRAPH6_MAX_BYTES}")
+    return size
+
+
 def to_graph6(g: Graph) -> str:
     """Canonical graph6 line (no trailing newline, no >>graph6<< header)."""
     n = g.vertex_count
+    check_graph6_size(n)
     out = bytearray(_graph6_size_bytes(n))
     group = 0
     nbits = 0
@@ -60,8 +79,8 @@ def to_dot(g: Graph, name: str = "G") -> str:
         else:
             escaped = label.replace('"', '\\"')
             lines.append(f'  {v} [label="{escaped}"];')
-    for a, b in g.edges:
-        lines.append(f"  {a} -- {b};")
+    for a, nbrs in enumerate(g.adjacency):
+        lines.extend(f"  {a} -- {b};" for b in nbrs if a < b)
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -94,5 +113,72 @@ def gadget_descriptor(gadget: Gadget, *, include_faces: bool = False) -> dict:
 
 def gadget_to_json(gadget: Gadget, *, include_faces: bool = False) -> str:
     """The descriptor as `generate --format json` writes it, indented by 2."""
-    return json.dumps(gadget_descriptor(gadget, include_faces=include_faces),
-                      indent=2)
+    return "".join(json_chunks(gadget_descriptor(gadget, include_faces=include_faces)))
+
+
+def json_chunks(doc: dict) -> Iterator[str]:
+    """`json.dumps(doc, indent=2)` for a document shaped like the descriptor,
+    in chunks of at most CHUNK_ITEMS numbers or strings each."""
+    return _chunks(doc, "")
+
+
+def _chunks(value, pad: str) -> Iterator[str]:
+    """`value` at indent `pad`: a dict, a sequence of ints, of strings or of
+    int sequences, or a scalar, which goes to `json.dumps`."""
+    if isinstance(value, dict):
+        yield from _dict(value, pad)
+    elif isinstance(value, (list, tuple)) and value:
+        first = value[0]
+        if isinstance(first, (list, tuple)):
+            yield from _rows(value, pad)
+        else:
+            yield from _items(value, pad, encode_basestring_ascii
+                              if isinstance(first, str) else int.__repr__)
+    else:
+        yield json.dumps(value)
+
+
+def _dict(doc: dict, pad: str) -> Iterator[str]:
+    inner = pad + "  "
+    opener = "{"
+    for key, value in doc.items():
+        yield f"{opener}\n{inner}{encode_basestring_ascii(key)}: "
+        yield from _chunks(value, inner)
+        opener = ","
+    yield f"\n{pad}}}" if doc else "{}"
+
+
+def _items(items, pad: str, encode) -> Iterator[str]:
+    """A nonempty sequence of scalars, CHUNK_ITEMS to a chunk."""
+    sep = ",\n" + pad + "  "
+    opener = "[" + sep[1:]
+    for start in range(0, len(items), CHUNK_ITEMS):
+        yield opener + sep.join(map(encode, items[start:start + CHUNK_ITEMS]))
+        opener = sep
+    yield f"\n{pad}]"
+
+
+def _rows(rows, pad: str) -> Iterator[str]:
+    """A nonempty sequence of int sequences.  Rows are %-formatted by one
+    template per row length, as many whole rows to a chunk as the widest
+    leaves room for; a row wider than a chunk goes through `_chunks`."""
+    inner = pad + "  "
+    row_sep = ",\n" + inner
+    opener = "[" + row_sep[1:]
+    widths = set(map(len, rows))
+    width = max(widths)
+    if width > CHUNK_ITEMS:
+        for row in rows:
+            yield opener
+            yield from _chunks(row, inner)
+            opener = row_sep
+    else:
+        sep = ",\n" + inner + "  "
+        form = {w: f"[{sep[1:]}{sep.join(['%d'] * w)}\n{inner}]" if w else "[]"
+                for w in widths}
+        step = CHUNK_ITEMS // max(width, 1)
+        for start in range(0, len(rows), step):
+            yield opener + row_sep.join([form[len(row)] % tuple(row)
+                                         for row in rows[start:start + step]])
+            opener = row_sep
+    yield f"\n{pad}]"

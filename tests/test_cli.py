@@ -97,6 +97,18 @@ class TestGenerate:
         assert target.read_bytes() == out.encode("ascii")
         assert run_cli(capsys, *argv, "-o", "-") == (0, out, "")
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--k", "21", "--ell", "0"), "T(21,0) has 2097154 vertices"),
+        (("--k", "6", "--ell", "10"), "T(6,10) has 3926758 vertices"),
+        (("--k", "6", "--ell", "5", "--format", "graph6"),
+         "the graph6 line of 16159 vertices would take 21758098 bytes"),
+    ], ids=["k21", "ell10", "graph6"])
+    def test_oversize_refused_before_any_work(self, argv, message):
+        proc = run_cli_process("generate", *argv, timeout=10)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert message in proc.stderr
+
     def test_unwritable_output_exit_3(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "generate", "--k", "1", "--ell", "0",
                                "-o", str(tmp_path / "no" / "such" / "dir" / "f"))

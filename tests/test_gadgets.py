@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from splice_builder import build_reference
@@ -176,6 +178,39 @@ class TestKEllDomain:
         with pytest.raises(ValueError) as info:
             lemma3_bound(0, 1)
         assert str(info.value) == "k must be >= 1"
+
+
+class TestVertexBudget:
+    """build_T and build_P refuse a gadget over MAX_VERTICES before building it."""
+
+    def test_largest_structural_gadget_fits(self):
+        assert gadgets.checked_vertex_count(6, 9) == 1_308_919 <= gadgets.MAX_VERTICES
+
+    @pytest.mark.parametrize("k, ell, count", [
+        (21, 0, "2097154 vertices"),
+        (6, 10, "3926758 vertices"),
+        (20, 8, "more than 2^28 vertices"),
+        (10 ** 9, 0, "more than 2^1000000000 vertices"),
+        (1, 10 ** 9, "more than 2^1000000001 vertices"),
+    ])
+    def test_over_the_limit(self, k, ell, count):
+        with pytest.raises(ValueError, match=re.escape(f"{count}, over the limit of 2097152")):
+            gadgets.checked_vertex_count(k, ell)
+
+    def test_closed_form_has_no_limit(self):
+        # the bound chain counts levels far larger than any built gadget
+        assert vertex_count_closed_form(20, 8) == 6_879_723_538
+
+    def test_builders_check_the_limit(self, monkeypatch):
+        monkeypatch.setattr(gadgets, "MAX_VERTICES", 100)
+        assert build_T(6, 0, check=False).graph.vertex_count == 66
+        assert build_P(98, check=False).graph.vertex_count == 100
+        with pytest.raises(ValueError, match=re.escape("T(5,1) has 103 vertices")):
+            build_T(5, 1)
+        with pytest.raises(ValueError, match=re.escape("T(6,1) has more than 2^7 vertices")):
+            build_T(6, 1)
+        with pytest.raises(ValueError, match=re.escape("P(u,v,99) has 101 vertices")):
+            build_P(99)
 
 
 class TestClosedForms:

@@ -163,6 +163,11 @@ class TestIsProper:
             is_proper(g, {0: 1, 1: 1, 2: 2, 3: 3, 5: 3, 6: 2})
 
     @given(graphs_with_total_colorings())
+    def test_matches_the_edge_list(self, gc):
+        g, coloring = gc
+        assert is_proper(g, coloring) == all(coloring[a] != coloring[b] for a, b in g.edges)
+
+    @given(graphs_with_total_colorings())
     def test_monotone_under_edge_removal(self, gc):
         g, coloring = gc
         if not is_proper(g, coloring):

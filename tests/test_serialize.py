@@ -1,12 +1,16 @@
 import json
+import sys
+import tracemalloc
 
 import networkx as nx
 import pytest
 from hypothesis import given
 
 from threecolor import build_P, build_T, gadget_to_json, to_dot, to_graph6
+from threecolor.cli import _write_output
 from threecolor.graphs import Graph
-from threecolor.serialize import gadget_descriptor
+from threecolor.serialize import (CHUNK_ITEMS, GRAPH6_MAX_BYTES, check_graph6_size,
+                                  gadget_descriptor, json_chunks)
 
 from graph_strategies import small_graphs
 
@@ -33,6 +37,18 @@ class TestGraph6:
         back = nx.from_graph6_bytes(to_graph6(g).encode("ascii"))
         assert {tuple(sorted(e)) for e in back.edges()} == set(g.edges)
 
+    def test_predicted_length(self):
+        # the header grows from one character to four past n = 62
+        for n in range(130):
+            assert check_graph6_size(n) == len(to_graph6(Graph(n, [])))
+
+    def test_line_over_the_limit_refused(self):
+        assert check_graph6_size(14189) <= GRAPH6_MAX_BYTES
+        with pytest.raises(ValueError, match="over the limit of 16777216"):
+            check_graph6_size(14190)
+        with pytest.raises(ValueError, match="14190 vertices"):
+            to_graph6(Graph(14190, []))
+
     def test_medium_size_header(self):
         # n = 63 needs the three-character size prefix
         g = Graph(63, [(0, 62)])
@@ -55,6 +71,11 @@ class TestDot:
     def test_deterministic(self):
         g = build_T(1, 1, check=False).graph
         assert to_dot(g) == to_dot(g)
+
+    @given(small_graphs())
+    def test_edge_lines_follow_the_edge_order(self, g):
+        lines = [line for line in to_dot(g).splitlines() if " -- " in line]
+        assert lines == [f"  {a} -- {b};" for a, b in g.edges]
 
 
 class TestGadgetDescriptor:
@@ -108,3 +129,61 @@ class TestGadgetToJson:
             reference = as_lists(gadget_descriptor(gadget, include_faces=faces))
             assert gadget_to_json(gadget, include_faces=faces) == \
                 json.dumps(reference, indent=2)
+
+    @pytest.mark.parametrize("gadget, faces", [
+        (build_T(4, 4), True),
+        (build_P(1), False),
+        (build_P(1), True),
+    ], ids=["T(4,4)-faces", "P(1)", "P(1)-faces"])
+    def test_bytes_match_json_dumps_of_the_descriptor(self, gadget, faces):
+        doc = gadget_descriptor(gadget, include_faces=faces)
+        assert gadget_to_json(gadget, include_faces=faces) == json.dumps(doc, indent=2)
+
+    def test_fan_with_an_empty_rotation_row(self):
+        doc = json.loads(gadget_to_json(build_P(1)))
+        assert doc["k"] is None and doc["ell"] is None
+        assert doc["rotation"]["order"] == [[2], [], [0]]
+
+    def test_row_wider_than_a_chunk(self):
+        # u of P(u,v,b) has b/2 neighbors, one more than a chunk holds
+        gadget = build_P(2 * CHUNK_ITEMS + 2, check=False)
+        assert len(gadget.rotation.order[0]) == CHUNK_ITEMS + 1
+        doc = gadget_descriptor(gadget)
+        assert gadget_to_json(gadget) == json.dumps(doc, indent=2)
+
+
+# A chunk holds at most CHUNK_ITEMS numbers or strings; in these documents
+# none takes more than 32 characters with its indent, separator and brackets.
+CHUNK_CHARS = 32 * CHUNK_ITEMS
+
+
+class TestJsonChunks:
+    @pytest.mark.parametrize("gadget", [
+        build_T(4, 4), build_T(4, 6, check=False), build_P(1),
+        build_P(2 * CHUNK_ITEMS + 2, check=False),
+    ], ids=["T(4,4)", "T(4,6)", "P(1)", "P(2050)"])
+    def test_chunks_join_to_the_text_and_stay_short(self, gadget):
+        for faces in (False, True):
+            chunks = list(json_chunks(gadget_descriptor(gadget, include_faces=faces)))
+            assert "".join(chunks) == gadget_to_json(gadget, include_faces=faces)
+            assert max(map(len, chunks)) <= CHUNK_CHARS
+
+    def test_writing_holds_a_fraction_of_the_text(self, monkeypatch):
+        class Sink:
+            """Counts what it is given and keeps none of it."""
+            length = 0
+
+            def write(self, text):
+                self.length += len(text)
+
+        doc = gadget_descriptor(build_T(4, 6, check=False))
+        sink = Sink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            _write_output(json_chunks(doc), None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.length == len(json.dumps(doc, indent=2)) + 1  # and a newline
+        assert peak < sink.length // 4
