@@ -8,12 +8,14 @@ algorithm involved.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Optional
 
 from .graphs import Graph, induced_subgraph, triangle_count
 
-Face = list[int]
+Face = tuple[int, ...]
 
 
 @dataclass
@@ -34,39 +36,49 @@ def trace_faces(g: Graph, rot: RotationSystem) -> list[Face]:
     """Facial walks of the combinatorial map (g, rot).
 
     Each directed edge side is used exactly once; a face is returned as the
-    list of vertices along its closed walk (walk length = len(face)).  Dart i
-    of vertex a runs a -> order[a][i]; its reverse is found by scanning
-    order[b], so no per-dart index is built.
-    Raises ValueError if the rotation is inconsistent with the graph.
+    tuple of vertices along its closed walk (walk length = len(face)).  A
+    walk that enters b from a finds j = order[b].index(a) and leaves b for
+    order[b][j - 1], the neighbor clockwise past a; that dart is keyed by
+    offset[b] + j, so no per-dart index and no modulo is needed.  Walks
+    start from the darts a -> order[a][i] in (a, i) order.
+    Raises ValueError if the rotation is inconsistent with the graph.  The
+    rotation that `Graph.from_rotation` checked for `g` (the same object)
+    is not compared again.
     """
     order = rot.order
     n = g.vertex_count
     if len(order) != n:
         raise ValueError("rotation must list every vertex")
-    offset = [0] * (n + 1)
-    for a in range(n):
-        if sorted(order[a]) != list(g.adjacency[a]):
-            raise ValueError(f"rotation at vertex {a} does not match its edges")
-        offset[a + 1] = offset[a] + len(order[a])
+    if order is not g.rotation:
+        for a, (row, nbrs) in enumerate(zip(order, g.adjacency)):
+            if tuple(sorted(row)) != nbrs:
+                raise ValueError(f"rotation at vertex {a} does not match its edges")
+    offset = list(accumulate(map(len, order), initial=0))
 
     visited = bytearray(offset[n])
     faces: list[Face] = []
     for a0 in range(n):
-        for i0 in range(len(order[a0])):
-            if visited[offset[a0] + i0]:
+        row0 = order[a0]
+        base = offset[a0]
+        last = len(row0) - 1
+        for i0 in range(last + 1):
+            # dart a0 -> row0[i0] leaves a0 past row0[i0 + 1], cyclically
+            key = base + i0 + 1 if i0 < last else base
+            if visited[key]:
                 continue
-            walk: Face = []
-            a, i = a0, i0
+            visited[key] = 1
+            a, b = a0, row0[i0]
+            walk = [a0]
             while True:
-                walk.append(a)
-                visited[offset[a] + i] = 1
-                b = order[a][i]
-                # next dart: clockwise past a at b
-                i = (order[b].index(a) - 1) % len(order[b])
-                a = b
-                if a == a0 and i == i0:
+                row = order[b]
+                j = row.index(a)
+                key = offset[b] + j
+                if visited[key]:  # only the first dart of this walk
                     break
-            faces.append(walk)
+                visited[key] = 1
+                walk.append(b)
+                a, b = b, row[j - 1]
+            faces.append(tuple(walk))
     return faces
 
 
@@ -110,15 +122,14 @@ def outer_face_index(faces: list[Face], terminal_u: int, terminal_v: int,
 
 def min_bounded_face_length(faces: list[Face], outer_id: int) -> Optional[int]:
     """Minimum walk length over non-outer faces; None if there are none."""
-    lengths = [len(f) for i, f in enumerate(faces) if i != outer_id]
-    return min(lengths) if lengths else None
+    lengths = list(map(len, faces))
+    del lengths[outer_id]
+    return min(lengths, default=None)
 
 
 def face_length_histogram(faces: list[Face]) -> dict[int, int]:
-    hist: dict[int, int] = {}
-    for f in faces:
-        hist[len(f)] = hist.get(len(f), 0) + 1
-    return hist
+    """Number of faces of each walk length, lengths in order of first walk."""
+    return dict(Counter(map(len, faces)))
 
 
 def certify(tg, rot: RotationSystem) -> dict:

@@ -112,8 +112,9 @@ def _assemble(leaf_b: int, k: Optional[int], ell: Optional[int], check: bool) ->
     order, pairs, inner = _fan(leaf_b), ((0, 1),), frozenset((0, 1))
     for _ in range(ell or 0):
         order, pairs, inner = _level(order, pairs, inner)
-    tg = TerminalGraph(Graph.from_rotation(order, partial(_labels, leaf_b, ell or 0)), 0, 1)
-    rotation = RotationSystem(tuple(order))
+    g = Graph.from_rotation(order, partial(_labels, leaf_b, ell or 0))
+    tg = TerminalGraph(g, 0, 1)
+    rotation = RotationSystem(g.rotation)  # checked once, by from_rotation
     if check:
         report, rotation.faces = certify_with_faces(tg, rotation)
         if not report["ok"]:

@@ -1,8 +1,10 @@
 """Minimal immutable undirected simple graphs with a proper-coloring check.
 
 Vertices are dense 0-based indices, and a sorted neighbor tuple per vertex is
-the only edge store.  Labels are an optional parallel decoration (never used
-for adjacency), possibly made on first use.  Colors are the literals 1, 2, 3.
+the only edge store.  A graph made from a rotation also keeps the rotation it
+checked, so that the face tracer need not check it again.  Labels are an
+optional parallel decoration (never used for adjacency), possibly made on
+first use.  Colors are the literals 1, 2, 3.
 """
 from __future__ import annotations
 
@@ -29,10 +31,11 @@ class Graph:
     """Undirected simple graph: no self-loops, no parallel edges.
 
     The sorted adjacency tuples are the only edge store; `edges` and
-    `has_edge` read them.
+    `has_edge` read them.  `rotation` is the rotation that `from_rotation`
+    checked, as a tuple of tuples, and None for any other graph.
     """
 
-    __slots__ = ("vertex_count", "edge_count", "adjacency", "_labels")
+    __slots__ = ("vertex_count", "edge_count", "adjacency", "rotation", "_labels")
 
     def __init__(self, vertex_count: int, edges: Iterable[Edge],
                  labels: Optional[Iterable[str]] = None):
@@ -48,7 +51,7 @@ class Graph:
             adj[b].append(a)
         if labels is not None:
             labels = _checked_labels(labels, vertex_count)
-        self._store(tuple(tuple(sorted(set(nbrs))) for nbrs in adj), labels)
+        self._store(tuple(tuple(sorted(set(nbrs))) for nbrs in adj), None, labels)
 
     @classmethod
     def from_rotation(cls, order: Sequence[Sequence[int]],
@@ -56,12 +59,16 @@ class Graph:
         """The graph whose neighbors of vertex a are `order[a]`, sorted.
 
         Raises ValueError for a neighbor out of range, a self-loop, a repeated
-        neighbor or a dart a -> b without b -> a.  `labels` runs on first read.
+        neighbor or a dart a -> b without b -> a.  The checked rows are kept
+        as `rotation`; tuple rows are kept as they are.  `labels` runs on
+        first read.
         """
-        adjacency = tuple([tuple(sorted(nbrs)) for nbrs in order])
+        rotation = tuple(map(tuple, order))
+        adjacency = tuple(map(tuple, map(sorted, rotation)))
         n = len(adjacency)
-        ends = list(chain.from_iterable(map(itemgetter(0, -1), filter(None, adjacency))))
-        if ends and not 0 <= min(ends) <= max(ends) < n:
+        nonempty = list(filter(None, adjacency))
+        if nonempty and not (0 <= min(map(itemgetter(0), nonempty))
+                             and max(map(itemgetter(-1), nonempty)) < n):
             raise ValueError(f"a neighbor is out of range for n={n}")
         if any(map(contains, adjacency, range(n))):
             raise ValueError("the rotation has a self-loop")
@@ -73,12 +80,13 @@ class Graph:
         rows = map(getitem, repeat(adjacency), chain.from_iterable(adjacency))
         if not all(map(contains, rows, sources)):
             raise ValueError("a dart of the rotation has no reverse")
-        return cls.__new__(cls)._store(adjacency, labels)
+        return cls.__new__(cls)._store(adjacency, rotation, labels)
 
-    def _store(self, adjacency: tuple[tuple[int, ...], ...], labels) -> Graph:
+    def _store(self, adjacency: tuple[tuple[int, ...], ...], rotation, labels) -> Graph:
         object.__setattr__(self, "vertex_count", len(adjacency))
         object.__setattr__(self, "edge_count", sum(map(len, adjacency)) // 2)
         object.__setattr__(self, "adjacency", adjacency)
+        object.__setattr__(self, "rotation", rotation)
         object.__setattr__(self, "_labels", labels)
         return self
 
@@ -135,14 +143,15 @@ def triangle_count(g: Graph) -> int:
     """Exact number of 3-cliques, via common-neighbor intersection per edge.
 
     Each triangle is seen once per edge, so the intersection total is 3x.
-    Only the neighbor set of the current lower endpoint is held.
+    Only the neighbor set of the current lower endpoint is held, and an edge
+    is intersected only if its ends share a neighbor at all.
     """
     adjacency = g.adjacency
     total = 0
     for a, nbrs in enumerate(adjacency):
         sa = set(nbrs)
         for b in nbrs:
-            if a < b:
+            if a < b and not sa.isdisjoint(adjacency[b]):
                 total += len(sa.intersection(adjacency[b]))
     assert total % 3 == 0
     return total // 3
@@ -176,4 +185,4 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int
     # The map keeps the order, so each row stays sorted.
     adjacency = tuple(tuple(index_map[b] for b in g.adjacency[a] if b in index_map) for a in kept)
     labels = None if g._labels is None else lambda: map(g.labels.__getitem__, kept)
-    return Graph.__new__(Graph)._store(adjacency, labels), index_map
+    return Graph.__new__(Graph)._store(adjacency, None, labels), index_map

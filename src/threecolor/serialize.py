@@ -2,8 +2,9 @@
 
 graph6 follows the standard bit packing: N(n) header, then the upper
 triangle of the adjacency matrix column by column, six bits per printable
-character (offset 63).  graph6 is quadratic in the vertex count, so a line
-longer than GRAPH6_MAX_BYTES is refused before it is encoded.
+character (offset 63).  graph6 is quadratic in the vertex count, so a graph
+with more than GRAPH6_MAX_VERTICES vertices, whose line would be longer than
+GRAPH6_MAX_BYTES, is refused before it is encoded.
 
 The JSON descriptor is written in the layout of `json.dumps(doc, indent=2)`
 by `json_chunks`, which yields it in chunks of at most CHUNK_ITEMS numbers
@@ -12,6 +13,7 @@ or strings, so a large gadget's text is never held as one string.
 from __future__ import annotations
 
 import json
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 from typing import Iterator
 
@@ -20,29 +22,28 @@ from .gadgets import Gadget
 from .graphs import Graph
 
 GRAPH6_MAX_BYTES = 2 ** 24
+# The most vertices whose graph6 line, 4 + ceil(n(n-1)/12) bytes, fits.
+GRAPH6_MAX_VERTICES = 14189
 CHUNK_ITEMS = 1024
+
+_PLUS_63 = bytes.maketrans(bytes(range(64)), bytes(range(63, 127)))
 
 
 def _graph6_size_bytes(n: int) -> bytes:
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    """The N(n) header for 0 <= n <= GRAPH6_MAX_VERTICES."""
     if n <= 62:
         return bytes([n + 63])
-    if n <= 258047:
-        return bytes([126]) + bytes(
-            ((n >> shift) & 63) + 63 for shift in (12, 6, 0)
-        )
-    if n <= 68719476735:
-        return bytes([126, 126]) + bytes(
-            ((n >> shift) & 63) + 63 for shift in (30, 24, 18, 12, 6, 0)
-        )
-    raise ValueError("n too large for graph6")
+    return bytes([126]) + bytes(((n >> shift) & 63) + 63 for shift in (12, 6, 0))
 
 
 def check_graph6_size(n: int) -> int:
-    """The length of the graph6 line of n vertices; ValueError over GRAPH6_MAX_BYTES."""
-    size = len(_graph6_size_bytes(n)) + (n * (n - 1) // 2 + 5) // 6
-    if size > GRAPH6_MAX_BYTES:
+    """The length of the graph6 line of n vertices; ValueError for n over
+    GRAPH6_MAX_VERTICES, the most whose line fits in GRAPH6_MAX_BYTES."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    header = 1 if n <= 62 else 4 if n <= 258047 else 8
+    size = header + (n * (n - 1) // 2 + 5) // 6
+    if n > GRAPH6_MAX_VERTICES:
         raise ValueError(f"the graph6 line of {n} vertices would take {size} bytes,"
                          f" over the limit of {GRAPH6_MAX_BYTES}")
     return size
@@ -52,21 +53,17 @@ def to_graph6(g: Graph) -> str:
     """Canonical graph6 line (no trailing newline, no >>graph6<< header)."""
     n = g.vertex_count
     check_graph6_size(n)
-    out = bytearray(_graph6_size_bytes(n))
-    group = 0
-    nbits = 0
-    for j in range(1, n):
-        nbrs = g.adjacency[j]
-        for i in range(j):
-            group = (group << 1) | (i in nbrs)
-            nbits += 1
-            if nbits == 6:
-                out.append(group + 63)
-                group = 0
-                nbits = 0
-    if nbits:
-        out.append((group << (6 - nbits)) + 63)
-    return out.decode("ascii")
+    # Pair (i, j), i < j, is bit j(j-1)/2 + i of the upper triangle read
+    # column by column; each character holds six bits, high bit first.
+    body = bytearray((n * (n - 1) // 2 + 5) // 6)
+    for j, nbrs in enumerate(g.adjacency):
+        column = j * (j - 1) // 2
+        for i in nbrs:
+            if i >= j:
+                break
+            bit = column + i
+            body[bit // 6] |= 32 >> bit % 6
+    return (_graph6_size_bytes(n) + body.translate(_PLUS_63)).decode("ascii")
 
 
 def to_dot(g: Graph, name: str = "G") -> str:
@@ -85,9 +82,28 @@ def to_dot(g: Graph, name: str = "G") -> str:
     return "\n".join(lines) + "\n"
 
 
+class EdgeRows(list):
+    """A graph's edges as (a, b) rows with a < b, in ascending order, made
+    from its adjacency on each pass, so that no m pair tuples are held.
+    It is a list only so that `json` writes it as the list of those rows;
+    `len` and iteration see the rows, and no other list operation does."""
+
+    __slots__ = ("graph",)
+
+    def __init__(self, g: Graph):
+        self.graph = g
+
+    def __len__(self) -> int:
+        return self.graph.edge_count
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return ((a, b) for a, nbrs in enumerate(self.graph.adjacency) for b in nbrs if a < b)
+
+
 def gadget_descriptor(gadget: Gadget, *, include_faces: bool = False) -> dict:
-    """JSON-ready descriptor of a built gadget; edges, labels and the rotation
-    are the gadget's own tuples, which `json` writes as lists."""
+    """JSON-ready descriptor of a built gadget; labels and the rotation are
+    the gadget's own tuples, which `json` writes as lists, and the edges are
+    read from the adjacency as they are written."""
     g = gadget.graph
     doc = {
         "format_version": 1,
@@ -96,7 +112,7 @@ def gadget_descriptor(gadget: Gadget, *, include_faces: bool = False) -> dict:
         "b": gadget.registry.leaf_b,
         "vertex_count": g.vertex_count,
         "terminals": [gadget.tg.terminal_u, gadget.tg.terminal_v],
-        "edges": g.edges,
+        "edges": EdgeRows(g),
         "labels": g.labels,
         "leaf_pairs": [list(p) for p in gadget.registry.pairs],
         "inner_set": sorted(gadget.registry.inner_set),
@@ -128,7 +144,7 @@ def _chunks(value, pad: str) -> Iterator[str]:
     if isinstance(value, dict):
         yield from _dict(value, pad)
     elif isinstance(value, (list, tuple)) and value:
-        first = value[0]
+        first = next(iter(value))
         if isinstance(first, (list, tuple)):
             yield from _rows(value, pad)
         else:
@@ -161,11 +177,12 @@ def _items(items, pad: str, encode) -> Iterator[str]:
 def _rows(rows, pad: str) -> Iterator[str]:
     """A nonempty sequence of int sequences.  Rows are %-formatted by one
     template per row length, as many whole rows to a chunk as the widest
-    leaves room for; a row wider than a chunk goes through `_chunks`."""
+    leaves room for; a row wider than a chunk goes through `_chunks`.  The
+    rows of an EdgeRows, all of width 2, are made once, as they are written."""
     inner = pad + "  "
     row_sep = ",\n" + inner
     opener = "[" + row_sep[1:]
-    widths = set(map(len, rows))
+    widths = {2} if isinstance(rows, EdgeRows) else set(map(len, rows))
     width = max(widths)
     if width > CHUNK_ITEMS:
         for row in rows:
@@ -177,8 +194,8 @@ def _rows(rows, pad: str) -> Iterator[str]:
         form = {w: f"[{sep[1:]}{sep.join(['%d'] * w)}\n{inner}]" if w else "[]"
                 for w in widths}
         step = CHUNK_ITEMS // max(width, 1)
-        for start in range(0, len(rows), step):
-            yield opener + row_sep.join([form[len(row)] % tuple(row)
-                                         for row in rows[start:start + step]])
+        rows = iter(rows)
+        while batch := list(islice(rows, step)):
+            yield opener + row_sep.join([form[len(row)] % tuple(row) for row in batch])
             opener = row_sep
     yield f"\n{pad}]"

@@ -109,6 +109,14 @@ class TestGenerate:
         assert proc.stdout == ""
         assert message in proc.stderr
 
+    def test_graph6_refused_past_the_four_byte_header(self):
+        # T(17,1) has 393,223 vertices; graph6 would need its 8-byte header
+        proc = run_cli_process("generate", "--k", "17", "--ell", "1",
+                               "--format", "graph6", timeout=10)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "the graph6 line of 393223 vertices" in proc.stderr
+
     def test_unwritable_output_exit_3(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "generate", "--k", "1", "--ell", "0",
                                "-o", str(tmp_path / "no" / "such" / "dir" / "f"))

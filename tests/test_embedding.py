@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given
 
 from threecolor import build_P, build_T, certify
 from threecolor.embedding import (
@@ -9,7 +10,11 @@ from threecolor.embedding import (
     outer_face_index,
     trace_faces,
 )
+from threecolor.gadgets import vertex_count_closed_form
 from threecolor.graphs import Graph
+
+from graph_strategies import graphs_with_rotations
+from modulo_tracer import trace_faces_modulo
 
 
 def face_key(walk):
@@ -56,6 +61,69 @@ class TestTraceFaces:
         g = Graph(3, [(0, 1), (1, 2)])
         with pytest.raises(ValueError, match="every vertex"):
             trace_faces(g, RotationSystem(((1,), (0, 2))))
+
+
+# Every T(k,l) with at most 50,000 vertices and k <= 10.  Both tracers
+# scan a row for each dart into it, so the fans' 2^(k-1)-neighbor terminals
+# cost them time quadratic in 2^k: T(15,0) and T(14,1) take about 4 s each.
+SMALL_GADGETS = [(k, ell) for ell in range(9) for k in range(1, 11)
+                 if vertex_count_closed_form(k, ell) <= 50_000]
+
+
+class TestTracerOracle:
+    """`trace_faces` against the modulo tracer it replaced: the same walks
+    in the same order, so `outer_face_id` and the JSON faces keep."""
+
+    @pytest.mark.parametrize("k,ell", SMALL_GADGETS)
+    def test_gadget_walks_match(self, k, ell):
+        gadget = build_T(k, ell, check=False)
+        faces = trace_faces(gadget.graph, gadget.rotation)
+        assert all(type(face) is tuple for face in faces)
+        assert faces == list(map(tuple, trace_faces_modulo(gadget.rotation.order)))
+
+    @given(graphs_with_rotations())
+    def test_drawn_rotations_match(self, case):
+        g, order = case
+        expected = list(map(tuple, trace_faces_modulo(order)))
+        # compared with the edge-list graph's rows, and as the checked rotation
+        assert trace_faces(g, RotationSystem(order)) == expected
+        checked = Graph.from_rotation(order)
+        assert trace_faces(checked, RotationSystem(checked.rotation)) == expected
+
+
+class TestRotationCompare:
+    """The rows are compared with the graph's edges unless the rotation is
+    the very object that `Graph.from_rotation` checked."""
+
+    def test_a_different_object_is_compared(self):
+        g = build_T(2, 1, check=False).graph
+
+        class Agreeing(tuple):
+            """A row that claims to equal any other row."""
+
+            def __eq__(self, other):
+                return True
+
+            __hash__ = tuple.__hash__
+
+        wrong = list(g.rotation)
+        wrong[4] = Agreeing(wrong[4][1:] + (0,))
+        forged = tuple(wrong)
+        assert forged == g.rotation and forged is not g.rotation
+        with pytest.raises(ValueError, match="rotation at vertex 4 does not match its edges"):
+            trace_faces(g, RotationSystem(forged))
+        copy = tuple(map(tuple, map(list, g.rotation)))
+        assert copy is not g.rotation
+        assert trace_faces(g, RotationSystem(copy)) == trace_faces(g, RotationSystem(g.rotation))
+
+    def test_edge_list_graph_with_a_wrong_rotation(self):
+        gadget = build_T(2, 1, check=False)
+        g = Graph(gadget.graph.vertex_count, gadget.graph.edges)
+        assert trace_faces(g, gadget.rotation) == trace_faces(gadget.graph, gadget.rotation)
+        order = list(gadget.rotation.order)
+        order[0], order[1] = order[1], order[0]
+        with pytest.raises(ValueError, match="rotation at vertex 0 does not match its edges"):
+            trace_faces(g, RotationSystem(tuple(order)))
 
 
 class TestEulerCheck:

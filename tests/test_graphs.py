@@ -1,5 +1,7 @@
 import itertools
+import operator
 
+import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,7 +14,8 @@ from threecolor.graphs import (
     triangle_count,
 )
 
-from graph_strategies import edge_lists_with_repeats, graphs_with_total_colorings, small_graphs
+from graph_strategies import (dense_graphs, edge_lists_with_repeats, graphs_with_total_colorings,
+                              small_graphs)
 
 
 def naive_triangle_count(g: Graph) -> int:
@@ -104,6 +107,16 @@ class TestFromRotation:
         firsts = [g.label_of(v) for v in range(g.vertex_count)]
         assert firsts == list(g.labels)
 
+    def test_keeps_the_rotation_it_checked(self):
+        order = build_T(2, 1, check=False).rotation.order
+        g = Graph.from_rotation(order)
+        assert g.rotation == order
+        assert all(map(operator.is_, g.rotation, order))  # tuple rows are not copied
+        listed = Graph.from_rotation([list(row) for row in order])
+        assert listed.rotation == order
+        assert Graph(2, [(0, 1)]).rotation is None
+        assert induced_subgraph(g, range(5))[0].rotation is None
+
     def test_deferred_labels_checked_on_first_read(self):
         short = Graph.from_rotation(((1,), (0,)), lambda: ["a"])
         with pytest.raises(ValueError, match="length"):
@@ -144,6 +157,14 @@ class TestTriangleCount:
     @given(small_graphs())
     def test_matches_naive_triple_loop(self, g):
         assert triangle_count(g) == naive_triangle_count(g)
+
+    @given(dense_graphs())
+    def test_dense_graphs_match_networkx(self, g):
+        # most edges here share a neighbor, so the intersecting path runs
+        G = nx.Graph()
+        G.add_nodes_from(range(g.vertex_count))
+        G.add_edges_from(g.edges)
+        assert triangle_count(g) == sum(nx.triangles(G).values()) // 3
 
 
 class TestIsProper:

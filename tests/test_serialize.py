@@ -1,4 +1,7 @@
+import collections
 import json
+import math
+import re
 import sys
 import tracemalloc
 
@@ -9,8 +12,8 @@ from hypothesis import given
 from threecolor import build_P, build_T, gadget_to_json, to_dot, to_graph6
 from threecolor.cli import _write_output
 from threecolor.graphs import Graph
-from threecolor.serialize import (CHUNK_ITEMS, GRAPH6_MAX_BYTES, check_graph6_size,
-                                  gadget_descriptor, json_chunks)
+from threecolor.serialize import (CHUNK_ITEMS, GRAPH6_MAX_BYTES, GRAPH6_MAX_VERTICES, EdgeRows,
+                                  check_graph6_size, gadget_descriptor, json_chunks)
 
 from graph_strategies import small_graphs
 
@@ -20,6 +23,28 @@ def nx_graph6(g: Graph) -> str:
     G.add_nodes_from(range(g.vertex_count))
     G.add_edges_from(g.edges)
     return nx.to_graph6_bytes(G, header=False).decode("ascii").strip()
+
+
+def graph6_edges(line: str) -> tuple[int, set]:
+    """Decode a graph6 line with n < 258,048: (n, edges as (i, j), i < j).
+    Only the set bits are visited, and the padding must be zero."""
+    data = line.encode("ascii")
+    if data[0] == 126:
+        n = (data[1] - 63) << 12 | (data[2] - 63) << 6 | (data[3] - 63)
+        body = data[4:]
+    else:
+        n, body = data[0] - 63, data[1:]
+    assert len(body) == math.ceil(n * (n - 1) / 12)
+    edges = set()
+    for match in re.finditer(b"[^?]", body):  # "?" is a character of six zero bits
+        at, char = match.start(), match.group()[0]
+        for r in range(6):
+            if (char - 63) >> (5 - r) & 1:
+                bit = 6 * at + r
+                j = (1 + math.isqrt(8 * bit + 1)) // 2  # j(j-1)/2 <= bit < j(j+1)/2
+                assert j < n, "a padding bit is set"
+                edges.add((bit - j * (j - 1) // 2, j))
+    return n, edges
 
 
 class TestGraph6:
@@ -48,6 +73,30 @@ class TestGraph6:
             check_graph6_size(14190)
         with pytest.raises(ValueError, match="14190 vertices"):
             to_graph6(Graph(14190, []))
+
+    def test_limit_is_by_vertex_count(self):
+        n = GRAPH6_MAX_VERTICES
+        assert check_graph6_size(n) == 4 + math.ceil(n * (n - 1) / 12) <= GRAPH6_MAX_BYTES
+        assert 4 + math.ceil((n + 1) * n / 12) > GRAPH6_MAX_BYTES  # the most that fit
+        assert n == 14189
+        for over in (14190, 258048):  # the header grows to 8 bytes at 258,048
+            with pytest.raises(ValueError, match=f"graph6 line of {over} vertices"):
+                check_graph6_size(over)
+        with pytest.raises(ValueError, match="258048 vertices"):
+            to_graph6(Graph(258048, []))
+
+    def test_line_at_the_limit(self):
+        n = GRAPH6_MAX_VERTICES
+        line = to_graph6(Graph(n, [(0, n - 1), (n - 2, n - 1)]))
+        assert len(line) == check_graph6_size(n)
+        assert graph6_edges(line) == (n, {(0, n - 1), (n - 2, n - 1)})
+
+    def test_gadget_of_about_2000_vertices(self):
+        g = build_T(6, 3, check=False).graph
+        assert g.vertex_count == 1795
+        line = to_graph6(g)
+        assert len(line) == check_graph6_size(1795)
+        assert graph6_edges(line) == (1795, set(g.edges))
 
     def test_medium_size_header(self):
         # n = 63 needs the three-character size prefix
@@ -167,6 +216,32 @@ class TestJsonChunks:
             chunks = list(json_chunks(gadget_descriptor(gadget, include_faces=faces)))
             assert "".join(chunks) == gadget_to_json(gadget, include_faces=faces)
             assert max(map(len, chunks)) <= CHUNK_CHARS
+
+    def test_edges_are_streamed_from_the_adjacency(self):
+        gadget = build_T(4, 6, check=False)
+        g = gadget.graph
+        g.labels  # made before measuring, as the descriptor only reads them
+        tracemalloc.start()
+        try:
+            pairs = g.edges  # what the descriptor held before
+            held = tracemalloc.get_traced_memory()[0]
+            del pairs
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            collections.deque(json_chunks(gadget_descriptor(gadget)), maxlen=0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert held > 1_500_000
+        assert peak < held - 1_500_000
+
+    def test_edge_rows_read_like_the_edges(self):
+        g = build_T(2, 2, check=False).graph
+        rows = EdgeRows(g)
+        assert len(rows) == g.edge_count and bool(rows)
+        assert list(rows) == list(g.edges)
+        assert json.dumps(rows) == json.dumps(g.edges)  # the C encoder, too
+        assert not EdgeRows(Graph(3, [])) and json.dumps(EdgeRows(Graph(3, []))) == "[]"
 
     def test_writing_holds_a_fraction_of_the_text(self, monkeypatch):
         class Sink:
