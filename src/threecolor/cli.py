@@ -76,16 +76,10 @@ def _parse_fix(raw: str | None):
 
 
 def cmd_count(args) -> int:
-    budget = _bit_budget()
+    budget = _bit_budget(args.bit_budget)
     fix = _parse_fix(args.fix)
     if args.method == "dp":
-        bits = counting.predicted_count_bits(args.k, args.ell)
-        if bits > budget:
-            raise bounds.BitBudgetExceededError(
-                f"the count of T({args.k},{args.ell}) may need up to {bits:.4g} bits,"
-                f" over the budget of {budget}"
-            )
-        pc = counting.gadget_pair_counts(args.k, args.ell)
+        pc = counting.gadget_pair_counts(args.k, args.ell, bit_budget=budget)
         if fix is None:
             value = counting.total_colorings(pc)
         else:
@@ -207,8 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cnt.add_argument("--force", action="store_true",
                        help="run the brute-force oracle past its cutoff")
     p_cnt.add_argument("--cutoff", type=int, default=counting.DEFAULT_BRUTE_FORCE_CUTOFF)
+    p_cnt.add_argument("--bit-budget", type=int, default=None)
     p_cnt.add_argument("--json", action="store_true")
-    # No flag: the budget comes from $THREECOLOR_BIT_BUDGET or the default.
     p_cnt.set_defaults(func=cmd_count)
 
     p_ver = sub.add_parser("verify", help="run a named verification suite")

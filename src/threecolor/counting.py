@@ -2,21 +2,25 @@
 
 The hot path is closed forms: the fan P(u,v,b) has S = 2 and D = F(b+2), a
 Fibonacci number computed by fast doubling, and each recursion level of
-T(u,v,k,l) maps (S, D) to (2S^3, S(3S^2 + 6SD + 4D^2)).  Four slower routes,
-kept deliberately independent, are the oracles that check them:
+T(u,v,k,l) maps (S, D) to (2S^3, S(3S^2 + 6SD + 4D^2)).  S is always a power
+of two, so the levels run on (e, r) with S = 2^e and r = 2D/S, where a level
+is e -> 3e + 1 and r -> r^2 + 3r + 3: one squaring of r, and no product with
+S.  Five slower routes, kept deliberately independent, are the oracles that
+check them:
 
 * a brute-force backtracking oracle over any small graph, which lists each
   free vertex's colored neighbors once, counts the last free vertex in bulk
   and refuses more than MAX_FREE_VERTICES free vertices,
 * a left-to-right transfer counter for the fan (`_path_interior_transfer`),
-* the frame recursion as a sum over the 13 proper frame colorings
+* the frame level as a polynomial in (S, D), for any S (`_frame_combine`),
+* the frame level as a sum over the 13 proper frame colorings
   (`_frame_combine_patterns`),
 * a per-coloring extension counter for colorings of the inner vertex set.
 
 Pair counts (S, D) are the number of colorings with the two terminals fixed
 to the same color (1,1) resp. to the ordered pair (1,2); by color-permutation
-symmetry the total number of proper 3-colorings is 3S + 6D.  All counts are
-exact arbitrary-precision integers.
+symmetry the total number of proper 3-colorings is 3S + 6D = 3 * 2^e * (r + 1).
+All counts are exact arbitrary-precision integers.
 """
 from __future__ import annotations
 
@@ -28,6 +32,7 @@ from typing import Iterator, Mapping, Optional
 from .gadgets import Gadget, build_P, check_k_ell
 from .graphs import COLORS, Graph, induced_subgraph
 
+DEFAULT_BIT_BUDGET = 10 ** 7
 DEFAULT_BRUTE_FORCE_CUTOFF = 20
 MAX_FREE_VERTICES = 800  # a frame each, leaving 200 of Python's 1000 to callers
 # Color c is the bit 1 << (c - 1); _ALLOWED[used] lists the bits clear in used.
@@ -36,6 +41,10 @@ _ALLOWED = tuple(tuple(bit for bit in (1, 2, 4) if not used & bit) for used in r
 
 class BruteForceCutoffError(ValueError):
     """Raised when the backtracking oracle is asked for too large a graph."""
+
+
+class BitBudgetExceededError(RuntimeError):
+    """A requested power of two or count would exceed the configured bit budget."""
 
 
 @dataclass(frozen=True)
@@ -257,8 +266,8 @@ assert _equality_profile(_FRAME_PATTERNS_DIFF) == (0, 4, 6, 3)
 
 
 def _frame_combine(child: PairCounts) -> PairCounts:
-    """One recursion level in closed form: S' = 2S^3 and
-    D' = 3S^3 + 6S^2 D + 4S D^2 = S(3S^2 + 6SD + 4D^2)."""
+    """Reference route for `_frame_levels`, for any (S, D): one recursion
+    level as S' = 2S^3 and D' = 3S^3 + 6S^2 D + 4S D^2 = S(3S^2 + 6SD + 4D^2)."""
     s, d = child.same, child.diff
     s2 = s * s
     return PairCounts(2 * s2 * s, s * (3 * s2 + 6 * s * d + 4 * d * d))
@@ -282,13 +291,33 @@ def _frame_combine_patterns(child: PairCounts) -> PairCounts:
     return PairCounts(weight(_FRAME_PATTERNS_SAME), weight(_FRAME_PATTERNS_DIFF))
 
 
-def gadget_pair_counts(k: int, ell: int) -> PairCounts:
-    """Pair counts of T(u,v,k,ell) in O(ell) big-integer multiplications."""
-    check_k_ell(k, ell)
-    pc = path_pair_counts(2 ** k)
-    for _ in range(ell):
-        pc = _frame_combine(pc)
-    return pc
+def _frame_levels(e: int, r: int, levels: int) -> PairCounts:
+    """Run `levels` frame levels from S = 2^e, D = r * 2^(e-1), i.e. r = 2D/S.
+
+    `_frame_combine` gives S' = 2S^3 = 2^(3e+1) and
+    D' = S(3S^2 + 6SD + 4D^2) = 2^(3e) (r^2 + 3r + 3), so a level is one
+    squaring of r.  (e, r) = (0, 2) is S = D = 1.
+    """
+    for _ in range(levels):
+        e, r = 3 * e + 1, r * r + 3 * r + 3
+    # D = r * 2^(e-1) in one shift, so no temporary is as large as 2D; r is
+    # even when e = 0.
+    return PairCounts(1 << e, r << (e - 1) if e else r >> 1)
+
+
+def gadget_pair_counts(k: int, ell: int, *, bit_budget: int = DEFAULT_BIT_BUDGET) -> PairCounts:
+    """Pair counts of T(u,v,k,ell): one squaring of r = 2D/S per level.
+
+    Refuses with BitBudgetExceededError, before the fan or any level is
+    computed, when `predicted_count_bits(k, ell)` exceeds `bit_budget`.
+    """
+    bits = predicted_count_bits(k, ell)
+    if bits > bit_budget:
+        raise BitBudgetExceededError(
+            f"the count of T({k},{ell}) may need up to {bits:.4g} bits,"
+            f" over the budget of {bit_budget}"
+        )
+    return _frame_levels(1, path_pair_counts(2 ** k).diff, ell)  # the fan: S = 2
 
 
 # F(n) = (phi^n - (-1/phi)^n) / sqrt(5) < phi^n / sqrt(5) for even n > 0.
@@ -329,10 +358,7 @@ def inner_subgraph_pair_counts(ell: int) -> PairCounts:
     """
     if ell < 0:
         raise ValueError("ell must be >= 0")
-    pc = PairCounts(1, 1)
-    for _ in range(ell):
-        pc = _frame_combine(pc)
-    return pc
+    return _frame_levels(0, 2, ell)
 
 
 def total_colorings(pc: PairCounts) -> int:

@@ -93,6 +93,14 @@ class TestTheoremChain:
         with pytest.raises(BitBudgetExceededError):
             theorem_chain_check(8, bit_budget=10000)
 
+    def test_bit_budget_reaches_the_dp(self, monkeypatch):
+        seen = []
+        real = bounds.gadget_pair_counts
+        monkeypatch.setattr(bounds, "gadget_pair_counts",
+                            lambda k, ell, **kw: seen.append(kw) or real(k, ell, **kw))
+        assert theorem_chain_check(2, bit_budget=53).ok
+        assert seen == [{"bit_budget": 53}]
+
     def test_budget_window_is_the_eq3_exponent(self):
         # eq3 exponent at ell = 8: 2^13 + 4*3^8 = 34436.  The count itself
         # has 15,589 bits and 2^(6*3^8) is never built.

@@ -21,10 +21,13 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_cli_process(*argv, timeout):
-    """Run the CLI in a fresh interpreter, with the default bit budget."""
+def run_cli_process(*argv, timeout, budget_env=None):
+    """Run the CLI in a fresh interpreter, with $THREECOLOR_BIT_BUDGET set to
+    `budget_env`, or unset for the default bit budget."""
     env = {k: v for k, v in os.environ.items() if k != "THREECOLOR_BIT_BUDGET"}
     env["PYTHONPATH"] = str(SRC)
+    if budget_env is not None:
+        env["THREECOLOR_BIT_BUDGET"] = budget_env
     return subprocess.run([sys.executable, "-m", "threecolor.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=timeout)
 
@@ -219,6 +222,28 @@ class TestCount:
         assert code == 2
         assert out == "" and "over the budget of 1000" in err
 
+    def test_bit_budget_flag_refuses_before_counting(self):
+        proc = run_cli_process("count", "--k", "1", "--ell", "14", "--bit-budget", "1000",
+                               timeout=10)
+        assert proc.returncode == 2
+        assert proc.stdout == "" and proc.stderr == (
+            "error: the count of T(1,14) may need up to 7.212e+06 bits,"
+            " over the budget of 1000\n")
+
+    @pytest.mark.parametrize("env, flag, code", [
+        ("1000", "10000000", 0),
+        ("10000000", "1000", 2),
+        ("junk", "10000000", 0),   # given the flag, the variable is not read
+    ])
+    def test_bit_budget_flag_wins_over_env(self, env, flag, code):
+        proc = run_cli_process("count", "--k", "1", "--ell", "14", "--bit-budget", flag,
+                               timeout=10, budget_env=env)
+        assert proc.returncode == code
+        if code == 0:
+            assert proc.stdout == "bit_length: 7211279\n"
+        else:
+            assert proc.stdout == "" and proc.stderr.startswith("error: ")
+
     def test_largest_level_under_the_default_budget_runs(self, capsys, monkeypatch):
         monkeypatch.delenv("THREECOLOR_BIT_BUDGET", raising=False)
         code, out, _ = run_cli(capsys, "count", "--k", "1", "--ell", "14")
@@ -233,6 +258,10 @@ GOLDEN_STDOUT_SHA256 = {
         "552b928dca77c5523e2538201c89aaac981c1d1bdb15240b74055b8b6e313439",
     ("count", "--k", "3", "--ell", "6", "--full", "--json"):
         "1caa8e8e69050b98ab77ce49504270ec44598cd3f5897e8d8168f1c25cbda26e",
+    # The largest default-budget report row (1,158,896 bytes), recorded
+    # before the levels ran in ratio form.
+    ("count", "--k", "8", "--ell", "13", "--full", "--json"):
+        "b10d316df4a06dc321f90156ba4d24b5ed03049dee9497223599800903caeccc",
     ("generate", "--k", "2", "--ell", "3", "--format", "json", "--faces"):
         "fdd5cee41b683ef9526e39f7597750189e231f2f4b5e82834cb010d40a80c438",
     ("generate", "--k", "3", "--ell", "2", "--format", "dot"):

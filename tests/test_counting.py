@@ -17,14 +17,16 @@ from threecolor import (
     path_pair_counts,
     total_colorings,
 )
-from threecolor import gadgets
+from threecolor import counting, gadgets
 from threecolor.bounds import lemma3_bound
 from threecolor.counting import (
     MAX_FREE_VERTICES,
+    BitBudgetExceededError,
     BruteForceCutoffError,
     PairCounts,
     _frame_combine,
     _frame_combine_patterns,
+    _frame_levels,
     _path_interior_transfer,
     inner_subgraph_pair_counts,
     path_interior_count,
@@ -300,6 +302,100 @@ class TestGadgetPairCounts:
         assert total_colorings(PairCounts(2, 3)) == 24
         assert total_colorings(PairCounts(0, 0)) == 0
         assert total_colorings(PairCounts(16, 168)) == 1056
+
+
+# (k, ell) for ell <= 13 and k in {1, 2, choose_k(ell)}: the report's rows
+# and the two smallest fans at every level.
+RATIO_CASES = sorted({(k, ell) for ell in range(14) for k in (1, 2, gadgets.choose_k(ell))})
+
+
+@pytest.fixture(scope="module")
+def frame_combine_chains():
+    """_frame_combine iterated from each base, one chain per start: the fans
+    P(2^k) for the gadgets and S = D = 1 for the inner subgraph (key None)."""
+    chains = {}
+    for start in sorted({k for k, _ in RATIO_CASES}) + [None]:
+        pc = PairCounts(1, 1) if start is None else path_pair_counts(2 ** start)
+        chain = [pc]
+        for _ in range(max(ell for k, ell in RATIO_CASES if k == start or start is None)):
+            pc = _frame_combine(pc)
+            chain.append(pc)
+        chains[start] = chain
+    return chains
+
+
+def _ratio(pc: PairCounts) -> tuple[int, int]:
+    """(e, r) with S = 2^e and r = 2D/S, asserting that both are exact."""
+    e = pc.same.bit_length() - 1
+    assert pc.same == 1 << e
+    r = (2 * pc.diff) >> e
+    assert r << e == 2 * pc.diff
+    return e, r
+
+
+class TestRatioForm:
+    """The levels run on (e, r), S = 2^e and r = 2D/S, against `_frame_combine`."""
+
+    @pytest.mark.parametrize("k,ell", RATIO_CASES)
+    def test_gadget_matches_iterated_frame_combine(self, k, ell, frame_combine_chains):
+        assert gadget_pair_counts(k, ell) == frame_combine_chains[k][ell]
+
+    @pytest.mark.parametrize("ell", range(14))
+    def test_inner_matches_iterated_frame_combine(self, ell, frame_combine_chains):
+        assert inner_subgraph_pair_counts(ell) == frame_combine_chains[None][ell]
+
+    @given(st.integers(min_value=1, max_value=300), st.integers(min_value=0, max_value=2 ** 400))
+    @example(1, 0)
+    @example(1, 3)
+    def test_one_ratio_step_is_one_frame_combine(self, e, r):
+        assert _frame_levels(e, r, 1) == _frame_combine(PairCounts(2 ** e, r << (e - 1)))
+
+    @pytest.mark.parametrize("k,ell", RATIO_CASES)
+    def test_gadget_invariants(self, k, ell):
+        pc = gadget_pair_counts(k, ell)
+        e, r = _ratio(pc)
+        assert e == (3 ** (ell + 1) - 1) // 2
+        assert r % 2 == 1 or ell == 0
+        assert total_colorings(pc) == 3 * 2 ** e * (r + 1)
+
+    @pytest.mark.parametrize("ell", range(14))
+    def test_inner_invariants(self, ell):
+        pc = inner_subgraph_pair_counts(ell)
+        e, r = _ratio(pc)
+        assert e == (3 ** ell - 1) // 2
+        assert r % 2 == 1 or ell == 0
+        assert total_colorings(pc) == 3 * 2 ** e * (r + 1)
+
+
+class TestGadgetPairCountsBudget:
+    def test_over_budget_refused_before_any_count(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("computed a count over the budget")
+
+        monkeypatch.setattr(counting, "path_pair_counts", never)
+        monkeypatch.setattr(counting, "_frame_levels", never)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BitBudgetExceededError, match="over the budget of 10000000"):
+                gadget_pair_counts(1, 30)      # about 3^31/2 bits
+            with pytest.raises(BitBudgetExceededError, match=r"T\(40,0\) may need up to"):
+                gadget_pair_counts(40, 0)      # D = F(2^40 + 2)
+            with pytest.raises(BitBudgetExceededError, match="over the budget of 1000$"):
+                gadget_pair_counts(1, 14, bit_budget=1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_budget_compares_with_the_prediction(self):
+        # predicted_count_bits(1, 1) is about 12.08; c = 1056 has 11 bits.
+        with pytest.raises(BitBudgetExceededError):
+            gadget_pair_counts(1, 1, bit_budget=12)
+        assert gadget_pair_counts(1, 1, bit_budget=13) == PairCounts(16, 168)
+
+    def test_domain_checked_before_the_budget(self):
+        with pytest.raises(ValueError, match="k must be"):
+            gadget_pair_counts(0, 1, bit_budget=0)
 
 
 class TestInnerSubgraphCounts:
