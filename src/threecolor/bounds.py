@@ -103,7 +103,7 @@ def theorem_chain_check(ell: int, *, bit_budget: int = DEFAULT_BIT_BUDGET,
     exponent = p2 + 4 * p3
     _require_bits(exponent, bit_budget)
     c = total_colorings(gadget_pair_counts(k, ell, bit_budget=bit_budget))
-    inner_total = total_colorings(inner_subgraph_pair_counts(ell))
+    inner_total = total_colorings(inner_subgraph_pair_counts(ell, bit_budget=bit_budget))
     checks = {
         "eq1": n >= p3 * 2 ** k,
         "eq2": 2 * inner_set_size(ell) < 5 * p3,

@@ -9,8 +9,9 @@ S.  Five slower routes, kept deliberately independent, are the oracles that
 check them:
 
 * a brute-force backtracking oracle over any small graph, which lists each
-  free vertex's colored neighbors once, counts the last free vertex in bulk
-  and refuses more than MAX_FREE_VERTICES free vertices,
+  free vertex's colored neighbors once, counts the last three free vertices
+  in bulk from a table keyed by the colors their other neighbors use, and
+  refuses more than MAX_FREE_VERTICES free vertices,
 * a left-to-right transfer counter for the fan (`_path_interior_transfer`),
 * the frame level as a polynomial in (S, D), for any S (`_frame_combine`),
 * the frame level as a sum over the 13 proper frame colorings
@@ -34,7 +35,10 @@ from .graphs import COLORS, Graph, induced_subgraph
 
 DEFAULT_BIT_BUDGET = 10 ** 7
 DEFAULT_BRUTE_FORCE_CUTOFF = 20
-MAX_FREE_VERTICES = 800  # a frame each, leaving 200 of Python's 1000 to callers
+# The oracle recurses one frame per free vertex before its tail, and so no
+# more than 800 deep, leaving 200 of Python's 1000 to callers;
+# `iter_colorings` keeps the same limit.
+MAX_FREE_VERTICES = 800
 # Color c is the bit 1 << (c - 1); _ALLOWED[used] lists the bits clear in used.
 _ALLOWED = tuple(tuple(bit for bit in (1, 2, 4) if not used & bit) for used in range(8))
 
@@ -104,27 +108,66 @@ def _prepare(g: Graph, fixed: Optional[Mapping[int, int]]):
 def iter_colorings(
     g: Graph, fixed: Optional[Mapping[int, int]] = None
 ) -> Iterator[dict[int, int]]:
-    """Yield every proper total 3-coloring extending `fixed` (as dicts), by the
-    backtracking and limit of `count_colorings_bruteforce`, minus its bulk last level."""
+    """Yield every proper total 3-coloring extending `fixed` (as dicts), in the
+    index order and under the limit of `count_colorings_bruteforce`, but
+    enumerating the tail too.  The levels are walked with an explicit stack of
+    color iterators, one per free vertex, so a coloring passes up through no
+    generator frames."""
     state = _prepare(g, fixed)
     if state is None:
         return
     bits, order = state
-
-    def rec(i: int) -> Iterator[dict[int, int]]:
-        if i == len(order):
-            yield dict(enumerate(map(int.bit_length, bits)))
-            return
+    if not order:
+        yield dict(enumerate(map(int.bit_length, bits)))
+        return
+    last = len(order) - 1
+    stack = []  # stack[i] iterates over the colors left for order[i]
+    i = 0
+    while i >= 0:
         v, colored = order[i]
-        used = 0
-        for nb in colored:
-            used |= bits[nb]
-        for b in _ALLOWED[used]:
-            bits[v] = b
-            yield from rec(i + 1)
-        bits[v] = 0
+        if i == len(stack):
+            used = 0
+            for nb in colored:
+                used |= bits[nb]
+            stack.append(iter(_ALLOWED[used]))
+        bits[v] = b = next(stack[i], 0)
+        if not b:
+            stack.pop()
+            i -= 1
+        elif i == last:
+            yield dict(enumerate(map(int.bit_length, bits)))
+        else:
+            i += 1
 
-    yield from rec(0)
+
+# The tail: the last _TAIL_LENGTH free vertices (fewer if there are fewer) are
+# counted from a table instead of by backtracking.  Tail vertex j's colors
+# used outside the tail fill the 3-bit slot at shift 3 * (t - 1 - j) of the
+# key, first tail vertex highest; `pattern` holds bit p for each tail edge
+# _TAIL_PAIRS[p].  _TAIL_TABLES[t, pattern][key] counts the colorings of the
+# tail, and a table is built on first use only.
+_TAIL_LENGTH = 3
+_TAIL_PAIRS = ((0, 1), (0, 2), (1, 2))
+_TAIL_TABLES: dict[tuple[int, int], tuple[int, ...]] = {}
+# _FREE_OF[b] lists the used-color masks that leave the color bit b free.
+_FREE_OF = {b: tuple(used for used in range(8) if not used & b) for b in (1, 2, 4)}
+
+
+def _tail_table(t: int, pattern: int) -> tuple[int, ...]:
+    table = _TAIL_TABLES.get((t, pattern))
+    if table is None:
+        edges = [pair for p, pair in enumerate(_TAIL_PAIRS) if pattern >> p & 1]
+        counts = [0] * 8 ** t
+        for colors in itertools.product((1, 2, 4), repeat=t):
+            if any(colors[a] == colors[b] for a, b in edges):
+                continue
+            for masks in itertools.product(*(_FREE_OF[b] for b in colors)):
+                key = 0
+                for used in masks:
+                    key = key << 3 | used
+                counts[key] += 1
+        table = _TAIL_TABLES[t, pattern] = tuple(counts)
+    return table
 
 
 def count_colorings_bruteforce(
@@ -136,11 +179,14 @@ def count_colorings_bruteforce(
 ) -> int:
     """Exact number of proper total 3-colorings extending `fixed`.
 
-    Backtracks over the free vertices in index order, with no memoization;
-    each looks up the colors its colored neighbors leave in `_ALLOWED`, and
-    the last adds their number.  Refuses graphs above the vertex cutoff
-    (default 20) unless `force` is given, and always refuses more than
-    MAX_FREE_VERTICES free vertices.
+    Backtracks over the free vertices in index order, with no memoization,
+    except the last min(3, free) of them, the tail: each free vertex before
+    it looks up the colors its colored neighbors leave in `_ALLOWED`, and
+    the deepest one adds, for each of its colors, the tail's count read
+    from a table keyed by the colors each tail vertex's neighbors outside
+    the tail use.  Refuses graphs above the vertex cutoff (default 20)
+    unless `force` is given, and always refuses more than MAX_FREE_VERTICES
+    free vertices.
     """
     if g.vertex_count > cutoff and not force:
         raise BruteForceCutoffError(
@@ -151,16 +197,45 @@ def count_colorings_bruteforce(
     if state is None:
         return 0
     bits, order = state
-    last = len(order) - 1
+    t = min(_TAIL_LENGTH, len(order))
+    head, tail = order[:len(order) - t], order[len(order) - t:]
+    deepest = head[-1][0] if head else None
+    position = {v: j for j, (v, _) in enumerate(tail)}
+    # key = base (the fixed neighbors' colors) | each head neighbor's color
+    # shifted by its `links` entry | spread * the deepest head vertex's color,
+    # which puts that color in the slot of each tail vertex it neighbors.
+    pattern = base = spread = 0
+    links = []
+    for j, (v, colored) in enumerate(tail):
+        shift = 3 * (t - 1 - j)
+        for nb in colored:
+            if nb in position:
+                pattern |= 1 << _TAIL_PAIRS.index((position[nb], j))
+            elif nb == deepest:
+                spread |= 1 << shift
+            elif bits[nb]:
+                base |= bits[nb] << shift
+            else:
+                links.append((nb, shift))
+    table = _tail_table(t, pattern)
+    if not head:
+        return table[base]
+    last = len(head) - 1
 
     def rec(i: int) -> int:
-        v, colored = order[i]
+        v, colored = head[i]
         used = 0
         for nb in colored:
             used |= bits[nb]
         allowed = _ALLOWED[used]
         if i == last:
-            return len(allowed)
+            key = base
+            for nb, shift in links:
+                key |= bits[nb] << shift
+            total = 0
+            for b in allowed:
+                total += table[key | b * spread]
+            return total
         total = 0
         for b in allowed:
             bits[v] = b
@@ -168,7 +243,7 @@ def count_colorings_bruteforce(
         bits[v] = 0
         return total
 
-    return rec(0) if order else 1
+    return rec(0)
 
 
 def _check_terminals(b: int, color_u: int, color_v: int) -> None:
@@ -218,8 +293,19 @@ def _path_interior_transfer(b: int, color_u: int, color_v: int) -> int:
     return sum(state.values())
 
 
-def path_pair_counts(b: int) -> PairCounts:
-    """Pair counts (S, D) of P(u,v,b); S = 2 for every b."""
+def path_pair_counts(b: int, *, bit_budget: int = DEFAULT_BIT_BUDGET) -> PairCounts:
+    """Pair counts (S, D) of P(u,v,b); S = 2 for every b.
+
+    Refuses with BitBudgetExceededError, before D = F(b+2) is computed, when
+    a float bound on its bit length exceeds `bit_budget`.
+    """
+    _check_terminals(b, 1, 2)
+    bits = _fibonacci_bits(b + 2)
+    if bits > bit_budget:
+        raise BitBudgetExceededError(
+            f"the fan's D = F(b + 2) may need up to {bits:.4g} bits,"
+            f" over the budget of {bit_budget}"
+        )
     pc = PairCounts(
         same=path_interior_count(b, 1, 1),
         diff=path_interior_count(b, 1, 2),
@@ -317,12 +403,25 @@ def gadget_pair_counts(k: int, ell: int, *, bit_budget: int = DEFAULT_BIT_BUDGET
             f"the count of T({k},{ell}) may need up to {bits:.4g} bits,"
             f" over the budget of {bit_budget}"
         )
-    return _frame_levels(1, path_pair_counts(2 ** k).diff, ell)  # the fan: S = 2
+    fan = path_pair_counts(2 ** k, bit_budget=bit_budget)  # S = 2
+    return _frame_levels(1, fan.diff, ell)
 
 
-# F(n) = (phi^n - (-1/phi)^n) / sqrt(5) < phi^n / sqrt(5) for even n > 0.
+# F(n) = (phi^n - (-1/phi)^n) / sqrt(5) < phi^n / sqrt(5) for even n > 0,
+# and < phi^n / sqrt(5) + 1 for every n >= 0.
 _LOG2_PHI = math.log2((1 + math.sqrt(5)) / 2)
 _LOG2_SQRT5 = math.log2(5) / 2
+
+
+def _fibonacci_bits(n: int) -> float:
+    """An upper bound on the bit length of F(n), n >= 1, with no big integer:
+    F(n) < x + 1 for x = phi^n / sqrt(5), so it is at most max(log2 x, 0) + 2;
+    with the float margin of `predicted_count_bits`."""
+    try:
+        log2_bound = n * _LOG2_PHI - _LOG2_SQRT5
+    except OverflowError:  # n is too large for a float
+        return math.inf
+    return (max(log2_bound, 0.0) + 2) * (1 + 2.0 ** -20)
 
 
 def predicted_count_bits(k: int, ell: int) -> float:
@@ -349,16 +448,39 @@ def predicted_count_bits(k: int, ell: int) -> float:
     return (d + math.log2(6 + 3 * 2.0 ** (s - d))) * (1 + 2.0 ** -20) + 2
 
 
-def inner_subgraph_pair_counts(ell: int) -> PairCounts:
+def inner_subgraph_pair_counts(ell: int, *, bit_budget: int = DEFAULT_BIT_BUDGET) -> PairCounts:
     """Pair counts of the subgraph induced by the inner vertex set V_ell.
 
     That subgraph is the gadget skeleton: the same frame recursion with leaf
     copies shrunk to their terminal pairs, so the base case has a single
     empty extension (S = D = 1).  Independent of k.
+
+    Refuses with BitBudgetExceededError, before any level is computed, when
+    the closed-form bound `inner_count_bits(ell)` exceeds `bit_budget`.
     """
     if ell < 0:
         raise ValueError("ell must be >= 0")
+    bits = inner_count_bits(ell)
+    if bits > bit_budget:
+        raise BitBudgetExceededError(
+            f"the count of the V_{ell} subgraph may need up to {bits:.4g} bits,"
+            f" over the budget of {bit_budget}"
+        )
     return _frame_levels(0, 2, ell)
+
+
+def inner_count_bits(ell: int) -> float:
+    """An upper bound on the bit length of the total count of the V_ell subgraph.
+
+    The total is 3 * 2^e * (r + 1) with e = (3^ell - 1)/2, and r + 2 at most
+    squares per level from r = 2, so r + 1 < 4^(2^ell) and the bit length is
+    at most e + 2 + 2^(ell+1), tight at ell = 0 and 1.  Exact in floats below
+    ell = 34, with a relative margin of 2^-20 above.
+    """
+    if ell > 600:
+        return math.inf
+    bits = (3.0 ** ell - 1) / 2 + 2.0 ** (ell + 1) + 2
+    return bits if ell < 34 else bits * (1 + 2.0 ** -20)
 
 
 def total_colorings(pc: PairCounts) -> int:

@@ -1,4 +1,11 @@
+import contextlib
 import itertools
+import os
+import pathlib
+import random
+import signal
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -17,6 +24,7 @@ from threecolor import (
     path_pair_counts,
     total_colorings,
 )
+import threecolor
 from threecolor import counting, gadgets
 from threecolor.bounds import lemma3_bound
 from threecolor.counting import (
@@ -28,6 +36,7 @@ from threecolor.counting import (
     _frame_combine_patterns,
     _frame_levels,
     _path_interior_transfer,
+    inner_count_bits,
     inner_subgraph_pair_counts,
     path_interior_count,
     predicted_count_bits,
@@ -141,6 +150,69 @@ class TestBruteForce:
         g = build_P(3).graph
         seen = [tuple(sorted(c.items())) for c in iter_colorings(g)]
         assert len(seen) == len(set(seen)) == count_colorings_bruteforce(g)
+
+
+def tail_case(pattern, free, placement, seed):
+    """A graph whose last min(3, free) free vertices carry the tail edges of
+    `pattern`, with two fixed vertices placed before, between or after the
+    tail vertices, and seeded random edges from the tail to every other
+    vertex and among the head."""
+    t = min(3, free)
+    head = [("h", i) for i in range(free - t)]
+    tail = [("t", j) for j in range(t)]
+    fixed = [("f", 0), ("f", 1)]
+    if placement == "before":
+        layout = fixed[:1] + head + fixed[1:] + tail
+    elif placement == "between":
+        layout = head + tail[:1] + fixed[:1] + tail[1:2] + fixed[1:] + tail[2:]
+    else:
+        layout = head + tail + fixed
+    index = {name: i for i, name in enumerate(layout)}
+    rng = random.Random(f"{pattern}-{free}-{placement}-{seed}")
+    edges = {(index[tail[a]], index[tail[b]])
+             for p, (a, b) in enumerate(counting._TAIL_PAIRS)
+             if pattern >> p & 1 and b < t}
+    for x in tail:
+        edges.update((index[x], index[y]) for y in head + fixed if rng.random() < 0.6)
+    for x, y in itertools.combinations(head, 2):
+        if rng.random() < 0.5:
+            edges.add((index[x], index[y]))
+    g = Graph(len(layout), {tuple(sorted(e)) for e in edges})
+    return g, {index[f]: rng.choice((1, 2, 3)) for f in fixed}
+
+
+class TestTail:
+    @pytest.mark.parametrize("placement", ["before", "between", "after"])
+    @pytest.mark.parametrize("free", range(6))
+    @pytest.mark.parametrize("pattern", range(8))
+    def test_tail_patterns_match_both_routes(self, pattern, free, placement):
+        for seed in range(4):
+            g, fixed = tail_case(pattern, free, placement, seed)
+            expected = product_filter_count(g, fixed)
+            assert count_colorings_bruteforce(g, fixed) == expected
+            assert len(list(iter_colorings(g, fixed))) == expected
+
+    def test_import_builds_no_tail_table(self):
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(threecolor.__file__).parents[1]))
+        code = "import threecolor; print(len(threecolor.counting._TAIL_TABLES))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0"
+
+    @pytest.mark.parametrize("t,pattern", [(0, 0), (1, 0), (2, 0), (2, 1)]
+                             + [(3, p) for p in range(8)])
+    def test_tables_match_product_filter(self, t, pattern):
+        table = counting._tail_table(t, pattern)
+        edges = [(a, b) for p, (a, b) in enumerate(counting._TAIL_PAIRS)
+                 if pattern >> p & 1 and b < t]
+        assert len(table) == 8 ** t
+        for key, count in enumerate(table):
+            masks = [key >> 3 * (t - 1 - j) & 7 for j in range(t)]
+            assert count == sum(
+                all(not masks[j] & 1 << (c[j] - 1) for j in range(t))
+                and all(c[a] != c[b] for a, b in edges)
+                for c in itertools.product((1, 2, 3), repeat=t))
 
 
 class TestPathPairCounts:
@@ -396,6 +468,68 @@ class TestGadgetPairCountsBudget:
     def test_domain_checked_before_the_budget(self):
         with pytest.raises(ValueError, match="k must be"):
             gadget_pair_counts(0, 1, bit_budget=0)
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the test if the block runs longer than `seconds`."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestFanAndInnerBudgets:
+    def test_fan_refused_before_fibonacci(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("computed a count over the budget")
+
+        monkeypatch.setattr(counting, "_fibonacci", never)
+        with deadline(5):
+            with pytest.raises(BitBudgetExceededError, match="over the budget of 10000000$"):
+                path_pair_counts(2 ** 40)      # D = F(2^40 + 2)
+            with pytest.raises(BitBudgetExceededError, match="inf bits"):
+                path_pair_counts(10 ** 400)
+            with pytest.raises(BitBudgetExceededError, match="over the budget of 70$"):
+                path_pair_counts(100, bit_budget=70)
+
+    def test_inner_refused_before_any_level(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("computed a count over the budget")
+
+        monkeypatch.setattr(counting, "_frame_levels", never)
+        with deadline(5):
+            with pytest.raises(BitBudgetExceededError, match=r"V_30 subgraph.*10000000$"):
+                inner_subgraph_pair_counts(30)  # about 3^30/2 bits
+            with pytest.raises(BitBudgetExceededError, match="inf bits"):
+                inner_subgraph_pair_counts(10 ** 9)
+            with pytest.raises(BitBudgetExceededError, match="over the budget of 6$"):
+                inner_subgraph_pair_counts(1, bit_budget=6)
+
+    def test_budgets_bound_the_exact_bit_lengths(self):
+        for b in range(1, 400):
+            bits = path_pair_counts(b).diff.bit_length()
+            assert bits <= counting._fibonacci_bits(b + 2) < bits + 2
+            assert path_pair_counts(b, bit_budget=bits + 2).diff.bit_length() == bits
+        for ell in range(16):
+            bits = total_colorings(inner_subgraph_pair_counts(ell, bit_budget=10 ** 8)).bit_length()
+            assert bits <= inner_count_bits(ell) <= bits * 1.01 + 2
+        assert inner_count_bits(0) == 4 and inner_count_bits(1) == 7  # 9 and 84
+        assert inner_subgraph_pair_counts(1, bit_budget=7) == PairCounts(2, 13)
+
+    def test_callers_check_larger_bounds_first(self):
+        # So the budgets passed through never refuse what they accept.
+        for k in [*range(1, 1024, 7), 1023, 1024]:
+            assert counting._fibonacci_bits(2 ** k + 2) <= predicted_count_bits(k, 0)
+        for ell in range(1, 40):
+            exponent = 2 ** (gadgets.choose_k(ell) + ell) + 4 * 3 ** ell
+            assert inner_count_bits(ell) < exponent + 1  # theorem_chain_check's bound
 
 
 class TestInnerSubgraphCounts:
