@@ -10,8 +10,8 @@ from threecolor import build_P, build_T, gadget_to_json, to_dot, to_graph6
 
 fan = build_P(5)
 print("P(u,v,5):", fan.graph)
-print("  u's neighbors:", [fan.graph.label_of(w) for w in fan.graph.adjacency[0]])
-print("  v's neighbors:", [fan.graph.label_of(w) for w in fan.graph.adjacency[1]])
+print("  u's neighbors:", [fan.graph.label_of(w) for w in sorted(fan.graph.adjacency[0])])
+print("  v's neighbors:", [fan.graph.label_of(w) for w in sorted(fan.graph.adjacency[1])])
 print()
 
 gadget = build_T(1, 1)

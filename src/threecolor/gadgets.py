@@ -11,16 +11,15 @@ terminals identified with (v1,v3), (v2,v4), (v3,v5).
 Canonical numbering: u=0, v=1, then frame (or path) vertices in order, then
 the children depth-first in slot order.  Labels encode the recursion path,
 e.g. "T2.T1.v3", and are made on first use.  Every gadget carries its plane
-embedding as a rotation system.  The fan's is written directly; each level
-above it is the frame's seven rotations plus three relabelled copies of the
-level below, whose terminal fans go into the frame rotations on the side
-facing their quadrilateral.
+embedding as a rotation system, written row by row in one pass: each
+frame's rotations take its children's terminal fans on the side facing
+their quadrilateral, and each leaf fan's path rows are written in bulk.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice
+from itertools import accumulate, repeat
 from typing import Optional
 
 from .embedding import RotationSystem, certify_with_faces
@@ -63,40 +62,40 @@ class Gadget:
 # Largest gadget that build_T and build_P make; T(6,9) has 1,308,919 vertices.
 MAX_VERTICES = 2 ** 21
 
-# The children's terminals (cu, cv): (v1, v3), (v2, v4) and (v3, v5).
-_SLOTS = ((2, 4), (3, 5), (4, 6))
-
-
-def _fan(b: int) -> list[tuple[int, ...]]:
-    """Rotation of P(u,v,b) in canonical numbering (path vertex vi is i + 1);
-    u's fan runs up the odd path vertices, v's down the even ones."""
-    if b == 1:
-        return [(2,), (), (0,)]
-    order = [tuple(range(2, b + 2, 2)), tuple(range(2 * (b // 2) + 1, 2, -2)), (3, 0)]
-    order += [(i + 2, 0, i) if i % 2 else (1, i + 2, i) for i in range(2, b)]
-    order.append((0 if b % 2 else 1, b))
-    return order
-
-
-def _level(order: list[tuple[int, ...]], pairs, inner: frozenset[int]):
-    """T(.,.,k,l) from T(.,.,k,l-1): the frame P(u,v,5), then three copies
-    of the child relabelled by one lookup list per slot: 0 -> cu, 1 -> cv
-    and x -> base + x - 2, the bases following the frame's seven vertices."""
-    m = len(order) - 2
-    luts = [[cu, cv, *range(base, base + m)]
-            for (cu, cv), base in zip(_SLOTS, (7, 7 + m, 7 + 2 * m))]
-    (c1u, c1v), (c2u, c2v), (c3u, c3v) = (
-        [tuple(map(lut.__getitem__, fan)) for fan in order[:2]] for lut in luts)
-    # u = (v1, v3, v5) and v = (v4, v2); each child's u- and v-fan goes into
-    # its terminals' rotations in the gap facing its quadrilateral.
-    out = [(2, 4, 6), (5, 3), (3, *c1u, 0), (1, *c2u, 4, 2), (5, *c3u, 0, *c1v, 3),
-           (1, 6, 4, *c2v), (0, *c3v, 5)]
-    for lut in luts:
-        get = lut.__getitem__
-        out += [tuple(map(get, nbrs)) for nbrs in islice(order, 2, None)]
-    pairs = tuple((lut[x], lut[y]) for lut in luts for x, y in pairs)
-    inner = frozenset(range(7)).union(*(map(lut.__getitem__, inner) for lut in luts))
-    return out, pairs, inner
+def _write(b: int, ell: int):
+    """The rotation rows, leaf pairs and inner set of T(.,.,k,ell) with leaf
+    fans P(.,.,b).  Each row is made once, of elements of `ids` only, so the
+    rows share one int object per vertex.  Each level's frames are walked in
+    order, each followed by its three children in slot order.  The u-fan of
+    a child at base c is ids[c:c+w:2], w being b for a leaf and 5 for a
+    frame, and its v-fan runs back down the even path vertices."""
+    sizes = list(accumulate(range(ell), lambda m, _: 5 + 3 * m, initial=b))
+    ids, rows = list(range(sizes[-1] + 2)), [None] * (sizes[-1] + 2)
+    w = b if ell == 0 else 5
+    rows[:2] = tuple(ids[2:2 + w:2]), tuple(ids[2 * (w // 2) + 1:2:-2])
+    frames, inner = [(0, 1, 2)], [0, 1]  # frames hold (u, v, base)
+    for level in range(ell, 0, -1):
+        m, w = sizes[level - 1], b if level == 1 else 5
+        back, children = 2 * (w // 2) - 1, []
+        for u, v, base in frames:
+            v1, v2, v3, v4, v5 = ids[base:base + 5]
+            c1, c2, c3 = base + 5, base + 5 + m, base + 5 + 2 * m
+            # u = (v1, v3, v5) and v = (v4, v2); each child's u- and v-fan
+            # goes into its terminals' rotations in the gap facing its quad.
+            rows[base:base + 5] = (
+                (v2, *ids[c1:c1 + w:2], u), (v, *ids[c2:c2 + w:2], v3, v1),
+                (v4, *ids[c3:c3 + w:2], u, *ids[c1 + back:c1:-2], v2),
+                (v, v5, v3, *ids[c2 + back:c2:-2]), (u, *ids[c3 + back:c3:-2], v4))
+            inner += ids[base:base + 5]
+            children += ((v1, v3, c1), (v2, v4, c2), (v3, v5, c3))
+        frames = children
+    for u, v, base in frames:  # path vertex vi is base + i - 1
+        end = base + b
+        rows[base + 2:end - 1:2] = zip(ids[base + 3:end:2], repeat(u), ids[base + 1:end - 2:2])
+        rows[base + 1:end - 1:2] = zip(repeat(v), ids[base + 2:end:2], ids[base:end - 2:2])
+        rows[end - 1] = (u if b % 2 else v, ids[end - 2])  # for b = 1, rewritten below
+        rows[base] = (ids[base + 1], u) if b > 1 else (u,)
+    return rows, tuple((u, v) for u, v, _ in frames), frozenset(inner)
 
 
 def _labels(b: int, ell: int) -> list[str]:
@@ -109,9 +108,7 @@ def _labels(b: int, ell: int) -> list[str]:
 
 
 def _assemble(leaf_b: int, k: Optional[int], ell: Optional[int], check: bool) -> Gadget:
-    order, pairs, inner = _fan(leaf_b), ((0, 1),), frozenset((0, 1))
-    for _ in range(ell or 0):
-        order, pairs, inner = _level(order, pairs, inner)
+    order, pairs, inner = _write(leaf_b, ell or 0)
     g = Graph.from_rotation(order, partial(_labels, leaf_b, ell or 0))
     tg = TerminalGraph(g, 0, 1)
     rotation = RotationSystem(g.rotation)  # checked once, by from_rotation

@@ -1,21 +1,25 @@
 """Minimal immutable undirected simple graphs with a proper-coloring check.
 
-Vertices are dense 0-based indices, and a sorted neighbor tuple per vertex is
-the only edge store.  A graph made from a rotation also keeps the rotation it
-checked, so that the face tracer need not check it again.  Labels are an
-optional parallel decoration (never used for adjacency), possibly made on
-first use.  Colors are the literals 1, 2, 3.
+Vertices are dense 0-based indices, and a neighbor tuple per vertex is the
+only edge store.  A graph made from a rotation keeps the rows it checked as
+that store, in rotation order, so that the face tracer need not check them
+again; any other graph's rows are ascending.  Labels are an optional parallel
+decoration (never used for adjacency), possibly made on first use.  Colors
+are the literals 1, 2, 3.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, repeat
-from operator import contains, getitem, itemgetter, ne
+from operator import contains, getitem, ne
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 COLORS = (1, 2, 3)
 
 Edge = tuple[int, int]
+
+# Rows longer than this are searched by hash, so degree d costs O(d), not O(d^2).
+LONG_ROW = 256
 
 
 def _checked_labels(labels: Iterable[str], vertex_count: int) -> tuple[str, ...]:
@@ -30,9 +34,10 @@ def _checked_labels(labels: Iterable[str], vertex_count: int) -> tuple[str, ...]
 class Graph:
     """Undirected simple graph: no self-loops, no parallel edges.
 
-    The sorted adjacency tuples are the only edge store; `edges` and
-    `has_edge` read them.  `rotation` is the rotation that `from_rotation`
-    checked, as a tuple of tuples, and None for any other graph.
+    The adjacency tuples are the only edge store; `edges` and `has_edge`
+    read them.  For a graph made by `from_rotation` they are the rotation
+    it checked, in rotation order, and `rotation` is the same object; for
+    any other graph each row is ascending and `rotation` is None.
     """
 
     __slots__ = ("vertex_count", "edge_count", "adjacency", "rotation", "_labels")
@@ -56,31 +61,31 @@ class Graph:
     @classmethod
     def from_rotation(cls, order: Sequence[Sequence[int]],
                       labels: Optional[Callable[[], Iterable[str]]] = None) -> Graph:
-        """The graph whose neighbors of vertex a are `order[a]`, sorted.
+        """The graph whose neighbors of vertex a are `order[a]`, in that order.
 
         Raises ValueError for a neighbor out of range, a self-loop, a repeated
         neighbor or a dart a -> b without b -> a.  The checked rows are kept
-        as `rotation`; tuple rows are kept as they are.  `labels` runs on
-        first read.
+        as both `adjacency` and `rotation`; tuple rows are kept as they are.
+        `labels` runs on first read.
         """
         rotation = tuple(map(tuple, order))
-        adjacency = tuple(map(tuple, map(sorted, rotation)))
-        n = len(adjacency)
-        nonempty = list(filter(None, adjacency))
-        if nonempty and not (0 <= min(map(itemgetter(0), nonempty))
-                             and max(map(itemgetter(-1), nonempty)) < n):
+        n = len(rotation)
+        if any(rotation) and not (0 <= min(chain.from_iterable(rotation))
+                                  and max(chain.from_iterable(rotation)) < n):
             raise ValueError(f"a neighbor is out of range for n={n}")
-        if any(map(contains, adjacency, range(n))):
+        if any(map(contains, rotation, range(n))):
             raise ValueError("the rotation has a self-loop")
-        degrees = list(map(len, adjacency))
-        if any(map(ne, map(len, map(set, adjacency)), degrees)):
+        degrees = list(map(len, rotation))
+        if any(map(ne, map(len, map(set, rotation)), degrees)):
             raise ValueError("the rotation has a repeated neighbor")
         # Dart by dart: is the source among the target's neighbors?
+        lookup = rotation if max(degrees, default=0) <= LONG_ROW else [
+            frozenset(row) if len(row) > LONG_ROW else row for row in rotation]
         sources = chain.from_iterable(map(repeat, range(n), degrees))
-        rows = map(getitem, repeat(adjacency), chain.from_iterable(adjacency))
+        rows = map(getitem, repeat(lookup), chain.from_iterable(rotation))
         if not all(map(contains, rows, sources)):
             raise ValueError("a dart of the rotation has no reverse")
-        return cls.__new__(cls)._store(adjacency, rotation, labels)
+        return cls.__new__(cls)._store(rotation, rotation, labels)
 
     def _store(self, adjacency: tuple[tuple[int, ...], ...], rotation, labels) -> Graph:
         object.__setattr__(self, "vertex_count", len(adjacency))
@@ -105,7 +110,8 @@ class Graph:
     @property
     def edges(self) -> tuple[Edge, ...]:
         """Every edge once as (a, b) with a < b, in ascending order."""
-        return tuple((a, b) for a, nbrs in enumerate(self.adjacency) for b in nbrs if a < b)
+        return tuple((a, b) for a, nbrs in enumerate(self.adjacency)
+                     for b in sorted(nbrs) if a < b)
 
     def has_edge(self, a: int, b: int) -> bool:
         return 0 <= a < self.vertex_count and b in self.adjacency[a]
@@ -174,15 +180,16 @@ def is_proper(g: Graph, coloring: Mapping[int, int]) -> bool:
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int, int]]:
     """Subgraph induced by `vertices`, plus the old->new index mapping.
 
-    New indices follow ascending old-index order.  If `g` has labels, the
-    subgraph keeps `g` and copies its labels on the first read of `labels`.
+    New indices follow ascending old-index order, and each row is ascending.
+    If `g` has labels, the subgraph keeps `g` and copies its labels on the
+    first read of `labels`.
     """
     kept = sorted(set(vertices))
     for v in kept:
         if not (0 <= v < g.vertex_count):
             raise ValueError(f"vertex {v} out of range")
     index_map = {old: new for new, old in enumerate(kept)}
-    # The map keeps the order, so each row stays sorted.
-    adjacency = tuple(tuple(index_map[b] for b in g.adjacency[a] if b in index_map) for a in kept)
+    adjacency = tuple(tuple(sorted(index_map[b] for b in g.adjacency[a] if b in index_map))
+                      for a in kept)
     labels = None if g._labels is None else lambda: map(g.labels.__getitem__, kept)
     return Graph.__new__(Graph)._store(adjacency, None, labels), index_map

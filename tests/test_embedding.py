@@ -1,9 +1,10 @@
 import pytest
 from hypothesis import given
 
-from threecolor import build_P, build_T, certify
+from threecolor import build_P, build_T, certify, embedding
 from threecolor.embedding import (
     RotationSystem,
+    _IndexedRow,
     euler_check,
     face_length_histogram,
     min_bounded_face_length,
@@ -11,7 +12,7 @@ from threecolor.embedding import (
     trace_faces,
 )
 from threecolor.gadgets import vertex_count_closed_form
-from threecolor.graphs import Graph
+from threecolor.graphs import LONG_ROW, Graph
 
 from graph_strategies import graphs_with_rotations
 from modulo_tracer import trace_faces_modulo
@@ -63,11 +64,13 @@ class TestTraceFaces:
             trace_faces(g, RotationSystem(((1,), (0, 2))))
 
 
-# Every T(k,l) with at most 50,000 vertices and k <= 10.  Both tracers
-# scan a row for each dart into it, so the fans' 2^(k-1)-neighbor terminals
-# cost them time quadratic in 2^k: T(15,0) and T(14,1) take about 4 s each.
+# Every T(k,l) with at most 50,000 vertices and k <= 10, and three with
+# k > 10.  The modulo tracer scans a row for each dart into it, so the fans'
+# 2^(k-1)-neighbor terminals cost it time quadratic in 2^k: T(12,2) takes it
+# about 1 s.  `trace_faces` looks rows longer than LONG_ROW up in a dict;
+# from k = 10 on, the terminals' rows are that long.
 SMALL_GADGETS = [(k, ell) for ell in range(9) for k in range(1, 11)
-                 if vertex_count_closed_form(k, ell) <= 50_000]
+                 if vertex_count_closed_form(k, ell) <= 50_000] + [(11, 0), (12, 0), (11, 1)]
 
 
 class TestTracerOracle:
@@ -124,6 +127,26 @@ class TestRotationCompare:
         order[0], order[1] = order[1], order[0]
         with pytest.raises(ValueError, match="rotation at vertex 0 does not match its edges"):
             trace_faces(g, RotationSystem(tuple(order)))
+
+
+class TestLongRows:
+    def test_indexed_row_is_the_row_with_a_dict_index(self):
+        row = _IndexedRow(range(1000, 0, -3))
+        assert row == tuple(range(1000, 0, -3)) and row[-1] == 1 and row[0] == 1000
+        assert all(row.index(x) == i for i, x in enumerate(row))
+        for missing in (2, 1001, -1, "a"):
+            with pytest.raises(ValueError, match="not in tuple"):
+                row.index(missing)
+
+    def test_only_rows_over_the_limit_are_indexed(self, monkeypatch):
+        made = []
+        monkeypatch.setattr(embedding, "_IndexedRow",
+                            lambda row: made.append(len(row)) or _IndexedRow(row))
+        gadget = build_P(2 * LONG_ROW + 1, check=False)  # u's row is 257 long, v's 256
+        assert sorted(map(len, gadget.rotation.order))[-2:] == [LONG_ROW, LONG_ROW + 1]
+        faces = trace_faces(gadget.graph, gadget.rotation)
+        assert made == [LONG_ROW + 1]
+        assert faces == list(map(tuple, trace_faces_modulo(gadget.rotation.order)))
 
 
 class TestEulerCheck:

@@ -1,7 +1,13 @@
+import gc
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
+import threecolor
 from splice_builder import build_reference
 from threecolor import build_P, build_T, gadget_pair_counts, gadget_to_json, gadgets
 from threecolor import vertex_count_closed_form
@@ -22,9 +28,11 @@ class TestBuildP:
         g = build_P(5)
         assert g.graph.vertex_count == 7
         assert g.graph.edge_count == 9  # 4 path edges + 3 from u + 2 from v
-        # u adjacent to the odd path vertices, v to the even ones
+        # u adjacent to the odd path vertices, v to the even ones; the rows
+        # are the rotation, so v's runs back down the path
         assert g.graph.adjacency[0] == (2, 4, 6)
-        assert g.graph.adjacency[1] == (3, 5)
+        assert g.graph.adjacency[1] == (5, 3)
+        assert tuple(sorted(g.graph.adjacency[1])) == (3, 5)
         assert not g.graph.has_edge(0, 1)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
@@ -43,6 +51,36 @@ class TestBuildP:
         assert g.registry.inner_set == frozenset({0, 1})
         assert g.registry.leaf_b == b
         assert (g.k, g.ell) == (None, None)
+
+
+class TestWriter:
+    """What the row writer leaves behind, and what it costs."""
+
+    def test_building_leaves_no_reference_cycle(self):
+        gc.collect()
+        gc.disable()
+        try:
+            built = [build_T(3, 3), build_T(2, 2, check=False), build_T(4, 0),
+                     build_P(1), build_P(6, check=False)]
+            del built
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_rows_hold_one_int_object_per_vertex(self):
+        g = build_T(3, 4, check=False).graph
+        assert g.vertex_count == 850
+        assert len({id(x) for row in g.adjacency for x in row}) == 850
+
+    def test_checked_fan_with_long_rows_builds_in_linear_time(self):
+        """T(17,0)'s terminals have 65,536 neighbors each: scanning a row for
+        each dart into it would take minutes."""
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(threecolor.__file__).parents[1]))
+        code = "from threecolor import build_T; print(build_T(17, 0).graph)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "Graph(n=131074, m=262143)"
 
 
 class TestBuildT:
@@ -144,7 +182,8 @@ class TestReplicationMatchesSplicing:
         built = build_P(b) if k is None else build_T(k, ell)
         reference = build_reference(b, k, ell)
         assert built.rotation.order == reference.rotation.order
-        assert built.graph.adjacency == reference.graph.adjacency
+        assert tuple(tuple(sorted(row)) for row in built.graph.adjacency) \
+            == reference.graph.adjacency
         assert built.graph.labels == reference.graph.labels
         assert built.registry == reference.registry
         assert (gadget_to_json(built, include_faces=True)

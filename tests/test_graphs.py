@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from threecolor import build_P, build_T
 from threecolor.graphs import (
+    LONG_ROW,
     Graph,
     TerminalGraph,
     induced_subgraph,
@@ -85,7 +86,9 @@ class TestFromRotation:
     def test_agrees_with_the_edge_list_constructor(self, g, rng):
         order = [rng.sample(nbrs, len(nbrs)) for nbrs in g.adjacency]
         h = Graph.from_rotation(order)
-        assert h.adjacency == g.adjacency
+        assert h.adjacency is h.rotation
+        assert h.adjacency == tuple(map(tuple, order))
+        assert tuple(tuple(sorted(row)) for row in h.adjacency) == g.adjacency
         assert (h.vertex_count, h.edge_count) == (g.vertex_count, g.edge_count)
         assert h.labels is None
 
@@ -106,6 +109,13 @@ class TestFromRotation:
         g = build_T(3, 4, check=False).graph
         firsts = [g.label_of(v) for v in range(g.vertex_count)]
         assert firsts == list(g.labels)
+
+    def test_long_rows_missing_a_reverse_rejected(self):
+        order = list(build_T(10, 0, check=False).rotation.order)
+        assert len(order[0]) > LONG_ROW and len(order[1]) > LONG_ROW
+        for a, nbrs in ((0, order[0][1:]), (2, order[2] + (1,))):
+            with pytest.raises(ValueError, match="no reverse"):
+                Graph.from_rotation(order[:a] + [nbrs] + order[a + 1:])
 
     def test_keeps_the_rotation_it_checked(self):
         order = build_T(2, 1, check=False).rotation.order

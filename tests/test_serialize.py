@@ -1,6 +1,7 @@
 import collections
 import json
 import math
+import mmap
 import re
 import sys
 import tracemalloc
@@ -199,6 +200,34 @@ class TestGadgetToJson:
         assert len(gadget.rotation.order[0]) == CHUNK_ITEMS + 1
         doc = gadget_descriptor(gadget)
         assert gadget_to_json(gadget) == json.dumps(doc, indent=2)
+
+    def test_text_moves_to_larger_maps_and_closes_each(self, monkeypatch):
+        # The first map holds 16 bytes, so that T(2,2)'s text moves at least four times.
+        real, maps, lengths = mmap.mmap, [], []
+
+        def first_small(fileno, length):
+            lengths.append(length if maps else 16)
+            maps.append(real(fileno, lengths[-1]))
+            return maps[-1]
+
+        monkeypatch.setattr(mmap, "mmap", first_small)
+        gadget = build_T(2, 2)
+        text = gadget_to_json(gadget, include_faces=True)
+        assert text == json.dumps(gadget_descriptor(gadget, include_faces=True), indent=2)
+        assert len(maps) > 4 and all(m.closed for m in maps)
+        assert lengths[-1] < 4 * len(text)
+
+    def test_the_text_is_gathered_off_the_heap(self):
+        gadget = build_T(4, 6, check=False)
+        gadget.graph.labels  # made before measuring, as the descriptor only reads them
+        tracemalloc.start()
+        try:
+            text = gadget_to_json(gadget)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Gathered on the heap, the chunks would take as much again as the text.
+        assert peak < 1.25 * len(text)
 
 
 # A chunk holds at most CHUNK_ITEMS numbers or strings; in these documents
