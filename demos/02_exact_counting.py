@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Exact 3-coloring counts: independent routes that must agree.
 
-The brute-force backtracker enumerates colorings directly.  The fan's pair
+The brute-force backtracker colors one vertex at a time and caches each
+level's count by the colors its later vertices still see.  The fan's pair
 counts come from a closed form, S = 2 and D = F(b+2), a Fibonacci number;
 the transfer counter that slides along the fan's path is kept as its
 oracle.  The pair-count recursion multiplies child counts through the

@@ -9,9 +9,9 @@ S.  Five slower routes, kept deliberately independent, are the oracles that
 check them:
 
 * a brute-force backtracking oracle over any small graph, which lists each
-  free vertex's colored neighbors once, counts the last three free vertices
-  in bulk from a table keyed by the colors their other neighbors use, and
-  refuses more than MAX_FREE_VERTICES free vertices,
+  free vertex's colored neighbors once, caches each level's count per call
+  by the colors of the earlier free vertices the rest of the search still
+  sees, and refuses more than MAX_FREE_VERTICES free vertices,
 * a left-to-right transfer counter for the fan (`_path_interior_transfer`),
 * the frame level as a polynomial in (S, D), for any S (`_frame_combine`),
 * the frame level as a sum over the 13 proper frame colorings
@@ -35,8 +35,8 @@ from .graphs import COLORS, Graph, induced_subgraph
 
 DEFAULT_BIT_BUDGET = 10 ** 7
 DEFAULT_BRUTE_FORCE_CUTOFF = 20
-# The oracle recurses one frame per free vertex before its tail, and so no
-# more than 800 deep, leaving 200 of Python's 1000 to callers;
+# The oracle recurses one frame per free vertex, the last making no call,
+# and so no more than 800 deep, leaving 200 of Python's 1000 to callers;
 # `iter_colorings` keeps the same limit.
 MAX_FREE_VERTICES = 800
 # Color c is the bit 1 << (c - 1); _ALLOWED[used] lists the bits clear in used.
@@ -109,10 +109,10 @@ def iter_colorings(
     g: Graph, fixed: Optional[Mapping[int, int]] = None
 ) -> Iterator[dict[int, int]]:
     """Yield every proper total 3-coloring extending `fixed` (as dicts), in the
-    index order and under the limit of `count_colorings_bruteforce`, but
-    enumerating the tail too.  The levels are walked with an explicit stack of
-    color iterators, one per free vertex, so a coloring passes up through no
-    generator frames."""
+    index order and under the limit of `count_colorings_bruteforce`, with no
+    cache.  The levels are walked with an explicit stack of color iterators,
+    one per free vertex, so a coloring passes up through no generator
+    frames."""
     state = _prepare(g, fixed)
     if state is None:
         return
@@ -140,34 +140,11 @@ def iter_colorings(
             i += 1
 
 
-# The tail: the last _TAIL_LENGTH free vertices (fewer if there are fewer) are
-# counted from a table instead of by backtracking.  Tail vertex j's colors
-# used outside the tail fill the 3-bit slot at shift 3 * (t - 1 - j) of the
-# key, first tail vertex highest; `pattern` holds bit p for each tail edge
-# _TAIL_PAIRS[p].  _TAIL_TABLES[t, pattern][key] counts the colorings of the
-# tail, and a table is built on first use only.
-_TAIL_LENGTH = 3
-_TAIL_PAIRS = ((0, 1), (0, 2), (1, 2))
-_TAIL_TABLES: dict[tuple[int, int], tuple[int, ...]] = {}
-# _FREE_OF[b] lists the used-color masks that leave the color bit b free.
-_FREE_OF = {b: tuple(used for used in range(8) if not used & b) for b in (1, 2, 4)}
-
-
-def _tail_table(t: int, pattern: int) -> tuple[int, ...]:
-    table = _TAIL_TABLES.get((t, pattern))
-    if table is None:
-        edges = [pair for p, pair in enumerate(_TAIL_PAIRS) if pattern >> p & 1]
-        counts = [0] * 8 ** t
-        for colors in itertools.product((1, 2, 4), repeat=t):
-            if any(colors[a] == colors[b] for a, b in edges):
-                continue
-            for masks in itertools.product(*(_FREE_OF[b] for b in colors)):
-                key = 0
-                for used in masks:
-                    key = key << 3 | used
-                counts[key] += 1
-        table = _TAIL_TABLES[t, pattern] = tuple(counts)
-    return table
+# The oracle caches at most this many sub-search counts per call, so that a
+# graph too large to finish holds bounded memory.
+_CACHE_ENTRIES = 2 ** 18
+# A cache key holds the level in its low bits, so no two levels share a key.
+_LEVEL_BITS = MAX_FREE_VERTICES.bit_length()
 
 
 def count_colorings_bruteforce(
@@ -179,14 +156,14 @@ def count_colorings_bruteforce(
 ) -> int:
     """Exact number of proper total 3-colorings extending `fixed`.
 
-    Backtracks over the free vertices in index order, with no memoization,
-    except the last min(3, free) of them, the tail: each free vertex before
-    it looks up the colors its colored neighbors leave in `_ALLOWED`, and
-    the deepest one adds, for each of its colors, the tail's count read
-    from a table keyed by the colors each tail vertex's neighbors outside
-    the tail use.  Refuses graphs above the vertex cutoff (default 20)
-    unless `force` is given, and always refuses more than MAX_FREE_VERTICES
-    free vertices.
+    Backtracks over the free vertices in index order; each looks up the
+    colors its colored neighbors leave in `_ALLOWED`, and the last one
+    counts how many are left.  The completions from a level depend only on
+    the colors of its frontier, the earlier free vertices that some vertex
+    at that level or later sees, so each level's count is cached per call
+    by those colors and the level, up to _CACHE_ENTRIES entries.  Refuses
+    graphs above the vertex cutoff (default 20) unless `force` is given,
+    and always refuses more than MAX_FREE_VERTICES free vertices.
     """
     if g.vertex_count > cutoff and not force:
         raise BruteForceCutoffError(
@@ -197,53 +174,45 @@ def count_colorings_bruteforce(
     if state is None:
         return 0
     bits, order = state
-    t = min(_TAIL_LENGTH, len(order))
-    head, tail = order[:len(order) - t], order[len(order) - t:]
-    deepest = head[-1][0] if head else None
-    position = {v: j for j, (v, _) in enumerate(tail)}
-    # key = base (the fixed neighbors' colors) | each head neighbor's color
-    # shifted by its `links` entry | spread * the deepest head vertex's color,
-    # which puts that color in the slot of each tail vertex it neighbors.
-    pattern = base = spread = 0
-    links = []
-    for j, (v, colored) in enumerate(tail):
-        shift = 3 * (t - 1 - j)
-        for nb in colored:
-            if nb in position:
-                pattern |= 1 << _TAIL_PAIRS.index((position[nb], j))
-            elif nb == deepest:
-                spread |= 1 << shift
-            elif bits[nb]:
-                base |= bits[nb] << shift
-            else:
-                links.append((nb, shift))
-    table = _tail_table(t, pattern)
-    if not head:
-        return table[base]
-    last = len(head) - 1
+    # Each free vertex that a later one sees -> the last level that sees it.
+    last_seen = {nb: i for i, (_, colored) in enumerate(order)
+                 for nb in colored if not bits[nb]}
+    frontiers = []
+    frontier: tuple[int, ...] = ()
+    for i, (v, _) in enumerate(order):
+        frontier = tuple(w for w in frontier if last_seen[w] >= i)
+        frontiers.append(frontier)
+        if v in last_seen:
+            frontier += (v,)
+    last = len(order) - 1
+    cache: dict[int, int] = {}
 
     def rec(i: int) -> int:
-        v, colored = head[i]
+        key = 0
+        for w in frontiers[i]:
+            key = key << 3 | bits[w]
+        key = key << _LEVEL_BITS | i
+        total = cache.get(key)
+        if total is not None:
+            return total
+        v, colored = order[i]
         used = 0
         for nb in colored:
             used |= bits[nb]
         allowed = _ALLOWED[used]
         if i == last:
-            key = base
-            for nb, shift in links:
-                key |= bits[nb] << shift
+            total = len(allowed)
+        else:
             total = 0
             for b in allowed:
-                total += table[key | b * spread]
-            return total
-        total = 0
-        for b in allowed:
-            bits[v] = b
-            total += rec(i + 1)
-        bits[v] = 0
+                bits[v] = b
+                total += rec(i + 1)
+            bits[v] = 0
+        if len(cache) < _CACHE_ENTRIES:
+            cache[key] = total
         return total
 
-    return rec(0)
+    return rec(0) if order else 1
 
 
 def _check_terminals(b: int, color_u: int, color_v: int) -> None:

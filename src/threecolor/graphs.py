@@ -70,9 +70,10 @@ class Graph:
         """
         rotation = tuple(map(tuple, order))
         n = len(rotation)
-        if any(rotation) and not (0 <= min(chain.from_iterable(rotation))
-                                  and max(chain.from_iterable(rotation)) < n):
-            raise ValueError(f"a neighbor is out of range for n={n}")
+        out_of_range = f"a neighbor is out of range for n={n}"
+        # A target >= n fails its lookup below; a negative one would not.
+        if min(chain.from_iterable(rotation), default=0) < 0:
+            raise ValueError(out_of_range)
         if any(map(contains, rotation, range(n))):
             raise ValueError("the rotation has a self-loop")
         degrees = list(map(len, rotation))
@@ -83,8 +84,11 @@ class Graph:
             frozenset(row) if len(row) > LONG_ROW else row for row in rotation]
         sources = chain.from_iterable(map(repeat, range(n), degrees))
         rows = map(getitem, repeat(lookup), chain.from_iterable(rotation))
-        if not all(map(contains, rows, sources)):
-            raise ValueError("a dart of the rotation has no reverse")
+        try:
+            if not all(map(contains, rows, sources)):
+                raise ValueError("a dart of the rotation has no reverse")
+        except IndexError:
+            raise ValueError(out_of_range) from None
         return cls.__new__(cls)._store(rotation, rotation, labels)
 
     def _store(self, adjacency: tuple[tuple[int, ...], ...], rotation, labels) -> Graph:

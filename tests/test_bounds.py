@@ -80,7 +80,7 @@ class TestTheoremChain:
     def test_inner_total_verified_by_oracle_at_small_levels(self):
         from threecolor import inner_subgraph
 
-        for ell in (1, 2):
+        for ell in (1, 2, 3, 4):
             sub, _ = inner_subgraph(build_T(1, ell, check=False))
             assert theorem_chain_check(ell).inner_total == \
                 count_colorings_bruteforce(sub, force=True)

@@ -200,6 +200,15 @@ class TestCount:
                                   "--method", "brute", "--full")
         assert dp_out == brute_out
 
+    def test_forced_brute_matches_dp_past_the_cutoff(self):
+        # T(2,3) has 175 vertices and about 2^68 colorings.
+        outputs = [run_cli_process("count", "--k", "2", "--ell", "3", "--method", method,
+                                   *extra, "--full", timeout=30)
+                   for method, extra in (("brute", ("--force",)), ("dp", ()))]
+        assert [proc.returncode for proc in outputs] == [0, 0]
+        assert outputs[0].stdout == outputs[1].stdout
+        assert "count: 241610832445358211072" in outputs[0].stdout
+
 
     def test_huge_fan_refused_before_any_work(self):
         proc = run_cli_process("count", "--k", "40", "--ell", "0", timeout=10)

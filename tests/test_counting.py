@@ -1,11 +1,7 @@
 import contextlib
 import itertools
-import os
-import pathlib
 import random
 import signal
-import subprocess
-import sys
 import tracemalloc
 
 import pytest
@@ -23,8 +19,8 @@ from threecolor import (
     lemma2_classify,
     path_pair_counts,
     total_colorings,
+    vertex_count_closed_form,
 )
-import threecolor
 from threecolor import counting, gadgets
 from threecolor.bounds import lemma3_bound
 from threecolor.counting import (
@@ -153,10 +149,10 @@ class TestBruteForce:
 
 
 def tail_case(pattern, free, placement, seed):
-    """A graph whose last min(3, free) free vertices carry the tail edges of
-    `pattern`, with two fixed vertices placed before, between or after the
-    tail vertices, and seeded random edges from the tail to every other
-    vertex and among the head."""
+    """A graph whose last min(3, free) free vertices carry the edges among
+    them selected by the bits of `pattern`, with two fixed vertices placed
+    before, between or after those vertices, and seeded random edges from
+    them to every other vertex and among the earlier free ones."""
     t = min(3, free)
     head = [("h", i) for i in range(free - t)]
     tail = [("t", j) for j in range(t)]
@@ -170,7 +166,7 @@ def tail_case(pattern, free, placement, seed):
     index = {name: i for i, name in enumerate(layout)}
     rng = random.Random(f"{pattern}-{free}-{placement}-{seed}")
     edges = {(index[tail[a]], index[tail[b]])
-             for p, (a, b) in enumerate(counting._TAIL_PAIRS)
+             for p, (a, b) in enumerate(((0, 1), (0, 2), (1, 2)))
              if pattern >> p & 1 and b < t}
     for x in tail:
         edges.update((index[x], index[y]) for y in head + fixed if rng.random() < 0.6)
@@ -192,27 +188,59 @@ class TestTail:
             assert count_colorings_bruteforce(g, fixed) == expected
             assert len(list(iter_colorings(g, fixed))) == expected
 
-    def test_import_builds_no_tail_table(self):
-        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(threecolor.__file__).parents[1]))
-        code = "import threecolor; print(len(threecolor.counting._TAIL_TABLES))"
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, env=env, timeout=30)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "0"
 
-    @pytest.mark.parametrize("t,pattern", [(0, 0), (1, 0), (2, 0), (2, 1)]
-                             + [(3, p) for p in range(8)])
-    def test_tables_match_product_filter(self, t, pattern):
-        table = counting._tail_table(t, pattern)
-        edges = [(a, b) for p, (a, b) in enumerate(counting._TAIL_PAIRS)
-                 if pattern >> p & 1 and b < t]
-        assert len(table) == 8 ** t
-        for key, count in enumerate(table):
-            masks = [key >> 3 * (t - 1 - j) & 7 for j in range(t)]
-            assert count == sum(
-                all(not masks[j] & 1 << (c[j] - 1) for j in range(t))
-                and all(c[a] != c[b] for a, b in edges)
-                for c in itertools.product((1, 2, 3), repeat=t))
+class TestCache:
+    @pytest.mark.parametrize("entries", [0, 5])
+    def test_counts_hold_with_a_small_cache(self, entries, monkeypatch):
+        monkeypatch.setattr(counting, "_CACHE_ENTRIES", entries)
+        for case in itertools.product(range(8), range(6), ("before", "between", "after"),
+                                      range(4)):
+            g, fixed = tail_case(*case)
+            assert count_colorings_bruteforce(g, fixed) == product_filter_count(g, fixed)
+        # The (1,2) class of T(1,2) takes seconds without a cache.
+        for k, ell in ((1, 1), (2, 1), (1, 2)):
+            g = build_T(k, ell, check=False).graph
+            pc = gadget_pair_counts(k, ell)
+            classes = ((1, pc.same),) if ell == 2 else ((1, pc.same), (2, pc.diff))
+            for color_v, expected in classes:
+                assert count_colorings_bruteforce(
+                    g, {0: 1, 1: color_v}, force=True) == expected
+
+    def test_levels_with_equal_frontier_colors_keep_their_own_counts(self):
+        # On the path 0-1-2-3 levels 1, 2 and 3 each see one earlier vertex,
+        # and the completions from them are 8, 4 and 2.  With 0 at color 1
+        # and 1 at color 2, level 3 is counted with 2 at color 3; with 1 at
+        # color 3 next, level 2 is reached with the same frontier colors.
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        assert count_colorings_bruteforce(g) == 24
+        assert count_colorings_bruteforce(g, {0: 1}) == 8
+
+    def test_cache_stays_within_its_limit(self, monkeypatch):
+        # Seven free vertices that all see only a last, shared neighbor: every
+        # partial coloring is its own cache key, about 3,300 of them.
+        g = Graph(8, [(i, 7) for i in range(7)])
+
+        def peak_bytes():
+            tracemalloc.start()
+            try:
+                assert count_colorings_bruteforce(g) == 3 * 2 ** 7
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak_bytes() > 128 * 1024
+        monkeypatch.setattr(counting, "_CACHE_ENTRIES", 5)
+        assert peak_bytes() < 16 * 1024
+
+    def test_forced_gadget_counts_match_the_dp(self):
+        gadgets = [build_T(k, ell, check=False) for k in range(1, 8) for ell in range(4)
+                   if vertex_count_closed_form(k, ell) <= 200]
+        assert len(gadgets) == 19  # every T(k, ell) with at most 200 vertices
+        for gadget in gadgets:
+            pc = gadget_pair_counts(gadget.k, gadget.ell)
+            g = gadget.graph
+            assert count_colorings_bruteforce(g, {0: 1, 1: 1}, force=True) == pc.same
+            assert count_colorings_bruteforce(g, {0: 1, 1: 2}, force=True) == pc.diff
 
 
 class TestPathPairCounts:

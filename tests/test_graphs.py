@@ -117,6 +117,16 @@ class TestFromRotation:
             with pytest.raises(ValueError, match="no reverse"):
                 Graph.from_rotation(order[:a] + [nbrs] + order[a + 1:])
 
+    def test_neighbors_past_the_end_rejected(self):
+        short = list(build_T(2, 2, check=False).rotation.order)
+        long = list(build_T(10, 0, check=False).rotation.order)
+        assert max(map(len, short)) <= LONG_ROW < len(long[0])
+        for order, a, target in ((short, 9, len(short)), (long, 0, len(long) + 1),
+                                 (long, 2, len(long) + 1), (long, 0, -1)):
+            message = f"^a neighbor is out of range for n={len(order)}$"
+            with pytest.raises(ValueError, match=message):
+                Graph.from_rotation(order[:a] + [order[a] + (target,)] + order[a + 1:])
+
     def test_keeps_the_rotation_it_checked(self):
         order = build_T(2, 1, check=False).rotation.order
         g = Graph.from_rotation(order)
