@@ -188,6 +188,24 @@ class TestTail:
             assert count_colorings_bruteforce(g, fixed) == expected
             assert len(list(iter_colorings(g, fixed))) == expected
 
+    @pytest.mark.parametrize("t,pattern", [(0, 0), (1, 0), (2, 0), (2, 1)]
+                             + [(3, p) for p in range(8)])
+    def test_tables_match_product_filter(self, t, pattern):
+        # The last t levels under every choice of colors that earlier fixed
+        # vertices forbid: vertex 3 + j sees fixed vertex c - 1 (at color c)
+        # when bit c - 1 of its mask is set.
+        pairs = [(a, b) for p, (a, b) in enumerate(((0, 1), (0, 2), (1, 2)))
+                 if pattern >> p & 1 and b < t]
+        fixed = {0: 1, 1: 2, 2: 3}
+        for key in range(8 ** t):
+            masks = [key >> 3 * (t - 1 - j) & 7 for j in range(t)]
+            edges = [(c, 3 + j) for j in range(t) for c in range(3) if masks[j] >> c & 1]
+            g = Graph(3 + t, edges + [(3 + a, 3 + b) for a, b in pairs])
+            assert count_colorings_bruteforce(g, fixed) == sum(
+                all(not masks[j] & 1 << (c[j] - 1) for j in range(t))
+                and all(c[a] != c[b] for a, b in pairs)
+                for c in itertools.product((1, 2, 3), repeat=t))
+
 
 class TestCache:
     @pytest.mark.parametrize("entries", [0, 5])
