@@ -16,7 +16,11 @@ check them:
 * the frame level as a polynomial in (S, D), for any S (`_frame_combine`),
 * the frame level as a sum over the 13 proper frame colorings
   (`_frame_combine_patterns`),
-* a per-coloring extension counter for colorings of the inner vertex set.
+* a per-coloring extension counter for colorings of the inner vertex set,
+  which checks and counts a coloring by one table lookup per frame, the
+  seven vertices of one copy of P(u,v,5).  The table is built from the
+  graph's own edges among a frame's vertices, and the frame layout is
+  verified once per gadget against its adjacency and leaf pairs.
 
 Pair counts (S, D) are the number of colorings with the two terminals fixed
 to the same color (1,1) resp. to the ordered pair (1,2); by color-permutation
@@ -28,6 +32,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cache
+from operator import getitem
 from typing import Iterator, Mapping, Optional
 
 from .gadgets import Gadget, build_P, check_k_ell
@@ -457,6 +463,12 @@ def total_colorings(pc: PairCounts) -> int:
     return 3 * pc.same + 6 * pc.diff
 
 
+@cache
+def _fan5_edges() -> tuple[tuple[int, int], ...]:
+    """The edges of P(u,v,5), built on first use."""
+    return build_P(5, check=False).graph.edges
+
+
 def lemma2_classify(psi: Mapping[int, int]) -> Lemma2Verdict:
     """Classify a proper coloring of P(u,v,5) (indices u=0, v=1, v_i=i+1).
 
@@ -468,7 +480,7 @@ def lemma2_classify(psi: Mapping[int, int]) -> Lemma2Verdict:
             raise ValueError(f"coloring is partial: vertex {v} has no color")
         if psi[v] not in COLORS:
             raise ValueError(f"vertex {v} assigned invalid color {psi[v]}")
-    for a, b in build_P(5, check=False).graph.edges:
+    for a, b in _fan5_edges():
         if psi[a] == psi[b]:
             raise ValueError(f"coloring is improper on edge ({a},{b})")
     witness = frozenset(
@@ -491,12 +503,28 @@ def count_extensions(
     once.  A leaf interior has 2 colorings when its pair's ends agree and
     F(b+2) when not, so with p leaf pairs, e of them agreeing, the count is
     the closed form 2^e * F(b+2)^(p-e).
+
+    A dict psi is checked and counted by one table lookup per frame
+    (`Gadget.frame_tables`); any lookup that misses, and any gadget without
+    the checked frame layout, falls back to checking psi vertex by vertex
+    and edge by edge, which alone raises.
     """
     if ell < 1:
         raise ValueError("extension counting needs ell >= 1")
     if (gadget.k, gadget.ell) != (k, ell):
         raise ValueError("gadget does not match (k, ell)")
+    layout = gadget.frame_tables
     inner = gadget.registry.inner_set
+    # Exactly a dict: a subclass's __missing__ could color a vertex psi lacks.
+    if layout is not None and type(psi) is dict and len(psi) == len(inner):
+        flat, tables = layout
+        try:  # a missing vertex, an invalid color or an improper edge misses a table
+            equal = sum(map(getitem, tables, zip(*[map(psi.__getitem__, flat)] * 7)))
+        except (KeyError, TypeError):
+            pass  # the checks below name the fault
+        else:
+            p = len(gadget.registry.pairs)
+            return _fibonacci(gadget.registry.leaf_b + 2) ** (p - equal) << equal
     if set(psi) != inner:
         raise ValueError("coloring must be total on the inner vertex set V_ell")
     for v, c in psi.items():

@@ -14,16 +14,21 @@ e.g. "T2.T1.v3", and are made on first use.  Every gadget carries its plane
 embedding as a rotation system, written row by row in one pass: each
 frame's rotations take its children's terminal fans on the side facing
 their quadrilateral, and each leaf fan's path rows are written in bulk.
+A frame is the seven vertices (u, v, v1, ..., v5) of one copy of P(u,v,5);
+a gadget lists its frames, checked against its own graph, on first use.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from itertools import accumulate, repeat
+from functools import cached_property, partial
+from itertools import accumulate, chain, combinations, repeat
 from typing import Optional
 
 from .embedding import RotationSystem, certify_with_faces
-from .graphs import Graph, TerminalGraph
+from .graphs import COLORS, Graph, TerminalGraph
+
+# The child terminal pairs (v1,v3), (v2,v4), (v3,v5) as positions in a frame.
+_CHILD_PAIRS = ((2, 4), (3, 5), (4, 6))
 
 
 @dataclass(frozen=True)
@@ -57,6 +62,47 @@ class Gadget:
     @property
     def graph(self) -> Graph:
         return self.tg.graph
+
+    @cached_property
+    def frame_tables(self) -> Optional[tuple[tuple[int, ...], tuple[dict, ...]]]:
+        """The inner set's frames for checking and counting an inner coloring.
+
+        Returns the frames' vertices, flattened in the canonical order of
+        `_frames`, and per frame a table.  The table maps each coloring of
+        the seven vertices that is proper on the graph's own edges among
+        them to its number of equal child pairs in a bottom frame, and to 0
+        in an upper one.  Returns None unless the frames cover the inner
+        set, every frame has the first one's edges, the frames' edges are
+        exactly the edges inside the inner set, and the bottom frames' child
+        pairs are `registry.pairs`.
+        """
+        if not self.ell:
+            return None
+        frames = _frames(self.registry.leaf_b, self.ell)
+        flat = tuple(chain.from_iterable(frames))
+        adjacency, inner = self.graph.adjacency, self.registry.inner_set
+        if set(flat) != inner:
+            return None
+
+        def local_edges(f):  # the edges among a frame's vertices, by position
+            return {(i, j) for i, j in combinations(range(7), 2) if f[j] in adjacency[f[i]]}
+
+        edges = local_edges(frames[0])
+        bottom = frames[len(frames) // 3:]  # 3^(ell-1) of (3^ell - 1)/2
+        if (any(local_edges(f) != edges for f in frames)
+                or {(f[i], f[j]) for f in frames for i, j in edges}
+                != {(a, b) for a in inner for b in adjacency[a] if a < b and b in inner}
+                or tuple((f[i], f[j]) for f in bottom for i, j in _CHILD_PAIRS)
+                != self.registry.pairs):
+            return None
+        proper = [()]  # the colorings of the first j vertices proper on their edges
+        for j in range(7):
+            earlier = [i for i, jj in edges if jj == j]
+            proper = [c + (x,) for c in proper for x in COLORS
+                      if all(c[i] != x for i in earlier)]
+        counts = {c: sum(c[i] == c[j] for i, j in _CHILD_PAIRS) for c in proper}
+        upper = dict.fromkeys(counts, 0)
+        return flat, (upper,) * (len(frames) - len(bottom)) + (counts,) * len(bottom)
 
 
 # Largest gadget that build_T and build_P make; T(6,9) has 1,308,919 vertices.
@@ -96,6 +142,20 @@ def _write(b: int, ell: int):
         rows[end - 1] = (u if b % 2 else v, ids[end - 2])  # for b = 1, rewritten below
         rows[base] = (ids[base + 1], u) if b > 1 else (u,)
     return rows, tuple((u, v) for u, v, _ in frames), frozenset(inner)
+
+
+def _frames(b: int, ell: int) -> list[tuple[int, ...]]:
+    """The frames (u, v, v1, ..., v5) of T(.,.,k,ell) with leaf fans
+    P(.,.,b), ell >= 1, in the numbering of `_write`: level by level from
+    the top, each level's frames in the order `_write` walks them, so the
+    last 3^(ell-1) are the bottom frames, which host the leaf pairs."""
+    sizes = list(accumulate(range(ell), lambda m, _: 5 + 3 * m, initial=b))
+    frames, level = [], [(0, 1, 2)]  # level holds (u, v, base)
+    for m in reversed(sizes[:-1]):
+        frames += [(u, v, *range(base, base + 5)) for u, v, base in level]
+        level = [(base + i, base + i + 2, base + 5 + i * m)
+                 for _, _, base in level for i in range(3)]
+    return frames
 
 
 def _labels(b: int, ell: int) -> list[str]:

@@ -84,13 +84,13 @@ def run_lemma3(ell_max: int = 2,
             continue
         gadget = build_T(k, ell, check=False)
         sub, index_map = counting.inner_subgraph(gadget)
-        back = {new: old for old, new in index_map.items()}
+        kept = sorted(index_map)  # new index i is old vertex kept[i]
         bound = bounds.lemma3_bound(k, ell, bit_budget=bit_budget)
         worst = 0
         sigma = 0
         count = 0
         for col in counting.iter_colorings(sub):
-            psi = {back[nv]: c for nv, c in col.items()}
+            psi = dict(zip(kept, col.values()))  # col lists vertices 0, 1, ...
             ext = counting.count_extensions(k, ell, psi, gadget=gadget)
             worst = max(worst, ext)
             sigma += ext

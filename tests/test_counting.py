@@ -3,6 +3,7 @@ import itertools
 import random
 import signal
 import tracemalloc
+from types import MappingProxyType
 
 import pytest
 from hypothesis import example, given
@@ -37,7 +38,8 @@ from threecolor.counting import (
     path_interior_count,
     predicted_count_bits,
 )
-from threecolor.graphs import Graph
+from threecolor.gadgets import Gadget
+from threecolor.graphs import Graph, TerminalGraph
 
 from graph_strategies import graphs_with_partial_colorings, small_graphs
 
@@ -641,6 +643,11 @@ class TestLemma2Classify:
         with pytest.raises(ValueError, match="improper"):
             lemma2_classify({0: 1, 1: 1, 2: 1, 3: 2, 4: 1, 5: 2, 6: 1})
 
+    def test_first_improper_edge_named(self):
+        with pytest.raises(ValueError) as exc:
+            lemma2_classify({0: 1, 1: 1, 2: 2, 3: 2, 4: 1, 5: 2, 6: 1})
+        assert str(exc.value) == "coloring is improper on edge (0,4)"
+
 
 class TestCountExtensions:
     def test_equal_terminal_colorings_extend_in_eight_ways(self):
@@ -693,3 +700,133 @@ class TestCountExtensions:
         g = build_T(1, 1, check=False)
         with pytest.raises(ValueError, match="total on the inner"):
             count_extensions(1, 1, {0: 1, 1: 2}, gadget=g)
+
+
+def outcome(call):
+    """A call's value, or the text of the ValueError it raises."""
+    try:
+        return call()
+    except ValueError as exc:
+        return str(exc)
+
+
+def per_edge_rule(gadget, psi):
+    """`count_extensions` by its definition, for a psi with at most one
+    fault: the count, or the text of the error it must raise."""
+    inner = gadget.registry.inner_set
+    if set(psi) != inner:
+        return "coloring must be total on the inner vertex set V_ell"
+    for v, c in psi.items():
+        if c not in (1, 2, 3):
+            return f"vertex {v} assigned invalid color {c}"
+    for a, b in gadget.graph.edges:
+        if a in inner and b in inner and psi[a] == psi[b]:
+            return f"coloring is improper on inner edge ({a},{b})"
+    pairs = gadget.registry.pairs
+    equal = sum(psi[x] == psi[y] for x, y in pairs)
+    return 2 ** equal * path_interior_count(gadget.registry.leaf_b, 1, 2) ** (len(pairs) - equal)
+
+
+def inner_colorings(gadget):
+    """Yield every proper coloring of the inner set, keyed by gadget vertex."""
+    sub, index_map = inner_subgraph(gadget)
+    kept = sorted(index_map)
+    for col in iter_colorings(sub):
+        yield dict(zip(kept, col.values()))
+
+
+def one_fault_coloring(gadget, a, b):
+    """A coloring of the inner set, proper on every inner edge but (a, b),
+    whose ends share color 1."""
+    sub, index_map = inner_subgraph(gadget)
+    cut = (index_map[a], index_map[b])
+    g = Graph(sub.vertex_count, [e for e in sub.edges if e != cut])
+    col = next(iter_colorings(g, dict.fromkeys(cut, 1)))
+    return dict(zip(sorted(index_map), col.values()))
+
+
+# The edges of P(u,v,5) as positions in a frame (u, v, v1, ..., v5).
+FRAME_EDGES = build_P(5, check=False).graph.edges
+
+
+def frame_at(gadget, slot):
+    """The frame (u, v, v1, ..., v5) of the level-1 child in `slot` of T(k,2),
+    found by its labels; slot 0 is the top frame."""
+    if slot == 0:
+        return tuple(range(7))
+    labels = gadget.graph.labels
+    return (slot + 1, slot + 3, *(labels.index(f"T{slot}.v{i}") for i in range(1, 6)))
+
+
+class TestCountExtensionsByFrames:
+    @pytest.mark.parametrize("k,ell", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 3)])
+    def test_built_gadgets_pass_the_layout_check(self, k, ell):
+        flat, tables = build_T(k, ell, check=False).frame_tables
+        assert len(tables) == (3 ** ell - 1) // 2 == len(flat) // 7
+        assert all(len(table) == 84 for table in tables)  # P(u,v,5) has 84 colorings
+
+    def test_fans_have_no_frames(self):
+        assert build_T(2, 0, check=False).frame_tables is None
+        assert build_P(5, check=False).frame_tables is None
+
+    @pytest.mark.parametrize("k,ell", [(1, 2), (2, 2)])
+    def test_sample_matches_oracle(self, k, ell):
+        g = build_T(k, ell, check=False)
+        for psi in random.Random(k).sample(list(inner_colorings(g)), 25):
+            assert count_extensions(k, ell, psi, gadget=g) == \
+                count_colorings_bruteforce(g.graph, psi, force=True)
+
+    @pytest.mark.parametrize("bad", [0, 4, None, [1]])
+    @pytest.mark.parametrize("vertex", [0, 4, 33])  # u, a shared v3, a leaf terminal
+    def test_invalid_color(self, bad, vertex):
+        g = build_T(1, 2, check=False)
+        psi = next(inner_colorings(g))
+        psi[vertex] = bad
+        with pytest.raises(ValueError) as exc:
+            count_extensions(1, 2, psi, gadget=g)
+        assert str(exc.value) == f"vertex {vertex} assigned invalid color {bad}"
+
+    def test_same_length_with_a_non_inner_key(self):
+        g = build_T(1, 2, check=False)
+        psi = next(inner_colorings(g))
+        del psi[33]
+        psi[g.graph.vertex_count - 1] = 1  # a leaf interior vertex
+        assert len(psi) == len(g.registry.inner_set)
+        with pytest.raises(ValueError) as exc:
+            count_extensions(1, 2, psi, gadget=g)
+        assert str(exc.value) == "coloring must be total on the inner vertex set V_ell"
+
+    @pytest.mark.parametrize("i,j", FRAME_EDGES)
+    @pytest.mark.parametrize("slot", [0, 2])  # the upper frame and a bottom one
+    def test_improper_frame_edge(self, slot, i, j):
+        g = build_T(1, 2, check=False)
+        frame = frame_at(g, slot)
+        a, b = frame[i], frame[j]
+        psi = one_fault_coloring(g, a, b)
+        with pytest.raises(ValueError) as exc:
+            count_extensions(1, 2, psi, gadget=g)
+        assert str(exc.value) == f"coloring is improper on inner edge ({a},{b})"
+        assert per_edge_rule(g, psi) == str(exc.value)
+
+    def test_other_mappings_take_the_per_edge_checks(self):
+        g = build_T(2, 2, check=False)
+        psi = next(itertools.islice(inner_colorings(g), 5, None))
+        assert count_extensions(2, 2, MappingProxyType(psi), gadget=g) == \
+            count_extensions(2, 2, psi, gadget=g) == per_edge_rule(g, psi)
+
+    @pytest.mark.parametrize("slot,i,j", [(0, 0, 2), (0, 4, 5), (3, 1, 5)])
+    def test_gadget_missing_a_frame_edge(self, slot, i, j):
+        built = build_T(1, 2, check=False)
+        a, b = frame_at(built, slot)[i], frame_at(built, slot)[j]
+        graph = Graph(built.graph.vertex_count, [e for e in built.graph.edges if e != (a, b)])
+        g = Gadget(TerminalGraph(graph, 0, 1), 1, 2, built.registry, built.rotation)
+        assert g.frame_tables is None
+        cases = random.Random(slot).sample(list(inner_colorings(g)), 20)
+        cases.append(one_fault_coloring(built, a, b))  # proper once (a, b) is gone
+        for other in (0, 1, 2, 3):  # the same frame edge improper in each frame
+            frame = frame_at(built, other)
+            if (frame[i], frame[j]) != (a, b):
+                cases.append(one_fault_coloring(built, frame[i], frame[j]))
+        for psi in cases:
+            assert outcome(lambda: count_extensions(1, 2, psi, gadget=g)) == \
+                per_edge_rule(g, psi)
