@@ -50,10 +50,10 @@ CHECK_NAMES = (
 
 
 def _require_bits(exponent: int, bit_budget: int) -> None:
-    if exponent + 1 > bit_budget:
-        raise BitBudgetExceededError(
-            f"2^{exponent} needs {exponent + 1} bits, over the budget of {bit_budget}"
-        )
+    if exponent + 1 > bit_budget:  # a far level's exponent outgrows str()'s digit limit
+        raise BitBudgetExceededError(f"2^{int_to_decimal(exponent)} needs"
+                                     f" {int_to_decimal(exponent + 1)} bits,"
+                                     f" over the budget of {bit_budget}")
 
 
 def _below_pow2(x: int, exponent: int) -> bool:
@@ -226,13 +226,14 @@ def report_to_text(report: Report) -> str:
     header = f"{'ell':>4} {'k':>3} {'n':>12} {'c_bits':>10}  checks"
     lines = [header, "-" * len(header)]
     for row in report.rows:
+        n = int_to_decimal(row.n)
         if row.error is not None:
-            lines.append(f"{row.ell:>4} {row.k:>3} {row.n:>12} {'-':>10}  ERROR: {row.error}")
+            lines.append(f"{row.ell:>4} {row.k:>3} {n:>12} {'-':>10}  ERROR: {row.error}")
             continue
         marks = " ".join(
             f"{name}={'pass' if row.checks[name] else 'FAIL'}" for name in CHECK_NAMES
         )
-        lines.append(f"{row.ell:>4} {row.k:>3} {row.n:>12} {row.c_bits:>10}  {marks}")
+        lines.append(f"{row.ell:>4} {row.k:>3} {n:>12} {row.c_bits:>10}  {marks}")
     lines.append(f"result: {'all checks pass' if report.ok else 'FAILURES PRESENT'}"
                  if report.rows else "result: empty report")
     return "\n".join(lines)

@@ -18,9 +18,10 @@ check them:
   (`_frame_combine_patterns`),
 * a per-coloring extension counter for colorings of the inner vertex set,
   which checks and counts a coloring by one table lookup per frame, the
-  seven vertices of one copy of P(u,v,5).  The table is built from the
-  graph's own edges among a frame's vertices, and the frame layout is
-  verified once per gadget against its adjacency and leaf pairs.
+  seven vertices of one copy of P(u,v,5) as the gadget writer recorded
+  them.  The table is built from the graph's own edges among a frame's
+  vertices, and the recorded frames are checked once per gadget against
+  its edges and leaf pairs.
 
 Pair counts (S, D) are the number of colorings with the two terminals fixed
 to the same color (1,1) resp. to the ordered pair (1,2); by color-permutation
@@ -506,7 +507,7 @@ def count_extensions(
 
     A dict psi is checked and counted by one table lookup per frame
     (`Gadget.frame_tables`); any lookup that misses, and any gadget without
-    the checked frame layout, falls back to checking psi vertex by vertex
+    checked recorded frames, falls back to checking psi vertex by vertex
     and edge by edge, which alone raises.
     """
     if ell < 1:

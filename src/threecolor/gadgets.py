@@ -15,11 +15,13 @@ embedding as a rotation system, written row by row in one pass: each
 frame's rotations take its children's terminal fans on the side facing
 their quadrilateral, and each leaf fan's path rows are written in bulk.
 A frame is the seven vertices (u, v, v1, ..., v5) of one copy of P(u,v,5);
-a gadget lists its frames, checked against its own graph, on first use.
+the writer records each frame as it writes the frame's rows, the registry
+keeps them, and the inner set is read off them.  A gadget checks its frames
+against its own edges once, on first use.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import accumulate, chain, combinations, repeat
 from typing import Optional
@@ -33,16 +35,21 @@ _CHILD_PAIRS = ((2, 4), (3, 5), (4, 6))
 
 @dataclass(frozen=True)
 class LeafPairRegistry:
-    """The leaf pairs (x_i, y_i) and the inner vertex set of a gadget.
+    """The leaf pairs (x_i, y_i), the inner vertex set and the frames of a gadget.
 
     A built T(u,v,k,l) contains 3^l innermost copies of P(x,y,2^k); `pairs`
     lists their terminal pairs in construction order.  `inner_set` holds the
     vertices outside all leaf-copy interiors (leaf terminals included).
+    `frames` lists the (3^l - 1)/2 frames (u, v, v1, ..., v5) as the writer
+    recorded them, top level first, so the last 3^(l-1) host the leaf pairs;
+    the inner set is {0, 1} and their vertices.  It is empty for a fan and
+    for a registry made by hand, and takes no part in comparisons.
     """
 
     pairs: tuple[tuple[int, int], ...]
     inner_set: frozenset[int]
     leaf_b: int
+    frames: tuple[tuple[int, ...], ...] = field(default=(), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -65,24 +72,21 @@ class Gadget:
 
     @cached_property
     def frame_tables(self) -> Optional[tuple[tuple[int, ...], tuple[dict, ...]]]:
-        """The inner set's frames for checking and counting an inner coloring.
+        """The registry's frames for checking and counting an inner coloring.
 
-        Returns the frames' vertices, flattened in the canonical order of
-        `_frames`, and per frame a table.  The table maps each coloring of
-        the seven vertices that is proper on the graph's own edges among
+        Returns the frames' vertices, flattened in the order the writer
+        recorded them, and per frame a table.  The table maps each coloring
+        of the seven vertices that is proper on the graph's own edges among
         them to its number of equal child pairs in a bottom frame, and to 0
-        in an upper one.  Returns None unless the frames cover the inner
-        set, every frame has the first one's edges, the frames' edges are
-        exactly the edges inside the inner set, and the bottom frames' child
-        pairs are `registry.pairs`.
+        in an upper one.  Returns None unless the registry has frames, every
+        frame has the first one's edges, the frames' edges are exactly the
+        edges inside the inner set, and the bottom frames' child pairs are
+        `registry.pairs`.
         """
-        if not self.ell:
+        frames = self.registry.frames
+        if not frames:
             return None
-        frames = _frames(self.registry.leaf_b, self.ell)
-        flat = tuple(chain.from_iterable(frames))
         adjacency, inner = self.graph.adjacency, self.registry.inner_set
-        if set(flat) != inner:
-            return None
 
         def local_edges(f):  # the edges among a frame's vertices, by position
             return {(i, j) for i, j in combinations(range(7), 2) if f[j] in adjacency[f[i]]}
@@ -102,6 +106,7 @@ class Gadget:
                       if all(c[i] != x for i in earlier)]
         counts = {c: sum(c[i] == c[j] for i, j in _CHILD_PAIRS) for c in proper}
         upper = dict.fromkeys(counts, 0)
+        flat = tuple(chain.from_iterable(frames))
         return flat, (upper,) * (len(frames) - len(bottom)) + (counts,) * len(bottom)
 
 
@@ -109,21 +114,23 @@ class Gadget:
 MAX_VERTICES = 2 ** 21
 
 def _write(b: int, ell: int):
-    """The rotation rows, leaf pairs and inner set of T(.,.,k,ell) with leaf
+    """The rotation rows, leaf pairs and frames of T(.,.,k,ell) with leaf
     fans P(.,.,b).  Each row is made once, of elements of `ids` only, so the
     rows share one int object per vertex.  Each level's frames are walked in
-    order, each followed by its three children in slot order.  The u-fan of
-    a child at base c is ids[c:c+w:2], w being b for a leaf and 5 for a
-    frame, and its v-fan runs back down the even path vertices."""
+    order, each followed by its three children in slot order, and recorded
+    as they are written, level by level from the top: the last 3^(ell-1)
+    are the bottom frames, which host the leaf pairs.  The u-fan of a child
+    at base c is ids[c:c+w:2], w being b for a leaf and 5 for a frame, and
+    its v-fan runs back down the even path vertices."""
     sizes = list(accumulate(range(ell), lambda m, _: 5 + 3 * m, initial=b))
     ids, rows = list(range(sizes[-1] + 2)), [None] * (sizes[-1] + 2)
     w = b if ell == 0 else 5
     rows[:2] = tuple(ids[2:2 + w:2]), tuple(ids[2 * (w // 2) + 1:2:-2])
-    frames, inner = [(0, 1, 2)], [0, 1]  # frames hold (u, v, base)
-    for level in range(ell, 0, -1):
-        m, w = sizes[level - 1], b if level == 1 else 5
+    level, frames = [(0, 1, 2)], []  # level holds (u, v, base)
+    for depth in range(ell, 0, -1):
+        m, w = sizes[depth - 1], b if depth == 1 else 5
         back, children = 2 * (w // 2) - 1, []
-        for u, v, base in frames:
+        for u, v, base in level:
             v1, v2, v3, v4, v5 = ids[base:base + 5]
             c1, c2, c3 = base + 5, base + 5 + m, base + 5 + 2 * m
             # u = (v1, v3, v5) and v = (v4, v2); each child's u- and v-fan
@@ -132,30 +139,16 @@ def _write(b: int, ell: int):
                 (v2, *ids[c1:c1 + w:2], u), (v, *ids[c2:c2 + w:2], v3, v1),
                 (v4, *ids[c3:c3 + w:2], u, *ids[c1 + back:c1:-2], v2),
                 (v, v5, v3, *ids[c2 + back:c2:-2]), (u, *ids[c3 + back:c3:-2], v4))
-            inner += ids[base:base + 5]
+            frames.append((u, v, v1, v2, v3, v4, v5))
             children += ((v1, v3, c1), (v2, v4, c2), (v3, v5, c3))
-        frames = children
-    for u, v, base in frames:  # path vertex vi is base + i - 1
+        level = children
+    for u, v, base in level:  # path vertex vi is base + i - 1
         end = base + b
         rows[base + 2:end - 1:2] = zip(ids[base + 3:end:2], repeat(u), ids[base + 1:end - 2:2])
         rows[base + 1:end - 1:2] = zip(repeat(v), ids[base + 2:end:2], ids[base:end - 2:2])
         rows[end - 1] = (u if b % 2 else v, ids[end - 2])  # for b = 1, rewritten below
         rows[base] = (ids[base + 1], u) if b > 1 else (u,)
-    return rows, tuple((u, v) for u, v, _ in frames), frozenset(inner)
-
-
-def _frames(b: int, ell: int) -> list[tuple[int, ...]]:
-    """The frames (u, v, v1, ..., v5) of T(.,.,k,ell) with leaf fans
-    P(.,.,b), ell >= 1, in the numbering of `_write`: level by level from
-    the top, each level's frames in the order `_write` walks them, so the
-    last 3^(ell-1) are the bottom frames, which host the leaf pairs."""
-    sizes = list(accumulate(range(ell), lambda m, _: 5 + 3 * m, initial=b))
-    frames, level = [], [(0, 1, 2)]  # level holds (u, v, base)
-    for m in reversed(sizes[:-1]):
-        frames += [(u, v, *range(base, base + 5)) for u, v, base in level]
-        level = [(base + i, base + i + 2, base + 5 + i * m)
-                 for _, _, base in level for i in range(3)]
-    return frames
+    return rows, tuple((u, v) for u, v, _ in level), tuple(frames)
 
 
 def _labels(b: int, ell: int) -> list[str]:
@@ -168,7 +161,7 @@ def _labels(b: int, ell: int) -> list[str]:
 
 
 def _assemble(leaf_b: int, k: Optional[int], ell: Optional[int], check: bool) -> Gadget:
-    order, pairs, inner = _write(leaf_b, ell or 0)
+    order, pairs, frames = _write(leaf_b, ell or 0)
     g = Graph.from_rotation(order, partial(_labels, leaf_b, ell or 0))
     tg = TerminalGraph(g, 0, 1)
     rotation = RotationSystem(g.rotation)  # checked once, by from_rotation
@@ -177,7 +170,8 @@ def _assemble(leaf_b: int, k: Optional[int], ell: Optional[int], check: bool) ->
         if not report["ok"]:
             raise AssertionError(f"constructed gadget failed certification: {report}")
         rotation.outer_face_id = report["outer_face_id"]
-    return Gadget(tg, k, ell, LeafPairRegistry(pairs, inner, leaf_b), rotation)
+    registry = LeafPairRegistry(pairs, frozenset(chain((0, 1), *frames)), leaf_b, frames)
+    return Gadget(tg, k, ell, registry, rotation)
 
 
 def build_P(b: int, *, check: bool = True) -> Gadget:
@@ -238,7 +232,7 @@ def inner_set_size(ell: int) -> int:
 
 
 def choose_k(ell: int) -> int:
-    """Smallest k >= 1 with 2^(k+ell) >= 3^ell, by exact integer comparison.
+    """Smallest k >= 1 with 2^(k+ell) >= 3^ell, read off the bit length of 3^ell - 1.
 
     Equals ceil(ell*log2(3/2)) clamped to the k >= 1 domain; the result is
     checked to satisfy 3^ell <= 2^(k+ell) <= 2*3^ell.
@@ -246,8 +240,6 @@ def choose_k(ell: int) -> int:
     if ell < 0:
         raise ValueError("ell must be >= 0")
     p3 = 3 ** ell
-    k = 1
-    while 2 ** (k + ell) < p3:
-        k += 1
+    k = max(1, (p3 - 1).bit_length() - ell)
     assert p3 <= 2 ** (k + ell) <= 2 * p3
     return k

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from deadline import deadline
 from threecolor import (
     build_T,
     count_colorings_bruteforce,
@@ -168,14 +169,15 @@ class TestEmitReport:
 
 
 @contextlib.contextmanager
-def unlimited_int_str():
-    """Lift the interpreter's int/str digit limit for the block, if it has one."""
+def int_str_limit(digits):
+    """Set the interpreter's int/str digit limit (0: none) for the block, if
+    it has one."""
     setter = getattr(sys, "set_int_max_str_digits", None)
     if setter is None:
         yield
         return
     old = sys.get_int_max_str_digits()
-    setter(0)
+    setter(digits)
     try:
         yield
     finally:
@@ -185,8 +187,30 @@ def unlimited_int_str():
 def plain_str(value: int) -> str:
     """str(value) with the limit lifted only for this call, so that the
     conversion under test runs under the interpreter's own limit."""
-    with unlimited_int_str():
+    with int_str_limit(0):
         return str(value)
+
+
+class TestFarLevels:
+    """A level whose numbers outgrow the interpreter's int-to-str limit
+    (4,300 digits by default) is one error row all the same, made fast."""
+
+    @pytest.mark.parametrize("ell", [9_100, 100_000])
+    def test_one_error_row_rendered(self, ell):
+        default = getattr(sys.int_info, "default_max_str_digits", 0)
+        with int_str_limit(default), deadline(10):
+            report = emit_report(range(ell, ell + 1))
+            text = report_to_text(report)
+        [row] = report.rows
+        assert (row.k, row.checks) == (choose_k(ell), {})
+        exponent = 2 ** (row.k + ell) + 4 * 3 ** ell
+        assert row.error == (f"2^{int_to_decimal(exponent)} needs"
+                             f" {int_to_decimal(exponent + 1)} bits,"
+                             f" over the budget of {bounds.DEFAULT_BIT_BUDGET}")
+        lines = text.splitlines()
+        assert len(lines) == 4 and lines[-1] == "result: FAILURES PRESENT"
+        assert lines[2] == (f"{ell:>4} {row.k:>3} {int_to_decimal(row.n)} {'-':>10}"
+                            f"  ERROR: {row.error}")
 
 
 class TestIntToDecimal:
@@ -198,7 +222,7 @@ class TestIntToDecimal:
         big = 1 << 40000
         text = int_to_decimal(big)
         assert len(text) == 12042  # floor(40000*log10(2)) + 1
-        with unlimited_int_str():
+        with int_str_limit(0):
             assert int(text) == big
 
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),

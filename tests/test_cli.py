@@ -443,6 +443,14 @@ class TestReport:
         line = next(row for row in out.splitlines() if row.split()[:1] == ["8"])
         assert line.endswith("ERROR: 2^34436 needs 34437 bits, over the budget of 30000")
 
+    def test_far_level_is_an_error_row(self):
+        # Its eq3 exponent and n exceed the default int-to-str limit of 4,300 digits.
+        proc = run_cli_process("report", "--ell-min", "9100", "--ell-max", "9100", timeout=10)
+        assert (proc.returncode, proc.stderr) == (1, "")
+        rows = proc.stdout.splitlines()[2:]
+        assert len(rows) == 2 and rows[-1] == "result: FAILURES PRESENT"
+        assert rows[0].startswith("9100 5324 ") and " ERROR: 2^" in rows[0]
+
     def test_bit_budget_env(self, capsys, monkeypatch):
         monkeypatch.setenv("THREECOLOR_BIT_BUDGET", "1000")
         code, out, _ = run_cli(capsys, "report", "--ell-min", "8", "--ell-max", "8")

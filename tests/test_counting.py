@@ -1,7 +1,5 @@
-import contextlib
 import itertools
 import random
-import signal
 import tracemalloc
 from types import MappingProxyType
 
@@ -9,6 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from deadline import deadline
 from threecolor import (
     build_P,
     build_T,
@@ -516,21 +515,6 @@ class TestGadgetPairCountsBudget:
     def test_domain_checked_before_the_budget(self):
         with pytest.raises(ValueError, match="k must be"):
             gadget_pair_counts(0, 1, bit_budget=0)
-
-
-@contextlib.contextmanager
-def deadline(seconds):
-    """Raise TimeoutError in the test if the block runs longer than `seconds`."""
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 class TestFanAndInnerBudgets:

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import os
 import pathlib
 import re
@@ -164,6 +165,33 @@ class TestBuildT:
         assert triangle_count(build_T(k, ell, check=False).graph) == 0
 
 
+class TestRecordedFrames:
+    """The frames the writer records, against the labels, which `_labels`
+    makes by its own level-by-level replication."""
+
+    @pytest.mark.parametrize("k,ell", [(k, ell) for k in (1, 2, 3) for ell in range(5)])
+    def test_frames_match_labels(self, k, ell):
+        g = build_T(k, ell, check=False)
+        frames, labels, registry = g.registry.frames, g.graph.labels, g.registry
+        assert len(frames) == (3 ** ell - 1) // 2
+        assert frames[:1] == ((tuple(range(7)),) if ell else ())
+        # Top level first, each level's frames in slot order: "", "T1.", ..., "T3.T3.".
+        paths = [p for depth in range(ell) for p in itertools.product((1, 2, 3), repeat=depth)]
+        for frame, path in zip(frames, paths):
+            prefix = "".join(f"T{s}." for s in path)
+            assert [labels[x] for x in frame[2:]] == [f"{prefix}v{i}" for i in range(1, 6)]
+            # A child's terminals are its parent's v_s and v_(s+2).
+            outer = "".join(f"T{s}." for s in path[:-1])
+            ends = (f"{outer}v{path[-1]}", f"{outer}v{path[-1] + 2}") if path else ("u", "v")
+            assert (labels[frame[0]], labels[frame[1]]) == ends
+        # The inner set: every vertex but the leaf paths' own, whose labels are ell levels deep.
+        outside = frozenset(x for x, name in enumerate(labels) if x < 2 or name.count(".") < ell)
+        assert frozenset(itertools.chain((0, 1), *frames)) == registry.inner_set == outside
+        bottom = frames[len(frames) // 3:]
+        assert (tuple((f[i], f[i + 2]) for f in bottom for i in (2, 3, 4)) or ((0, 1),)) \
+            == registry.pairs
+
+
 # (leaf b, k, ell): every fan with b <= 12, every T(k, ell) with k, ell <= 4,
 # and T(6, 2).  Fans carry no (k, ell).
 ORACLE_CASES = (
@@ -296,3 +324,12 @@ class TestChooseK:
         k = choose_k(ell)
         if k > 1:
             assert 2 ** (k - 1 + ell) < 3 ** ell
+
+    def test_equals_the_search_it_replaced(self):
+        def search(ell):  # the smallest k >= 1 with 2^(k+ell) >= 3^ell, by trial
+            k = 1
+            while 2 ** (k + ell) < 3 ** ell:
+                k += 1
+            return k
+
+        assert [choose_k(ell) for ell in range(301)] == [search(ell) for ell in range(301)]
