@@ -66,10 +66,10 @@ def cmd_generate(args) -> int:
 def _parse_fix(raw: str | None):
     if raw is None:
         return None
-    parts = raw.split(",")
-    if len(parts) != 2:
-        raise ValueError("--fix expects two comma-separated colors, e.g. 1,2")
-    cu, cv = (int(p) for p in parts)
+    try:
+        cu, cv = map(int, raw.split(","))
+    except ValueError:  # not two parts, or a part that is not an integer
+        raise ValueError("--fix expects two comma-separated colors, e.g. 1,2") from None
     if cu not in COLORS or cv not in COLORS:
         raise ValueError("--fix colors must be in {1,2,3}")
     return cu, cv

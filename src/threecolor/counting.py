@@ -14,14 +14,15 @@ check them:
   sees, and refuses more than MAX_FREE_VERTICES free vertices,
 * a left-to-right transfer counter for the fan (`_path_interior_transfer`),
 * the frame level as a polynomial in (S, D), for any S (`_frame_combine`),
-* the frame level as a sum over the 13 proper frame colorings
-  (`_frame_combine_patterns`),
+* the frame level as a sum over the 13 proper frame colorings with
+  terminals (1,2) (`_frame_combine_patterns`), read off the 84 proper
+  colorings of P(u,v,5), which `iter_colorings` lists once, at import,
 * a per-coloring extension counter for colorings of the inner vertex set,
-  which checks and counts a coloring by one table lookup per frame, the
-  seven vertices of one copy of P(u,v,5) as the gadget writer recorded
-  them.  The table is built from the graph's own edges among a frame's
-  vertices, and the recorded frames are checked once per gadget against
-  its edges and leaf pairs.
+  which checks and counts a coloring by one lookup per frame, the seven
+  vertices of one copy of P(u,v,5) as the gadget writer recorded them, in
+  a table of those 84 colorings.  Each recorded frame is checked once per
+  gadget to have P(u,v,5)'s edges, and the frames against the gadget's
+  inner edges and leaf pairs.
 
 Pair counts (S, D) are the number of colorings with the two terminals fixed
 to the same color (1,1) resp. to the ordered pair (1,2); by color-permutation
@@ -30,14 +31,14 @@ All counts are exact arbitrary-precision integers.
 """
 from __future__ import annotations
 
-import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from operator import getitem
 from typing import Iterator, Mapping, Optional
 
-from .gadgets import Gadget, build_P, check_k_ell
+from .gadgets import CHILD_PAIRS, Gadget, build_P, check_k_ell
 from .graphs import COLORS, Graph, induced_subgraph
 
 DEFAULT_BIT_BUDGET = 10 ** 7
@@ -290,41 +291,22 @@ def path_pair_counts(b: int, *, bit_budget: int = DEFAULT_BIT_BUDGET) -> PairCou
     return pc
 
 
-# The 3^5 raw frame assignments of v1..v5, filtered to proper colorings of
-# P(u,v,5) given the terminal colors, reduced to which of the equalities
-# v1=v3, v2=v4, v3=v5 hold.  Computed once; 2 same-terminal entries (both
-# fully equal, the alternating colorings) and 13 diff-terminal entries.
-def _frame_equality_patterns(color_u: int, color_v: int) -> tuple[tuple[bool, bool, bool], ...]:
-    patterns = []
-    for a in itertools.product(COLORS, repeat=5):
-        if any(a[i] == a[i + 1] for i in range(4)):
-            continue
-        if a[0] == color_u or a[2] == color_u or a[4] == color_u:
-            continue
-        if a[1] == color_v or a[3] == color_v:
-            continue
-        patterns.append((a[0] == a[2], a[1] == a[3], a[2] == a[4]))
-    return tuple(patterns)
-
-
-_FRAME_PATTERNS_SAME = _frame_equality_patterns(1, 1)
-_FRAME_PATTERNS_DIFF = _frame_equality_patterns(1, 2)
+# Every level of T(u,v,k,l) is a frame P(u,v,5), and the fan's numbering
+# (u, v, v1, ..., v5) is the frame's order, so its 84 proper colorings, as
+# color tuples, serve lemma 2, the 13 frame patterns and the extension
+# tables.  Each maps to which of v1=v3, v2=v4, v3=v5 hold.
+_FAN5 = build_P(5, check=False).graph
+_FAN5_EDGES = _FAN5.edges
+_FRAME_EQUALITIES = {c: tuple(c[i] == c[j] for i, j in CHILD_PAIRS)
+                     for c in (tuple(col.values()) for col in iter_colorings(_FAN5))}
+_FRAME_PATTERNS_SAME = tuple(eq for c, eq in _FRAME_EQUALITIES.items() if c[:2] == (1, 1))
+_FRAME_PATTERNS_DIFF = tuple(eq for c, eq in _FRAME_EQUALITIES.items() if c[:2] == (1, 2))
+assert len(_FRAME_EQUALITIES) == 84
 assert _FRAME_PATTERNS_SAME == ((True, True, True),) * 2
 assert len(_FRAME_PATTERNS_DIFF) == 13
-
-
-def _equality_profile(patterns) -> tuple[int, ...]:
-    """How many patterns hold 0, 1, 2 and 3 equal child terminal pairs."""
-    profile = [0] * 4
-    for pattern in patterns:
-        profile[sum(pattern)] += 1
-    return tuple(profile)
-
-
-# A pattern with j equal child pairs contributes S^j D^(3-j), so these
-# profiles are the coefficients of the closed form in `_frame_combine`.
-assert _equality_profile(_FRAME_PATTERNS_SAME) == (0, 0, 0, 2)
-assert _equality_profile(_FRAME_PATTERNS_DIFF) == (0, 4, 6, 3)
+# A pattern with j equal child pairs contributes S^j D^(3-j), so this
+# profile gives the coefficients of the closed form in `_frame_combine`.
+assert Counter(map(sum, _FRAME_PATTERNS_DIFF)) == {1: 4, 2: 6, 3: 3}
 
 
 def _frame_combine(child: PairCounts) -> PairCounts:
@@ -464,12 +446,6 @@ def total_colorings(pc: PairCounts) -> int:
     return 3 * pc.same + 6 * pc.diff
 
 
-@cache
-def _fan5_edges() -> tuple[tuple[int, int], ...]:
-    """The edges of P(u,v,5), built on first use."""
-    return build_P(5, check=False).graph.edges
-
-
 def lemma2_classify(psi: Mapping[int, int]) -> Lemma2Verdict:
     """Classify a proper coloring of P(u,v,5) (indices u=0, v=1, v_i=i+1).
 
@@ -481,13 +457,22 @@ def lemma2_classify(psi: Mapping[int, int]) -> Lemma2Verdict:
             raise ValueError(f"coloring is partial: vertex {v} has no color")
         if psi[v] not in COLORS:
             raise ValueError(f"vertex {v} assigned invalid color {psi[v]}")
-    for a, b in _fan5_edges():
+    for a, b in _FAN5_EDGES:
         if psi[a] == psi[b]:
             raise ValueError(f"coloring is improper on edge ({a},{b})")
-    witness = frozenset(
-        i for i in (1, 2, 3) if psi[i + 1] == psi[i + 3]  # v_i vs v_{i+2}
-    )
+    witness = frozenset(i for i, (x, y) in enumerate(CHILD_PAIRS, 1) if psi[x] == psi[y])
     return Lemma2Verdict(witness, psi[0] == psi[1])
+
+
+@cache
+def _extension_tables(frames: int, leaf_b: int) -> tuple[tuple[dict, ...], int]:
+    """Per frame of a gadget with `frames` frames, top level first, a table
+    from each coloring of P(u,v,5) to its number of equal child pairs in a
+    bottom frame and to 0 in an upper one; and F(leaf_b + 2)."""
+    bottom = {c: sum(eq) for c, eq in _FRAME_EQUALITIES.items()}
+    upper = dict.fromkeys(_FRAME_EQUALITIES, 0)
+    tables = (upper,) * (frames // 3) + (bottom,) * (frames - frames // 3)
+    return tables, _fibonacci(leaf_b + 2)
 
 
 def count_extensions(
@@ -505,27 +490,27 @@ def count_extensions(
     F(b+2) when not, so with p leaf pairs, e of them agreeing, the count is
     the closed form 2^e * F(b+2)^(p-e).
 
-    A dict psi is checked and counted by one table lookup per frame
-    (`Gadget.frame_tables`); any lookup that misses, and any gadget without
-    checked recorded frames, falls back to checking psi vertex by vertex
-    and edge by edge, which alone raises.
+    A dict psi is checked and counted by one lookup per frame
+    (`Gadget.checked_frames`) in a table of P(u,v,5)'s colorings; any
+    lookup that misses, and any gadget without checked recorded frames,
+    falls back to checking psi vertex by vertex and edge by edge, which
+    alone raises.
     """
     if ell < 1:
         raise ValueError("extension counting needs ell >= 1")
     if (gadget.k, gadget.ell) != (k, ell):
         raise ValueError("gadget does not match (k, ell)")
-    layout = gadget.frame_tables
+    flat = gadget.checked_frames
     inner = gadget.registry.inner_set
     # Exactly a dict: a subclass's __missing__ could color a vertex psi lacks.
-    if layout is not None and type(psi) is dict and len(psi) == len(inner):
-        flat, tables = layout
+    if flat is not None and type(psi) is dict and len(psi) == len(inner):
+        tables, fib = _extension_tables(len(flat) // 7, gadget.registry.leaf_b)
         try:  # a missing vertex, an invalid color or an improper edge misses a table
             equal = sum(map(getitem, tables, zip(*[map(psi.__getitem__, flat)] * 7)))
         except (KeyError, TypeError):
             pass  # the checks below name the fault
         else:
-            p = len(gadget.registry.pairs)
-            return _fibonacci(gadget.registry.leaf_b + 2) ** (p - equal) << equal
+            return fib ** (len(gadget.registry.pairs) - equal) << equal
     if set(psi) != inner:
         raise ValueError("coloring must be total on the inner vertex set V_ell")
     for v, c in psi.items():

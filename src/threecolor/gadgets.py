@@ -14,10 +14,12 @@ e.g. "T2.T1.v3", and are made on first use.  Every gadget carries its plane
 embedding as a rotation system, written row by row in one pass: each
 frame's rotations take its children's terminal fans on the side facing
 their quadrilateral, and each leaf fan's path rows are written in bulk.
-A frame is the seven vertices (u, v, v1, ..., v5) of one copy of P(u,v,5);
-the writer records each frame as it writes the frame's rows, the registry
-keeps them, and the inner set is read off them.  A gadget checks its frames
-against its own edges once, on first use.
+A frame is the seven vertices (u, v, v1, ..., v5) of one copy of P(u,v,5),
+in P(u,v,5)'s own numbering; the writer records each frame as it writes the
+frame's rows, the registry keeps them, and the inner set is read off them.
+This module knows only that layout: a gadget checks once, on first use,
+that each frame has P(u,v,5)'s edges and that the frames hold every edge
+inside the inner set, and `counting` owns the colorings of a frame.
 """
 from __future__ import annotations
 
@@ -27,10 +29,10 @@ from itertools import accumulate, chain, combinations, repeat
 from typing import Optional
 
 from .embedding import RotationSystem, certify_with_faces
-from .graphs import COLORS, Graph, TerminalGraph
+from .graphs import Graph, TerminalGraph
 
 # The child terminal pairs (v1,v3), (v2,v4), (v3,v5) as positions in a frame.
-_CHILD_PAIRS = ((2, 4), (3, 5), (4, 6))
+CHILD_PAIRS = ((2, 4), (3, 5), (4, 6))
 
 
 @dataclass(frozen=True)
@@ -41,9 +43,10 @@ class LeafPairRegistry:
     lists their terminal pairs in construction order.  `inner_set` holds the
     vertices outside all leaf-copy interiors (leaf terminals included).
     `frames` lists the (3^l - 1)/2 frames (u, v, v1, ..., v5) as the writer
-    recorded them, top level first, so the last 3^(l-1) host the leaf pairs;
-    the inner set is {0, 1} and their vertices.  It is empty for a fan and
-    for a registry made by hand, and takes no part in comparisons.
+    recorded them, top level first, so the last 3^(l-1) host the leaf pairs
+    at positions CHILD_PAIRS; position i of a frame is vertex i of P(u,v,5).
+    The inner set is {0, 1} and the frames' vertices.  `frames` is empty for
+    a fan and for a registry made by hand, and takes no part in comparisons.
     """
 
     pairs: tuple[tuple[int, int], ...]
@@ -71,16 +74,14 @@ class Gadget:
         return self.tg.graph
 
     @cached_property
-    def frame_tables(self) -> Optional[tuple[tuple[int, ...], tuple[dict, ...]]]:
-        """The registry's frames for checking and counting an inner coloring.
+    def checked_frames(self) -> Optional[tuple[int, ...]]:
+        """The registry's frames, flattened in the order the writer recorded
+        them, so that an inner coloring is checked and counted seven
+        vertices at a time against the colorings of P(u,v,5).
 
-        Returns the frames' vertices, flattened in the order the writer
-        recorded them, and per frame a table.  The table maps each coloring
-        of the seven vertices that is proper on the graph's own edges among
-        them to its number of equal child pairs in a bottom frame, and to 0
-        in an upper one.  Returns None unless the registry has frames, every
-        frame has the first one's edges, the frames' edges are exactly the
-        edges inside the inner set, and the bottom frames' child pairs are
+        Returns None unless the registry has frames, every frame has exactly
+        P(u,v,5)'s edges by position, the frames' edges are exactly the edges
+        inside the inner set, and the bottom frames' child pairs are
         `registry.pairs`.
         """
         frames = self.registry.frames
@@ -91,23 +92,14 @@ class Gadget:
         def local_edges(f):  # the edges among a frame's vertices, by position
             return {(i, j) for i, j in combinations(range(7), 2) if f[j] in adjacency[f[i]]}
 
-        edges = local_edges(frames[0])
         bottom = frames[len(frames) // 3:]  # 3^(ell-1) of (3^ell - 1)/2
-        if (any(local_edges(f) != edges for f in frames)
-                or {(f[i], f[j]) for f in frames for i, j in edges}
+        if (any(local_edges(f) != _FRAME_EDGES for f in frames)
+                or {(f[i], f[j]) for f in frames for i, j in _FRAME_EDGES}
                 != {(a, b) for a in inner for b in adjacency[a] if a < b and b in inner}
-                or tuple((f[i], f[j]) for f in bottom for i, j in _CHILD_PAIRS)
+                or tuple((f[i], f[j]) for f in bottom for i, j in CHILD_PAIRS)
                 != self.registry.pairs):
             return None
-        proper = [()]  # the colorings of the first j vertices proper on their edges
-        for j in range(7):
-            earlier = [i for i, jj in edges if jj == j]
-            proper = [c + (x,) for c in proper for x in COLORS
-                      if all(c[i] != x for i in earlier)]
-        counts = {c: sum(c[i] == c[j] for i, j in _CHILD_PAIRS) for c in proper}
-        upper = dict.fromkeys(counts, 0)
-        flat = tuple(chain.from_iterable(frames))
-        return flat, (upper,) * (len(frames) - len(bottom)) + (counts,) * len(bottom)
+        return tuple(chain.from_iterable(frames))
 
 
 # Largest gadget that build_T and build_P make; T(6,9) has 1,308,919 vertices.
@@ -149,6 +141,10 @@ def _write(b: int, ell: int):
         rows[end - 1] = (u if b % 2 else v, ids[end - 2])  # for b = 1, rewritten below
         rows[base] = (ids[base + 1], u) if b > 1 else (u,)
     return rows, tuple((u, v) for u, v, _ in level), tuple(frames)
+
+
+# P(u,v,5)'s edges as positions in a frame (u, v, v1, ..., v5), read off its rows.
+_FRAME_EDGES = frozenset((i, j) for i, row in enumerate(_write(5, 0)[0]) for j in row if i < j)
 
 
 def _labels(b: int, ell: int) -> list[str]:

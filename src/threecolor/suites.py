@@ -9,7 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import bounds, counting, embedding
-from .gadgets import build_P, build_T, inner_set_size, vertex_count_closed_form
+from .gadgets import (build_P, build_T, checked_vertex_count, inner_set_size,
+                      vertex_count_closed_form)
 
 LEMMA3_DEFAULT_CASES = ((1, 1), (2, 1), (1, 2), (2, 2))
 
@@ -146,6 +147,7 @@ def run_embedding(ell_max: int = 4, k_max: int = 6) -> SuiteResult:
     on the hexagonal outer face, no bounded face shorter than a quad."""
     if ell_max < 0 or k_max < 1:
         raise ValueError("need ell_max >= 0 and k_max >= 1")
+    checked_vertex_count(k_max, ell_max)  # the sweep's largest gadget, refused before any build
     res = SuiteResult("embedding")
     for k in range(1, k_max + 1):
         for ell in range(0, ell_max + 1):

@@ -180,6 +180,26 @@ class TestCount:
                                "--fix", "1,9")
         assert code == 2
 
+    @pytest.mark.parametrize("fix", ["a,b", "1,x", "1", "1,2,3", ""])
+    def test_fix_not_two_integers_exit_2(self, capsys, fix):
+        code, out, err = run_cli(capsys, "count", "--k", "1", "--ell", "1", "--fix", fix)
+        assert (code, out) == (2, "")
+        assert err == "error: --fix expects two comma-separated colors, e.g. 1,2\n"
+
+    @pytest.mark.parametrize("budget", ["-5", "0"])
+    def test_nonpositive_bit_budget_flag_exit_2(self, capsys, budget):
+        code, out, err = run_cli(capsys, "count", "--k", "1", "--ell", "1",
+                                 "--bit-budget", budget)
+        assert (code, out) == (2, "")
+        assert err == ("error: the count of T(1,1) may need up to 12.08 bits,"
+                       f" over the budget of {budget}\n")
+
+    def test_negative_bit_budget_env_exit_2(self):
+        proc = run_cli_process("count", "--k", "1", "--ell", "1", timeout=10, budget_env="-1")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == ("error: the count of T(1,1) may need up to 12.08 bits,"
+                               " over the budget of -1\n")
+
     def test_json_output(self, capsys):
         code, out, _ = run_cli(capsys, "count", "--k", "1", "--ell", "1",
                                "--json", "--full")
@@ -382,6 +402,17 @@ class TestVerify:
         assert code == 0
         assert "T(2,1)" in out
 
+    def test_embedding_sweep_over_the_vertex_limit_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--suite", "embedding",
+                                 "--ell-max", "12", "--k-max", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: T(1,12) has 2391484 vertices, over the limit of 2097152\n"
+
+    def test_zero_bit_budget_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--suite", "eq3", "--bit-budget", "0")
+        assert (code, out) == (2, "")
+        assert err == "error: 2^16 needs 17 bits, over the budget of 0\n"
+
     def test_json_payload(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "remark", "--json")
         assert code == 0
@@ -434,6 +465,15 @@ class TestReport:
                                "--ell-max", "8", "--bit-budget", "1000")
         assert code == 1
         assert "ERROR" in out
+
+    def test_negative_bit_budget_gives_error_rows_and_exit_1(self, capsys):
+        code, out, _ = run_cli(capsys, "report", "--ell-min", "1", "--ell-max", "2",
+                               "--bit-budget", "-1")
+        assert code == 1
+        rows = out.splitlines()[2:]
+        assert rows[0].endswith("ERROR: 2^16 needs 17 bits, over the budget of -1")
+        assert rows[1].endswith("ERROR: 2^52 needs 53 bits, over the budget of -1")
+        assert rows[2] == "result: FAILURES PRESENT"
 
     def test_budget_error_row_names_the_eq3_power(self, capsys, monkeypatch):
         monkeypatch.delenv("THREECOLOR_BIT_BUDGET", raising=False)

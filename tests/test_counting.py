@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 import tracemalloc
 from types import MappingProxyType
 
@@ -597,6 +598,39 @@ class TestInnerSubgraphCounts:
         assert total <= 3 * 2 ** ((5 * 3 ** ell - 1) // 2 - 1)
 
 
+def frame_equality_patterns(color_u, color_v):
+    """The 3^5 assignments of v1..v5, filtered to proper colorings of
+    P(u,v,5) with the terminals fixed, reduced to which of v1=v3, v2=v4,
+    v3=v5 hold: a route that uses neither build_P nor iter_colorings."""
+    patterns = []
+    for a in itertools.product((1, 2, 3), repeat=5):
+        if any(a[i] == a[i + 1] for i in range(4)):
+            continue
+        if color_u in (a[0], a[2], a[4]) or color_v in (a[1], a[3]):
+            continue
+        patterns.append((a[0] == a[2], a[1] == a[3], a[2] == a[4]))
+    return patterns
+
+
+class TestFrameColorings:
+    """The one list of P(u,v,5)'s colorings against routes that build none of it."""
+
+    def test_patterns_match_the_hand_written_filter(self):
+        assert Counter(frame_equality_patterns(1, 1)) == Counter(counting._FRAME_PATTERNS_SAME)
+        assert Counter(frame_equality_patterns(1, 2)) == Counter(counting._FRAME_PATTERNS_DIFF)
+
+    @pytest.mark.parametrize("frames", [1, 4, 13])
+    def test_tables_list_the_colorings_of_the_fan(self, frames):
+        tables, fib = counting._extension_tables(frames, 4)
+        assert fib == 8  # F(6)
+        fan = build_P(5, check=False).graph
+        colorings = [tuple(col.values()) for col in product_filter_colorings(fan)]
+        # v1=v3, v2=v4 and v3=v5: the child pairs of a bottom frame
+        bottom = {c: (c[2] == c[4]) + (c[3] == c[5]) + (c[4] == c[6]) for c in colorings}
+        upper = dict.fromkeys(colorings, 0)
+        assert tables == (upper,) * (frames // 3) + (bottom,) * (frames - frames // 3)
+
+
 class TestLemma2Classify:
     def test_alternating_coloring_all_equalities(self):
         verdict = lemma2_classify({0: 3, 1: 3, 2: 1, 3: 2, 4: 1, 5: 2, 6: 1})
@@ -745,13 +779,12 @@ def frame_at(gadget, slot):
 class TestCountExtensionsByFrames:
     @pytest.mark.parametrize("k,ell", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 3)])
     def test_built_gadgets_pass_the_layout_check(self, k, ell):
-        flat, tables = build_T(k, ell, check=False).frame_tables
-        assert len(tables) == (3 ** ell - 1) // 2 == len(flat) // 7
-        assert all(len(table) == 84 for table in tables)  # P(u,v,5) has 84 colorings
+        flat = build_T(k, ell, check=False).checked_frames
+        assert len(flat) == 7 * (3 ** ell - 1) // 2
 
     def test_fans_have_no_frames(self):
-        assert build_T(2, 0, check=False).frame_tables is None
-        assert build_P(5, check=False).frame_tables is None
+        assert build_T(2, 0, check=False).checked_frames is None
+        assert build_P(5, check=False).checked_frames is None
 
     @pytest.mark.parametrize("k,ell", [(1, 2), (2, 2)])
     def test_sample_matches_oracle(self, k, ell):
@@ -804,13 +837,26 @@ class TestCountExtensionsByFrames:
         a, b = frame_at(built, slot)[i], frame_at(built, slot)[j]
         graph = Graph(built.graph.vertex_count, [e for e in built.graph.edges if e != (a, b)])
         g = Gadget(TerminalGraph(graph, 0, 1), 1, 2, built.registry, built.rotation)
-        assert g.frame_tables is None
+        assert g.checked_frames is None
         cases = random.Random(slot).sample(list(inner_colorings(g)), 20)
         cases.append(one_fault_coloring(built, a, b))  # proper once (a, b) is gone
         for other in (0, 1, 2, 3):  # the same frame edge improper in each frame
             frame = frame_at(built, other)
             if (frame[i], frame[j]) != (a, b):
                 cases.append(one_fault_coloring(built, frame[i], frame[j]))
+        for psi in cases:
+            assert outcome(lambda: count_extensions(1, 2, psi, gadget=g)) == \
+                per_edge_rule(g, psi)
+
+    @pytest.mark.parametrize("i,j", [(0, 2), (3, 4)])  # u-v1 and the path edge v2-v3
+    def test_gadget_missing_an_edge_in_every_frame(self, i, j):
+        built = build_T(1, 2, check=False)
+        cut = {(f[i], f[j]) for f in built.registry.frames}
+        graph = Graph(built.graph.vertex_count, [e for e in built.graph.edges if e not in cut])
+        g = Gadget(TerminalGraph(graph, 0, 1), 1, 2, built.registry, built.rotation)
+        assert g.checked_frames is None  # its frames are not P(u,v,5)
+        cases = random.Random(j).sample(list(inner_colorings(g)), 30)
+        assert any(psi[a] == psi[b] for psi in cases for a, b in cut)
         for psi in cases:
             assert outcome(lambda: count_extensions(1, 2, psi, gadget=g)) == \
                 per_edge_rule(g, psi)
