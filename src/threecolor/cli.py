@@ -76,7 +76,10 @@ def _parse_fix(raw: str | None):
 
 
 def cmd_count(args) -> int:
-    budget = _bit_budget(args.bit_budget)
+    budget = _bit_budget(args.bit_budget)  # read (and checked) for every method
+    for name, method in (("force", "brute"), ("cutoff", "brute"), ("bit_budget", "dp")):
+        if getattr(args, name) not in (None, False) and method != args.method:
+            raise ValueError(f"--{name.replace('_', '-')} does not apply to --method {args.method}")
     fix = _parse_fix(args.fix)
     if args.method == "dp":
         pc = counting.gadget_pair_counts(args.k, args.ell, bit_budget=budget)
@@ -86,17 +89,15 @@ def cmd_count(args) -> int:
             value = pc.same if fix[0] == fix[1] else pc.diff
     else:
         n = vertex_count_closed_form(args.k, args.ell)
-        if n > args.cutoff and not args.force:
+        cutoff = counting.DEFAULT_BRUTE_FORCE_CUTOFF if args.cutoff is None else args.cutoff
+        if n > cutoff and not args.force:
             raise counting.BruteForceCutoffError(
-                f"{n} vertices exceeds the brute-force cutoff {args.cutoff}"
-                " (use --force to override)"
-            )
+                f"{n} vertices exceeds the brute-force cutoff {cutoff} (use --force to override)")
         counting.check_free_vertices(n - (0 if fix is None else 2))
         gadget = build_T(args.k, args.ell, check=False)
         fixed = None if fix is None else {0: fix[0], 1: fix[1]}
-        value = counting.count_colorings_bruteforce(
-            gadget.graph, fixed, cutoff=args.cutoff, force=args.force
-        )
+        # The cutoff is checked above, before the gadget is built.
+        value = counting.count_colorings_bruteforce(gadget.graph, fixed, force=True)
     if args.json:
         doc = {
             "k": args.k,
@@ -200,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cnt.add_argument("--full", action="store_true", help="print the full decimal count")
     p_cnt.add_argument("--force", action="store_true",
                        help="run the brute-force oracle past its cutoff")
-    p_cnt.add_argument("--cutoff", type=int, default=counting.DEFAULT_BRUTE_FORCE_CUTOFF)
+    p_cnt.add_argument("--cutoff", type=int, default=None)
     p_cnt.add_argument("--bit-budget", type=int, default=None)
     p_cnt.add_argument("--json", action="store_true")
     p_cnt.set_defaults(func=cmd_count)

@@ -5,24 +5,23 @@ Fibonacci number computed by fast doubling, and each recursion level of
 T(u,v,k,l) maps (S, D) to (2S^3, S(3S^2 + 6SD + 4D^2)).  S is always a power
 of two, so the levels run on (e, r) with S = 2^e and r = 2D/S, where a level
 is e -> 3e + 1 and r -> r^2 + 3r + 3: one squaring of r, and no product with
-S.  Five slower routes, kept deliberately independent, are the oracles that
+S.  Four slower routes, kept deliberately independent, are the oracles that
 check them:
 
 * a brute-force backtracking oracle over any small graph, which lists each
   free vertex's colored neighbors once, caches each level's count per call
   by the colors of the earlier free vertices the rest of the search still
-  sees, and refuses more than MAX_FREE_VERTICES free vertices,
+  sees, and refuses too many free vertices or a search past its cache,
 * a left-to-right transfer counter for the fan (`_path_interior_transfer`),
-* the frame level as a polynomial in (S, D), for any S (`_frame_combine`),
 * the frame level as a sum over the 13 proper frame colorings with
   terminals (1,2) (`_frame_combine_patterns`), read off the 84 proper
-  colorings of P(u,v,5), which `iter_colorings` lists once, at import,
+  colorings of P(u,v,5), which `iter_colorings` lists once, at import;
+  the tests tie the ratio step to it as a polynomial identity in (S, D),
 * a per-coloring extension counter for colorings of the inner vertex set,
   which checks and counts a coloring by one lookup per frame, the seven
   vertices of one copy of P(u,v,5) as the gadget writer recorded them, in
-  a table of those 84 colorings.  Each recorded frame is checked once per
-  gadget to have P(u,v,5)'s edges, and the frames against the gadget's
-  inner edges and leaf pairs.
+  a table of those 84 colorings.  The frames are checked once per gadget
+  against the gadget's inner edges and leaf pairs.
 
 Pair counts (S, D) are the number of colorings with the two terminals fixed
 to the same color (1,1) resp. to the ordered pair (1,2); by color-permutation
@@ -38,7 +37,7 @@ from functools import cache
 from operator import getitem
 from typing import Iterator, Mapping, Optional
 
-from .gadgets import CHILD_PAIRS, Gadget, build_P, check_k_ell
+from .gadgets import CHILD_PAIRS, FRAME_EDGES, Gadget, build_P, check_k_ell
 from .graphs import COLORS, Graph, induced_subgraph
 
 DEFAULT_BIT_BUDGET = 10 ** 7
@@ -149,8 +148,10 @@ def iter_colorings(
 
 
 # The oracle caches at most this many sub-search counts per call, so that a
-# graph too large to finish holds bounded memory.
+# graph too large to finish holds bounded memory; once the cache is full, it
+# refuses after this many more sub-searches, so that such a graph stops.
 _CACHE_ENTRIES = 2 ** 18
+_UNCACHED_SEARCHES = 2 ** 20
 # A cache key holds the level in its low bits, so no two levels share a key.
 _LEVEL_BITS = MAX_FREE_VERTICES.bit_length()
 
@@ -171,7 +172,9 @@ def count_colorings_bruteforce(
     at that level or later sees, so each level's count is cached per call
     by those colors and the level, up to _CACHE_ENTRIES entries.  Refuses
     graphs above the vertex cutoff (default 20) unless `force` is given,
-    and always refuses more than MAX_FREE_VERTICES free vertices.
+    and always refuses more than MAX_FREE_VERTICES free vertices, and a
+    search that makes more than _UNCACHED_SEARCHES sub-searches past a full
+    cache.
     """
     if g.vertex_count > cutoff and not force:
         raise BruteForceCutoffError(
@@ -194,8 +197,10 @@ def count_colorings_bruteforce(
             frontier += (v,)
     last = len(order) - 1
     cache: dict[int, int] = {}
+    uncached = _UNCACHED_SEARCHES
 
     def rec(i: int) -> int:
+        nonlocal uncached
         key = 0
         for w in frontiers[i]:
             key = key << 3 | bits[w]
@@ -218,6 +223,10 @@ def count_colorings_bruteforce(
             bits[v] = 0
         if len(cache) < _CACHE_ENTRIES:
             cache[key] = total
+        elif (uncached := uncached - 1) < 0:
+            raise BruteForceCutoffError(
+                f"the search of {g.vertex_count} vertices outgrew its cache of"
+                f" {_CACHE_ENTRIES} entries by {_UNCACHED_SEARCHES} sub-searches")
         return total
 
     return rec(0) if order else 1
@@ -283,10 +292,7 @@ def path_pair_counts(b: int, *, bit_budget: int = DEFAULT_BIT_BUDGET) -> PairCou
             f"the fan's D = F(b + 2) may need up to {bits:.4g} bits,"
             f" over the budget of {bit_budget}"
         )
-    pc = PairCounts(
-        same=path_interior_count(b, 1, 1),
-        diff=path_interior_count(b, 1, 2),
-    )
+    pc = PairCounts(path_interior_count(b, 1, 1), path_interior_count(b, 1, 2))
     assert pc.same == 2, f"fan invariant violated at b={b}"
     return pc
 
@@ -295,42 +301,25 @@ def path_pair_counts(b: int, *, bit_budget: int = DEFAULT_BIT_BUDGET) -> PairCou
 # (u, v, v1, ..., v5) is the frame's order, so its 84 proper colorings, as
 # color tuples, serve lemma 2, the 13 frame patterns and the extension
 # tables.  Each maps to which of v1=v3, v2=v4, v3=v5 hold.
-_FAN5 = build_P(5, check=False).graph
-_FAN5_EDGES = _FAN5.edges
-_FRAME_EQUALITIES = {c: tuple(c[i] == c[j] for i, j in CHILD_PAIRS)
-                     for c in (tuple(col.values()) for col in iter_colorings(_FAN5))}
+_FRAME_EQUALITIES = {c: tuple(c[i] == c[j] for i, j in CHILD_PAIRS) for c in (
+    tuple(col.values()) for col in iter_colorings(build_P(5, check=False).graph))}
 _FRAME_PATTERNS_SAME = tuple(eq for c, eq in _FRAME_EQUALITIES.items() if c[:2] == (1, 1))
 _FRAME_PATTERNS_DIFF = tuple(eq for c, eq in _FRAME_EQUALITIES.items() if c[:2] == (1, 2))
 assert len(_FRAME_EQUALITIES) == 84
 assert _FRAME_PATTERNS_SAME == ((True, True, True),) * 2
 assert len(_FRAME_PATTERNS_DIFF) == 13
 # A pattern with j equal child pairs contributes S^j D^(3-j), so this
-# profile gives the coefficients of the closed form in `_frame_combine`.
+# profile gives the level's closed form D' = 3S^3 + 6S^2 D + 4S D^2.
 assert Counter(map(sum, _FRAME_PATTERNS_DIFF)) == {1: 4, 2: 6, 3: 3}
 
 
-def _frame_combine(child: PairCounts) -> PairCounts:
-    """Reference route for `_frame_levels`, for any (S, D): one recursion
-    level as S' = 2S^3 and D' = 3S^3 + 6S^2 D + 4S D^2 = S(3S^2 + 6SD + 4D^2)."""
-    s, d = child.same, child.diff
-    s2 = s * s
-    return PairCounts(2 * s2 * s, s * (3 * s2 + 6 * s * d + 4 * d * d))
-
-
 def _frame_combine_patterns(child: PairCounts) -> PairCounts:
-    """Reference route for `_frame_combine`: sum over proper frame colorings
-    of the product of child pair counts, one factor per hosted terminal
-    pair."""
+    """Reference route for `_frame_levels`, for any (S, D): sum over proper
+    frame colorings of the product of child pair counts, one factor per
+    hosted terminal pair."""
 
     def weight(patterns):
-        total = 0
-        for e1, e2, e3 in patterns:
-            total += (
-                (child.same if e1 else child.diff)
-                * (child.same if e2 else child.diff)
-                * (child.same if e3 else child.diff)
-            )
-        return total
+        return sum(math.prod(child.same if eq else child.diff for eq in p) for p in patterns)
 
     return PairCounts(weight(_FRAME_PATTERNS_SAME), weight(_FRAME_PATTERNS_DIFF))
 
@@ -338,7 +327,7 @@ def _frame_combine_patterns(child: PairCounts) -> PairCounts:
 def _frame_levels(e: int, r: int, levels: int) -> PairCounts:
     """Run `levels` frame levels from S = 2^e, D = r * 2^(e-1), i.e. r = 2D/S.
 
-    `_frame_combine` gives S' = 2S^3 = 2^(3e+1) and
+    The 13 frame patterns give S' = 2S^3 = 2^(3e+1) and
     D' = S(3S^2 + 6SD + 4D^2) = 2^(3e) (r^2 + 3r + 3), so a level is one
     squaring of r.  (e, r) = (0, 2) is S = D = 1.
     """
@@ -457,7 +446,7 @@ def lemma2_classify(psi: Mapping[int, int]) -> Lemma2Verdict:
             raise ValueError(f"coloring is partial: vertex {v} has no color")
         if psi[v] not in COLORS:
             raise ValueError(f"vertex {v} assigned invalid color {psi[v]}")
-    for a, b in _FAN5_EDGES:
+    for a, b in FRAME_EDGES:
         if psi[a] == psi[b]:
             raise ValueError(f"coloring is improper on edge ({a},{b})")
     witness = frozenset(i for i, (x, y) in enumerate(CHILD_PAIRS, 1) if psi[x] == psi[y])

@@ -13,21 +13,9 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Optional
 
-from .graphs import LONG_ROW, Graph, induced_subgraph, triangle_count
+from .graphs import Graph, hashed_rows, induced_subgraph, triangle_count
 
 Face = tuple[int, ...]
-
-
-class _IndexedRow(tuple):
-    """A rotation row longer than LONG_ROW whose `index` is a dict lookup."""
-
-    def __init__(self, row):
-        self.at = dict(zip(row, range(len(row))))
-
-    def index(self, x):
-        if x not in self.at:
-            raise ValueError("tuple.index(x): x not in tuple")
-        return self.at[x]
 
 
 @dataclass
@@ -55,7 +43,7 @@ def trace_faces(g: Graph, rot: RotationSystem) -> list[Face]:
     start from the darts a -> order[a][i] in (a, i) order.
     Raises ValueError if the rotation is inconsistent with the graph.  The
     rotation that `Graph.from_rotation` checked for `g` (the same object)
-    is not compared again; a row over LONG_ROW is indexed by a dict.
+    is not compared again; a long row is searched by hash (`hashed_rows`).
     """
     order = rot.order
     n = g.vertex_count
@@ -66,8 +54,7 @@ def trace_faces(g: Graph, rot: RotationSystem) -> list[Face]:
             if sorted(row) != sorted(nbrs):
                 raise ValueError(f"rotation at vertex {a} does not match its edges")
     lengths = list(map(len, order))
-    if max(lengths, default=0) > LONG_ROW:
-        order = [_IndexedRow(row) if len(row) > LONG_ROW else row for row in order]
+    order = hashed_rows(order, lengths)
     offset = list(accumulate(lengths, initial=0))
 
     visited = bytearray(offset[n])

@@ -18,18 +18,18 @@ A frame is the seven vertices (u, v, v1, ..., v5) of one copy of P(u,v,5),
 in P(u,v,5)'s own numbering; the writer records each frame as it writes the
 frame's rows, the registry keeps them, and the inner set is read off them.
 This module knows only that layout: a gadget checks once, on first use,
-that each frame has P(u,v,5)'s edges and that the frames hold every edge
-inside the inner set, and `counting` owns the colorings of a frame.
+that the frames' P(u,v,5) edges are exactly the edges inside the inner set,
+and `counting` owns the colorings of a frame.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import accumulate, chain, combinations, repeat
+from itertools import accumulate, chain, repeat
 from typing import Optional
 
 from .embedding import RotationSystem, certify_with_faces
-from .graphs import Graph, TerminalGraph
+from .graphs import Graph, TerminalGraph, ascending_edges
 
 # The child terminal pairs (v1,v3), (v2,v4), (v3,v5) as positions in a frame.
 CHILD_PAIRS = ((2, 4), (3, 5), (4, 6))
@@ -79,22 +79,17 @@ class Gadget:
         them, so that an inner coloring is checked and counted seven
         vertices at a time against the colorings of P(u,v,5).
 
-        Returns None unless the registry has frames, every frame has exactly
-        P(u,v,5)'s edges by position, the frames' edges are exactly the edges
-        inside the inner set, and the bottom frames' child pairs are
-        `registry.pairs`.
+        Returns None unless the registry has frames, P(u,v,5)'s edges mapped
+        through every frame are exactly the edges inside the inner set (so an
+        edge among a frame's vertices is checked by some frame's table), and
+        the bottom frames' child pairs are `registry.pairs`.
         """
         frames = self.registry.frames
         if not frames:
             return None
         adjacency, inner = self.graph.adjacency, self.registry.inner_set
-
-        def local_edges(f):  # the edges among a frame's vertices, by position
-            return {(i, j) for i, j in combinations(range(7), 2) if f[j] in adjacency[f[i]]}
-
         bottom = frames[len(frames) // 3:]  # 3^(ell-1) of (3^ell - 1)/2
-        if (any(local_edges(f) != _FRAME_EDGES for f in frames)
-                or {(f[i], f[j]) for f in frames for i, j in _FRAME_EDGES}
+        if ({(f[i], f[j]) for f in frames for i, j in FRAME_EDGES}
                 != {(a, b) for a in inner for b in adjacency[a] if a < b and b in inner}
                 or tuple((f[i], f[j]) for f in bottom for i, j in CHILD_PAIRS)
                 != self.registry.pairs):
@@ -143,8 +138,8 @@ def _write(b: int, ell: int):
     return rows, tuple((u, v) for u, v, _ in level), tuple(frames)
 
 
-# P(u,v,5)'s edges as positions in a frame (u, v, v1, ..., v5), read off its rows.
-_FRAME_EDGES = frozenset((i, j) for i, row in enumerate(_write(5, 0)[0]) for j in row if i < j)
+# P(u,v,5)'s edges, ascending, as positions in a frame (u, v, v1, ..., v5).
+FRAME_EDGES = tuple(ascending_edges(_write(5, 0)[0]))
 
 
 def _labels(b: int, ell: int) -> list[str]:

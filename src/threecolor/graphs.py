@@ -3,16 +3,17 @@
 Vertices are dense 0-based indices, and a neighbor tuple per vertex is the
 only edge store.  A graph made from a rotation keeps the rows it checked as
 that store, in rotation order, so that the face tracer need not check them
-again; any other graph's rows are ascending.  Labels are an optional parallel
-decoration (never used for adjacency), possibly made on first use.  Colors
-are the literals 1, 2, 3.
+again; any other graph's rows are ascending.  `ascending_edges` reads the
+edges of either in one order, and `hashed_rows` searches long rows by hash.
+Labels are an optional parallel decoration (never used for adjacency),
+possibly made on first use.  Colors are the literals 1, 2, 3.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import contains, getitem, ne
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 COLORS = (1, 2, 3)
 
@@ -20,6 +21,32 @@ Edge = tuple[int, int]
 
 # Rows longer than this are searched by hash, so degree d costs O(d), not O(d^2).
 LONG_ROW = 256
+
+
+class _IndexedRow(tuple):
+    """A row longer than LONG_ROW whose `in` and `index` are dict lookups."""
+
+    def __init__(self, row):
+        self.at = dict(zip(row, range(len(row))))
+
+    def __contains__(self, x):
+        return x in self.at
+
+    def index(self, x):
+        if x not in self.at:
+            raise ValueError("tuple.index(x): x not in tuple")
+        return self.at[x]
+
+
+def hashed_rows(rows: Sequence[Sequence[int]], lengths: Sequence[int]) -> Sequence[Sequence[int]]:
+    """`rows`, whose lengths are `lengths`, each row over LONG_ROW as an `_IndexedRow`."""
+    return rows if max(lengths, default=0) <= LONG_ROW else [
+        _IndexedRow(row) if len(row) > LONG_ROW else row for row in rows]
+
+
+def ascending_edges(adjacency: Sequence[Sequence[int]]) -> Iterator[Edge]:
+    """Every edge of the rows once as (a, b) with a < b, in ascending order, lazily."""
+    return ((a, b) for a, nbrs in enumerate(adjacency) for b in sorted(nbrs) if a < b)
 
 
 def _checked_labels(labels: Iterable[str], vertex_count: int) -> tuple[str, ...]:
@@ -80,8 +107,7 @@ class Graph:
         if any(map(ne, map(len, map(set, rotation)), degrees)):
             raise ValueError("the rotation has a repeated neighbor")
         # Dart by dart: is the source among the target's neighbors?
-        lookup = rotation if max(degrees, default=0) <= LONG_ROW else [
-            frozenset(row) if len(row) > LONG_ROW else row for row in rotation]
+        lookup = hashed_rows(rotation, degrees)
         sources = chain.from_iterable(map(repeat, range(n), degrees))
         rows = map(getitem, repeat(lookup), chain.from_iterable(rotation))
         try:
@@ -114,8 +140,7 @@ class Graph:
     @property
     def edges(self) -> tuple[Edge, ...]:
         """Every edge once as (a, b) with a < b, in ascending order."""
-        return tuple((a, b) for a, nbrs in enumerate(self.adjacency)
-                     for b in sorted(nbrs) if a < b)
+        return tuple(ascending_edges(self.adjacency))
 
     def has_edge(self, a: int, b: int) -> bool:
         return 0 <= a < self.vertex_count and b in self.adjacency[a]

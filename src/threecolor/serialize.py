@@ -20,7 +20,7 @@ from typing import Iterator
 
 from .embedding import trace_faces
 from .gadgets import Gadget
-from .graphs import Graph
+from .graphs import Graph, ascending_edges
 
 GRAPH6_MAX_BYTES = 2 ** 24
 # The most vertices whose graph6 line, 4 + ceil(n(n-1)/12) bytes, fits.
@@ -76,8 +76,7 @@ def to_dot(g: Graph, name: str = "G") -> str:
         else:
             escaped = label.replace('"', '\\"')
             lines.append(f'  {v} [label="{escaped}"];')
-    for a, nbrs in enumerate(g.adjacency):
-        lines.extend(f"  {a} -- {b};" for b in sorted(nbrs) if a < b)
+    lines.extend(f"  {a} -- {b};" for a, b in ascending_edges(g.adjacency))
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -97,8 +96,7 @@ class EdgeRows(list):
         return self.graph.edge_count
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        return ((a, b) for a, nbrs in enumerate(self.graph.adjacency)
-                for b in sorted(nbrs) if a < b)
+        return ascending_edges(self.graph.adjacency)
 
 
 def gadget_descriptor(gadget: Gadget, *, include_faces: bool = False) -> dict:

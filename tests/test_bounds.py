@@ -212,6 +212,21 @@ class TestFarLevels:
         assert lines[2] == (f"{ell:>4} {row.k:>3} {int_to_decimal(row.n)} {'-':>10}"
                             f"  ERROR: {row.error}")
 
+    @pytest.mark.parametrize("ell", [6_600, 9_100])
+    def test_one_error_row_in_json(self, ell):
+        default = getattr(sys.int_info, "default_max_str_digits", 0)
+        with int_str_limit(default), deadline(10):
+            report = emit_report(range(ell, ell + 1))
+            text = report_to_json(report)
+        [row] = report.rows
+        assert not report.ok and row.error is not None
+        with int_str_limit(0):  # parsing n's digits needs no limit either
+            doc = json.loads(text)
+        assert doc == {"version": 1, "rows": [{
+            "ell": ell, "k": row.k, "n": row.n, "c_bits": 0, "checks": {},
+            "error": row.error}]}
+        assert f'"n": {int_to_decimal(row.n)},' in text
+
 
 class TestIntToDecimal:
     def test_small(self):

@@ -8,7 +8,7 @@ import sys
 import networkx as nx
 import pytest
 import threecolor
-from threecolor import embedding, serialize
+from threecolor import counting, embedding, serialize
 from threecolor.cli import main
 from threecolor.counting import MAX_FREE_VERTICES
 
@@ -229,6 +229,31 @@ class TestCount:
         assert outputs[0].stdout == outputs[1].stdout
         assert "count: 241610832445358211072" in outputs[0].stdout
 
+    @pytest.mark.parametrize("argv,option", [
+        (("--method", "dp", "--force"), "--force"),
+        (("--method", "dp", "--cutoff", "3"), "--cutoff"),
+        (("--method", "brute", "--bit-budget", "100"), "--bit-budget"),
+    ])
+    def test_option_of_the_other_method_exit_2(self, capsys, argv, option):
+        code, out, err = run_cli(capsys, "count", "--k", "2", "--ell", "2", *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {option} does not apply to --method {argv[1]}\n"
+
+    def test_bit_budget_env_checked_for_brute(self):
+        proc = run_cli_process("count", "--k", "1", "--ell", "1", "--method", "brute",
+                               timeout=10, budget_env="junk")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: invalid THREECOLOR_BIT_BUDGET: 'junk'\n"
+
+    def test_forced_brute_past_its_cache_stops(self):
+        # T(4,3) has 499 vertices; its search fills the cache within a second
+        # and would then run for much longer than this test allows.
+        proc = run_cli_process("count", "--k", "4", "--ell", "3", "--method", "brute",
+                               "--force", timeout=15)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            f"error: the search of 499 vertices outgrew its cache of {counting._CACHE_ENTRIES}"
+            f" entries by {counting._UNCACHED_SEARCHES} sub-searches\n")
 
     def test_huge_fan_refused_before_any_work(self):
         proc = run_cli_process("count", "--k", "40", "--ell", "0", timeout=10)
@@ -490,6 +515,13 @@ class TestReport:
         rows = proc.stdout.splitlines()[2:]
         assert len(rows) == 2 and rows[-1] == "result: FAILURES PRESENT"
         assert rows[0].startswith("9100 5324 ") and " ERROR: 2^" in rows[0]
+
+    def test_far_level_is_an_error_row_in_json(self):
+        proc = run_cli_process("report", "--ell-min", "9100", "--ell-max", "9100", "--json",
+                               timeout=10)
+        assert (proc.returncode, proc.stderr) == (1, "")
+        assert '"ell": 9100,\n      "k": 5324,\n      "n": 3069' in proc.stdout
+        assert '"c_bits": 0,\n      "checks": {},\n      "error": "2^' in proc.stdout
 
     def test_bit_budget_env(self, capsys, monkeypatch):
         monkeypatch.setenv("THREECOLOR_BIT_BUDGET", "1000")

@@ -29,7 +29,6 @@ from threecolor.counting import (
     BitBudgetExceededError,
     BruteForceCutoffError,
     PairCounts,
-    _frame_combine,
     _frame_combine_patterns,
     _frame_levels,
     _path_interior_transfer,
@@ -41,6 +40,7 @@ from threecolor.counting import (
 from threecolor.gadgets import Gadget
 from threecolor.graphs import Graph, TerminalGraph
 
+from frame_polynomial import frame_combine
 from graph_strategies import graphs_with_partial_colorings, small_graphs
 
 # Fibonacci-like growth of the distinct-terminal transfer values, frozen
@@ -341,7 +341,7 @@ class TestClosedFormsAgainstReferenceRoutes:
     @given(st.integers(min_value=0), st.integers(min_value=0))
     def test_frame_closed_form_matches_pattern_sum(self, s, d):
         child = PairCounts(s, d)
-        assert _frame_combine(child) == _frame_combine_patterns(child)
+        assert frame_combine(child) == _frame_combine_patterns(child)
 
     @pytest.mark.parametrize("ell", range(7))
     def test_inner_subgraph_counts_unchanged(self, ell):
@@ -431,14 +431,14 @@ RATIO_CASES = sorted({(k, ell) for ell in range(14) for k in (1, 2, gadgets.choo
 
 @pytest.fixture(scope="module")
 def frame_combine_chains():
-    """_frame_combine iterated from each base, one chain per start: the fans
+    """frame_combine iterated from each base, one chain per start: the fans
     P(2^k) for the gadgets and S = D = 1 for the inner subgraph (key None)."""
     chains = {}
     for start in sorted({k for k, _ in RATIO_CASES}) + [None]:
         pc = PairCounts(1, 1) if start is None else path_pair_counts(2 ** start)
         chain = [pc]
         for _ in range(max(ell for k, ell in RATIO_CASES if k == start or start is None)):
-            pc = _frame_combine(pc)
+            pc = frame_combine(pc)
             chain.append(pc)
         chains[start] = chain
     return chains
@@ -454,7 +454,7 @@ def _ratio(pc: PairCounts) -> tuple[int, int]:
 
 
 class TestRatioForm:
-    """The levels run on (e, r), S = 2^e and r = 2D/S, against `_frame_combine`."""
+    """The levels run on (e, r), S = 2^e and r = 2D/S, against `frame_combine`."""
 
     @pytest.mark.parametrize("k,ell", RATIO_CASES)
     def test_gadget_matches_iterated_frame_combine(self, k, ell, frame_combine_chains):
@@ -468,7 +468,7 @@ class TestRatioForm:
     @example(1, 0)
     @example(1, 3)
     def test_one_ratio_step_is_one_frame_combine(self, e, r):
-        assert _frame_levels(e, r, 1) == _frame_combine(PairCounts(2 ** e, r << (e - 1)))
+        assert _frame_levels(e, r, 1) == frame_combine(PairCounts(2 ** e, r << (e - 1)))
 
     @pytest.mark.parametrize("k,ell", RATIO_CASES)
     def test_gadget_invariants(self, k, ell):
@@ -485,6 +485,30 @@ class TestRatioForm:
         assert e == (3 ** ell - 1) // 2
         assert r % 2 == 1 or ell == 0
         assert total_colorings(pc) == 3 * 2 ** e * (r + 1)
+
+
+class TestRatioStepIdentity:
+    """One ratio step equals the sum over the 13 frame colorings, as a
+    polynomial identity in (S, D).  From S = 2^e and r = 2D/S, the step
+    gives S' = 2S^3 and D' = S^3 q(2D/S) with q(r) = r^2 + 3r + 3 quadratic,
+    so each side has degree <= 3 in S and <= 2 in D; so does the pattern
+    sum, since each pattern contributes S^j D^(3-j) with j >= 1 equal child
+    pairs.  Two such polynomials that agree on a 4 x 3 grid are equal, so
+    the step holds for every (S, D), not only at the grid."""
+
+    GRID_S = (1, 2, 4, 8)  # S = 2^e for e = 0..3
+    GRID_D = (4, 8, 12)    # r = 2D/S is an integer for every S above
+
+    def test_each_pattern_has_an_equal_child_pair(self):
+        assert all(sum(p) >= 1 for p in counting._FRAME_PATTERNS_DIFF)
+        assert all(sum(p) == 3 for p in counting._FRAME_PATTERNS_SAME)
+
+    def test_ratio_step_is_the_pattern_sum_on_the_grid(self):
+        for s in self.GRID_S:
+            e = s.bit_length() - 1
+            for d in self.GRID_D:
+                assert _frame_levels(e, 2 * d // s, 1) == _frame_combine_patterns(
+                    PairCounts(s, d))
 
 
 class TestGadgetPairCountsBudget:

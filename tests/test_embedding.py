@@ -1,10 +1,9 @@
 import pytest
 from hypothesis import given
 
-from threecolor import build_P, build_T, certify, embedding
+from threecolor import build_P, build_T, certify, graphs
 from threecolor.embedding import (
     RotationSystem,
-    _IndexedRow,
     euler_check,
     face_length_histogram,
     min_bounded_face_length,
@@ -12,7 +11,7 @@ from threecolor.embedding import (
     trace_faces,
 )
 from threecolor.gadgets import vertex_count_closed_form
-from threecolor.graphs import LONG_ROW, Graph
+from threecolor.graphs import LONG_ROW, Graph, _IndexedRow
 
 from graph_strategies import graphs_with_rotations
 from modulo_tracer import trace_faces_modulo
@@ -134,16 +133,22 @@ class TestLongRows:
         row = _IndexedRow(range(1000, 0, -3))
         assert row == tuple(range(1000, 0, -3)) and row[-1] == 1 and row[0] == 1000
         assert all(row.index(x) == i for i, x in enumerate(row))
+        assert all(x in row for x in row)
         for missing in (2, 1001, -1, "a"):
+            assert missing not in row
             with pytest.raises(ValueError, match="not in tuple"):
                 row.index(missing)
 
     def test_only_rows_over_the_limit_are_indexed(self, monkeypatch):
+        # Both the rotation check and the tracer search rows through the
+        # one helper in `graphs`.
         made = []
-        monkeypatch.setattr(embedding, "_IndexedRow",
+        monkeypatch.setattr(graphs, "_IndexedRow",
                             lambda row: made.append(len(row)) or _IndexedRow(row))
         gadget = build_P(2 * LONG_ROW + 1, check=False)  # u's row is 257 long, v's 256
         assert sorted(map(len, gadget.rotation.order))[-2:] == [LONG_ROW, LONG_ROW + 1]
+        assert made == [LONG_ROW + 1]
+        made.clear()
         faces = trace_faces(gadget.graph, gadget.rotation)
         assert made == [LONG_ROW + 1]
         assert faces == list(map(tuple, trace_faces_modulo(gadget.rotation.order)))

@@ -16,7 +16,7 @@ from threecolor.graphs import Graph
 from threecolor.serialize import (CHUNK_ITEMS, GRAPH6_MAX_BYTES, GRAPH6_MAX_VERTICES, EdgeRows,
                                   check_graph6_size, gadget_descriptor, json_chunks)
 
-from graph_strategies import small_graphs
+from graph_strategies import graphs_with_rotations, small_graphs
 
 
 def nx_graph6(g: Graph) -> str:
@@ -126,6 +126,33 @@ class TestDot:
     def test_edge_lines_follow_the_edge_order(self, g):
         lines = [line for line in to_dot(g).splitlines() if " -- " in line]
         assert lines == [f"  {a} -- {b};" for a, b in g.edges]
+
+
+def _edge_orders(g: Graph) -> tuple[list, list, list]:
+    """The edges as `Graph.edges`, `EdgeRows` and the DOT edge lines give them."""
+    dot = [tuple(map(int, re.fullmatch(r"  (\d+) -- (\d+);", line).groups()))
+           for line in to_dot(g).splitlines() if " -- " in line]
+    return list(g.edges), list(EdgeRows(g)), dot
+
+
+class TestOneEdgeOrder:
+    """`Graph.edges`, `EdgeRows` and `to_dot` read the edges in one order:
+    each edge once as (a, b) with a < b, ascending, also from rotation rows."""
+
+    def test_gadget_rows_in_rotation_order(self):
+        g = build_T(2, 2, check=False).graph
+        assert any(list(row) != sorted(row) for row in g.adjacency)
+        edges, rows, dot = _edge_orders(g)
+        expected = sorted({(min(a, b), max(a, b)) for a, row in enumerate(g.adjacency)
+                           for b in row})
+        assert edges == rows == dot == expected
+
+    @given(graphs_with_rotations())
+    def test_drawn_rotation(self, case):
+        g = Graph.from_rotation(case[1])
+        edges, rows, dot = _edge_orders(g)
+        assert edges == rows == dot == sorted(case[0].edges)
+        assert len(edges) == g.edge_count == case[0].edge_count
 
 
 class TestGadgetDescriptor:
