@@ -47,6 +47,7 @@ CHECK_NAMES = (
     "c_le_2pow6_3ell",
     "n_ge_9half_ell",
 )
+REPORT_MAX_DIGITS = 2 ** 24
 
 
 def _require_bits(exponent: int, bit_budget: int) -> None:
@@ -135,9 +136,17 @@ class Report:
         return all(row.ok for row in self.rows)
 
 
-def emit_report(ell_range, *, bit_budget: int = DEFAULT_BIT_BUDGET,
+def emit_report(ell_range: range, *, bit_budget: int = DEFAULT_BIT_BUDGET,
                 include_decimal: bool = False) -> Report:
-    """One BoundReport per level; budget failures become per-row errors."""
+    """One BoundReport per level; budget failures become per-row errors.
+    Refuses with ValueError, before any row, a range whose n column may hold
+    over REPORT_MAX_DIGITS digits: k_window gives n < 4 * (9/2)^l, which has
+    fewer than l * log10(9/2) + 2 < 2l/3 + 2 digits."""
+    digits = len(ell_range) * (ell_range[0] + ell_range[-1] + 6) // 3 if ell_range else 0
+    if digits > REPORT_MAX_DIGITS:
+        raise ValueError(f"the n column of levels {ell_range[0]} to {ell_range[-1]} may take"
+                         f" up to {int_to_decimal(digits)} digits,"
+                         f" over the limit of {REPORT_MAX_DIGITS}")
     rows = []
     for ell in ell_range:
         try:

@@ -47,6 +47,8 @@ def _write_output(chunks: Iterable[str], path: str | None) -> None:
 
 
 def cmd_generate(args) -> int:
+    if args.faces and args.format != "json":
+        raise ValueError(f"--faces does not apply to --format {args.format}")
     if args.format == "graph6":  # refused before anything is built
         serialize.check_graph6_size(checked_vertex_count(args.k, args.ell))
     gadget = build_T(args.k, args.ell, check=not args.no_check)

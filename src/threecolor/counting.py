@@ -5,7 +5,10 @@ Fibonacci number computed by fast doubling, and each recursion level of
 T(u,v,k,l) maps (S, D) to (2S^3, S(3S^2 + 6SD + 4D^2)).  S is always a power
 of two, so the levels run on (e, r) with S = 2^e and r = 2D/S, where a level
 is e -> 3e + 1 and r -> r^2 + 3r + 3: one squaring of r, and no product with
-S.  Four slower routes, kept deliberately independent, are the oracles that
+S.  As r^2 + 3r + 5 <= (r + 2)^2 for r >= 1, r + 2 at most squares per level,
+and that one closed form (`_level_bits`) bounds the bit length of every
+count, so that each is refused over the bit budget before it is computed.
+Four slower routes, kept deliberately independent, are the oracles that
 check them:
 
 * a brute-force backtracking oracle over any small graph, which lists each
@@ -21,7 +24,8 @@ check them:
   which checks and counts a coloring by one lookup per frame, the seven
   vertices of one copy of P(u,v,5) as the gadget writer recorded them, in
   a table of those 84 colorings.  The frames are checked once per gadget
-  against the gadget's inner edges and leaf pairs.
+  against the gadget's inner edges and leaf pairs; a gadget whose frames
+  fail that check is refused.
 
 Pair counts (S, D) are the number of colorings with the two terminals fixed
 to the same color (1,1) resp. to the ordered pair (1,2); by color-permutation
@@ -31,6 +35,7 @@ All counts are exact arbitrary-precision integers.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
@@ -156,13 +161,8 @@ _UNCACHED_SEARCHES = 2 ** 20
 _LEVEL_BITS = MAX_FREE_VERTICES.bit_length()
 
 
-def count_colorings_bruteforce(
-    g: Graph,
-    fixed: Optional[Mapping[int, int]] = None,
-    *,
-    cutoff: int = DEFAULT_BRUTE_FORCE_CUTOFF,
-    force: bool = False,
-) -> int:
+def count_colorings_bruteforce(g: Graph, fixed: Optional[Mapping[int, int]] = None, *,
+                               force: bool = False) -> int:
     """Exact number of proper total 3-colorings extending `fixed`.
 
     Backtracks over the free vertices in index order; each looks up the
@@ -171,16 +171,15 @@ def count_colorings_bruteforce(
     the colors of its frontier, the earlier free vertices that some vertex
     at that level or later sees, so each level's count is cached per call
     by those colors and the level, up to _CACHE_ENTRIES entries.  Refuses
-    graphs above the vertex cutoff (default 20) unless `force` is given,
+    graphs above DEFAULT_BRUTE_FORCE_CUTOFF vertices unless `force` is given,
     and always refuses more than MAX_FREE_VERTICES free vertices, and a
     search that makes more than _UNCACHED_SEARCHES sub-searches past a full
     cache.
     """
-    if g.vertex_count > cutoff and not force:
+    if g.vertex_count > DEFAULT_BRUTE_FORCE_CUTOFF and not force:
         raise BruteForceCutoffError(
-            f"{g.vertex_count} vertices exceeds the brute-force cutoff {cutoff}"
-            " (pass force=True to override)"
-        )
+            f"{g.vertex_count} vertices exceeds the brute-force cutoff"
+            f" {DEFAULT_BRUTE_FORCE_CUTOFF} (pass force=True to override)")
     state = _prepare(g, fixed)
     if state is None:
         return 0
@@ -250,22 +249,10 @@ def _fibonacci(n: int) -> int:
     return a
 
 
-def path_interior_count(b: int, color_u: int, color_v: int) -> int:
-    """Colorings of the path interior of P(u,v,b) with the terminals fixed.
-
-    Equal terminal colors leave the two alternating colorings.  With u and v
-    colored differently, the odd path vertices pick from two colors and the
-    even ones from two, and only the shared third color can clash, so the
-    count is the Fibonacci number F(b+2).
-    """
-    _check_terminals(b, color_u, color_v)
-    return 2 if color_u == color_v else _fibonacci(b + 2)
-
-
 def _path_interior_transfer(b: int, color_u: int, color_v: int) -> int:
-    """Reference route for `path_interior_count`: a left-to-right transfer
-    over v_1..v_b; the state is the color of v_i, constrained away from u's
-    color (odd i) or v's color (even i)."""
+    """Reference route for the fan's closed form in `path_pair_counts`: a
+    left-to-right transfer over v_1..v_b; the state is the color of v_i,
+    constrained away from u's color (odd i) or v's color (even i)."""
     _check_terminals(b, color_u, color_v)
     state = {c: 1 for c in COLORS if c != color_u}
     for i in range(2, b + 1):
@@ -279,22 +266,61 @@ def _path_interior_transfer(b: int, color_u: int, color_v: int) -> int:
     return sum(state.values())
 
 
-def path_pair_counts(b: int, *, bit_budget: int = DEFAULT_BIT_BUDGET) -> PairCounts:
-    """Pair counts (S, D) of P(u,v,b); S = 2 for every b.
+# F(n) = (phi^n - (-1/phi)^n) / sqrt(5) < phi^n / sqrt(5) + 1 for every n >= 0.
+_LOG2_PHI = math.log2((1 + math.sqrt(5)) / 2)
+_LOG2_SQRT5 = math.log2(5) / 2
 
-    Refuses with BitBudgetExceededError, before D = F(b+2) is computed, when
-    a float bound on its bit length exceeds `bit_budget`.
-    """
-    _check_terminals(b, 1, 2)
-    bits = _fibonacci_bits(b + 2)
+
+def _fan_log2(b: int) -> float:
+    """An upper bound on log2(F(b+2) + 2), with a relative margin of 2^-40
+    for float rounding.  Below n = b + 2 = 128 it is read off F(n), as
+    phi^n / sqrt(5) is loose there; from 128 on, F(n) + 2 < phi^n / sqrt(5) + 3,
+    whose log2 exceeds log2(phi^n / sqrt(5)) by far less than the margin, so
+    no big integer is built.  Infinite where n is too large for a float."""
+    n = b + 2
+    try:
+        log2 = math.log2(_fibonacci(n) + 2) if n < 128 else n * _LOG2_PHI - _LOG2_SQRT5
+    except OverflowError:
+        return math.inf
+    return log2 * (1 + 2.0 ** -40)
+
+
+def _level_bits(e: int, log2_r2: float, levels: int) -> float:
+    """An upper bound on the bit length of the total count 3 * 2^E * (R + 1)
+    that `levels` frame levels reach from S = 2^e and r = 2D/S >= 1, given
+    an upper bound `log2_r2` on log2(r + 2).  A level takes e to 3e + 1, so
+    E = 3^levels * e + (3^levels - 1)/2, and r to r^2 + 3r + 3, where
+    r^2 + 3r + 5 <= (r + 2)^2 for r >= 1, so R + 2 <= (r + 2)^(2^levels)
+    and the total, below 2^(E+2) * (R + 2), has at most
+    ceil(E + 2 + 2^levels * log2(r + 2)) bits.  Exact in integers from
+    `log2_r2` on; infinite where a float would overflow."""
+    if levels >= 1024:  # E > 3^1024 / 2 > 2^1024
+        return math.inf
+    p = 3 ** levels
+    try:
+        bits = p * e + (p - 1) // 2 + 2 + math.ceil(math.ldexp(log2_r2, levels))
+    except OverflowError:  # 2^levels * log2(r + 2) is past a float
+        return math.inf
+    return bits if bits <= sys.float_info.max else math.inf
+
+
+def _check_budget(bits: float, what: str, bit_budget: int) -> None:
+    """Refuse `what`, before it is computed, when it may need over `bit_budget` bits."""
     if bits > bit_budget:
         raise BitBudgetExceededError(
-            f"the fan's D = F(b + 2) may need up to {bits:.4g} bits,"
-            f" over the budget of {bit_budget}"
-        )
-    pc = PairCounts(path_interior_count(b, 1, 1), path_interior_count(b, 1, 2))
-    assert pc.same == 2, f"fan invariant violated at b={b}"
-    return pc
+            f"{what} may need up to {bits:.4g} bits, over the budget of {bit_budget}")
+
+
+def path_pair_counts(b: int, *, bit_budget: int = DEFAULT_BIT_BUDGET) -> PairCounts:
+    """Pair counts (S, D) of P(u,v,b).  Equal terminal colors leave the two
+    alternating colorings of the path interior, so S = 2.  With u and v
+    colored differently, the odd path vertices pick from two colors and the
+    even ones from two, and only the shared third color can clash, so D is
+    the Fibonacci number F(b+2).  Refuses with BitBudgetExceededError,
+    before D is computed, when `_fan_log2(b)` exceeds `bit_budget`."""
+    _check_terminals(b, 1, 2)
+    _check_budget(_fan_log2(b), "the fan's D = F(b + 2)", bit_budget)
+    return PairCounts(2, _fibonacci(b + 2))
 
 
 # Every level of T(u,v,k,l) is a frame P(u,v,5), and the fan's numbering
@@ -338,61 +364,28 @@ def _frame_levels(e: int, r: int, levels: int) -> PairCounts:
     return PairCounts(1 << e, r << (e - 1) if e else r >> 1)
 
 
+def predicted_count_bits(k: int, ell: int) -> float:
+    """An upper bound on the bit length of the total count of T(u,v,k,ell):
+    `_level_bits` from the fan's (e, r) = (1, F(2^k + 2)), with no big
+    integer, so that a caller can refuse a count over its bit budget before
+    computing it."""
+    check_k_ell(k, ell)
+    return _level_bits(1, _fan_log2(2 ** k) if k < 1024 else math.inf, ell)  # 2^1024: no float
+
+
 def gadget_pair_counts(k: int, ell: int, *, bit_budget: int = DEFAULT_BIT_BUDGET) -> PairCounts:
     """Pair counts of T(u,v,k,ell): one squaring of r = 2D/S per level.
-
     Refuses with BitBudgetExceededError, before the fan or any level is
-    computed, when `predicted_count_bits(k, ell)` exceeds `bit_budget`.
-    """
-    bits = predicted_count_bits(k, ell)
-    if bits > bit_budget:
-        raise BitBudgetExceededError(
-            f"the count of T({k},{ell}) may need up to {bits:.4g} bits,"
-            f" over the budget of {bit_budget}"
-        )
-    fan = path_pair_counts(2 ** k, bit_budget=bit_budget)  # S = 2
-    return _frame_levels(1, fan.diff, ell)
+    computed, when `predicted_count_bits(k, ell)` exceeds `bit_budget`."""
+    _check_budget(predicted_count_bits(k, ell), f"the count of T({k},{ell})", bit_budget)
+    return _frame_levels(1, _fibonacci(2 ** k + 2), ell)  # the fan: S = 2, r = D
 
 
-# F(n) = (phi^n - (-1/phi)^n) / sqrt(5) < phi^n / sqrt(5) for even n > 0,
-# and < phi^n / sqrt(5) + 1 for every n >= 0.
-_LOG2_PHI = math.log2((1 + math.sqrt(5)) / 2)
-_LOG2_SQRT5 = math.log2(5) / 2
-
-
-def _fibonacci_bits(n: int) -> float:
-    """An upper bound on the bit length of F(n), n >= 1, with no big integer:
-    F(n) < x + 1 for x = phi^n / sqrt(5), so it is at most max(log2 x, 0) + 2;
-    with the float margin of `predicted_count_bits`."""
-    try:
-        log2_bound = n * _LOG2_PHI - _LOG2_SQRT5
-    except OverflowError:  # n is too large for a float
-        return math.inf
-    return (max(log2_bound, 0.0) + 2) * (1 + 2.0 ** -20)
-
-
-def predicted_count_bits(k: int, ell: int) -> float:
-    """An upper bound on the bit length of the total count of T(u,v,k,ell).
-
-    Runs the closed-form recursion on log2 S and log2 D in floating point,
-    in O(ell) steps and with no big integer, so that a caller can refuse a
-    count over its bit budget before computing it.  The fan starts from
-    log2 of phi^(b+2) / sqrt(5), which exceeds log2 F(b+2) because b + 2 is
-    even.  The bit length is at most log2(c) + 1; the result adds a relative
-    margin of 2^-20 and one more bit for float rounding.  It is infinite
-    where a float would overflow.
-    """
-    check_k_ell(k, ell)
-    if k >= 1024:
-        return math.inf
-    s = 1.0                                          # log2 S, S = 2
-    d = (2.0 ** k + 2) * _LOG2_PHI - _LOG2_SQRT5     # log2 D, D = F(2^k + 2)
-    for _ in range(ell):
-        if d == math.inf:
-            return math.inf
-        r = 2.0 ** (s - d)                           # S / D <= 1
-        s, d = 1 + 3 * s, s + 2 * d + math.log2(3 * r * r + 6 * r + 4)
-    return (d + math.log2(6 + 3 * 2.0 ** (s - d))) * (1 + 2.0 ** -20) + 2
+def inner_count_bits(ell: int) -> float:
+    """An upper bound on the bit length of the total count of the V_ell
+    subgraph: `_level_bits` from (e, r) = (0, 2), which is
+    (3^ell - 1)/2 + 2 + 2^(ell+1), tight at ell = 0 and 1."""
+    return _level_bits(0, 2.0, ell)
 
 
 def inner_subgraph_pair_counts(ell: int, *, bit_budget: int = DEFAULT_BIT_BUDGET) -> PairCounts:
@@ -400,34 +393,14 @@ def inner_subgraph_pair_counts(ell: int, *, bit_budget: int = DEFAULT_BIT_BUDGET
 
     That subgraph is the gadget skeleton: the same frame recursion with leaf
     copies shrunk to their terminal pairs, so the base case has a single
-    empty extension (S = D = 1).  Independent of k.
-
-    Refuses with BitBudgetExceededError, before any level is computed, when
-    the closed-form bound `inner_count_bits(ell)` exceeds `bit_budget`.
+    empty extension (S = D = 1).  Independent of k.  Refuses with
+    BitBudgetExceededError, before any level is computed, when
+    `inner_count_bits(ell)` exceeds `bit_budget`.
     """
     if ell < 0:
         raise ValueError("ell must be >= 0")
-    bits = inner_count_bits(ell)
-    if bits > bit_budget:
-        raise BitBudgetExceededError(
-            f"the count of the V_{ell} subgraph may need up to {bits:.4g} bits,"
-            f" over the budget of {bit_budget}"
-        )
+    _check_budget(inner_count_bits(ell), f"the count of the V_{ell} subgraph", bit_budget)
     return _frame_levels(0, 2, ell)
-
-
-def inner_count_bits(ell: int) -> float:
-    """An upper bound on the bit length of the total count of the V_ell subgraph.
-
-    The total is 3 * 2^e * (r + 1) with e = (3^ell - 1)/2, and r + 2 at most
-    squares per level from r = 2, so r + 1 < 4^(2^ell) and the bit length is
-    at most e + 2 + 2^(ell+1), tight at ell = 0 and 1.  Exact in floats below
-    ell = 34, with a relative margin of 2^-20 above.
-    """
-    if ell > 600:
-        return math.inf
-    bits = (3.0 ** ell - 1) / 2 + 2.0 ** (ell + 1) + 2
-    return bits if ell < 34 else bits * (1 + 2.0 ** -20)
 
 
 def total_colorings(pc: PairCounts) -> int:
@@ -477,22 +450,22 @@ def count_extensions(
     V_ell, and `gadget` the built T(u,v,k,ell), so that sweeps build it
     once.  A leaf interior has 2 colorings when its pair's ends agree and
     F(b+2) when not, so with p leaf pairs, e of them agreeing, the count is
-    the closed form 2^e * F(b+2)^(p-e).
-
-    A dict psi is checked and counted by one lookup per frame
-    (`Gadget.checked_frames`) in a table of P(u,v,5)'s colorings; any
-    lookup that misses, and any gadget without checked recorded frames,
-    falls back to checking psi vertex by vertex and edge by edge, which
-    alone raises.
+    the closed form 2^e * F(b+2)^(p-e).  psi, as a dict, is checked and
+    counted by one lookup per frame (`Gadget.checked_frames`) in a table of
+    P(u,v,5)'s colorings; a gadget whose frames do not check is refused, and
+    a lookup that misses is a fault in psi, which the checks after it name.
     """
     if ell < 1:
         raise ValueError("extension counting needs ell >= 1")
     if (gadget.k, gadget.ell) != (k, ell):
         raise ValueError("gadget does not match (k, ell)")
     flat = gadget.checked_frames
+    if flat is None:
+        raise ValueError("the gadget's frames are not those of T(u,v,k,ell)")
     inner = gadget.registry.inner_set
     # Exactly a dict: a subclass's __missing__ could color a vertex psi lacks.
-    if flat is not None and type(psi) is dict and len(psi) == len(inner):
+    psi = psi if type(psi) is dict else dict(psi)
+    if len(psi) == len(inner):
         tables, fib = _extension_tables(len(flat) // 7, gadget.registry.leaf_b)
         try:  # a missing vertex, an invalid color or an improper edge misses a table
             equal = sum(map(getitem, tables, zip(*[map(psi.__getitem__, flat)] * 7)))
@@ -510,9 +483,7 @@ def count_extensions(
         for b in adjacency[a]:
             if a < b and b in inner and psi[a] == psi[b]:
                 raise ValueError(f"coloring is improper on inner edge ({a},{b})")
-    pairs = gadget.registry.pairs
-    equal = sum(psi[x] == psi[y] for x, y in pairs)
-    return _fibonacci(gadget.registry.leaf_b + 2) ** (len(pairs) - equal) << equal
+    raise AssertionError("a coloring that passes every check matched every frame table")
 
 
 def inner_subgraph(gadget: Gadget) -> tuple[Graph, dict[int, int]]:

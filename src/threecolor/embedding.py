@@ -41,15 +41,16 @@ def trace_faces(g: Graph, rot: RotationSystem) -> list[Face]:
     order[b][j - 1], the neighbor clockwise past a; that dart is keyed by
     offset[b] + j, so no per-dart index and no modulo is needed.  Walks
     start from the darts a -> order[a][i] in (a, i) order.
-    Raises ValueError if the rotation is inconsistent with the graph.  The
-    rotation that `Graph.from_rotation` checked for `g` (the same object)
-    is not compared again; a long row is searched by hash (`hashed_rows`).
+    Raises ValueError if the rotation is inconsistent with the graph.  Rows
+    that are `g.adjacency` itself, as `Graph.from_rotation` keeps the rotation
+    it checked, match the graph trivially and are not compared; a long row is
+    searched by hash (`hashed_rows`).
     """
     order = rot.order
     n = g.vertex_count
     if len(order) != n:
         raise ValueError("rotation must list every vertex")
-    if order is not g.rotation:
+    if order is not g.adjacency:
         for a, (row, nbrs) in enumerate(zip(order, g.adjacency)):
             if sorted(row) != sorted(nbrs):
                 raise ValueError(f"rotation at vertex {a} does not match its edges")

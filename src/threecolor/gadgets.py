@@ -155,7 +155,7 @@ def _assemble(leaf_b: int, k: Optional[int], ell: Optional[int], check: bool) ->
     order, pairs, frames = _write(leaf_b, ell or 0)
     g = Graph.from_rotation(order, partial(_labels, leaf_b, ell or 0))
     tg = TerminalGraph(g, 0, 1)
-    rotation = RotationSystem(g.rotation)  # checked once, by from_rotation
+    rotation = RotationSystem(g.adjacency)  # checked once, by from_rotation
     if check:
         report, rotation.faces = certify_with_faces(tg, rotation)
         if not report["ok"]:

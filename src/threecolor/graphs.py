@@ -63,11 +63,10 @@ class Graph:
 
     The adjacency tuples are the only edge store; `edges` and `has_edge`
     read them.  For a graph made by `from_rotation` they are the rotation
-    it checked, in rotation order, and `rotation` is the same object; for
-    any other graph each row is ascending and `rotation` is None.
+    it checked, in rotation order; for any other graph each row is ascending.
     """
 
-    __slots__ = ("vertex_count", "edge_count", "adjacency", "rotation", "_labels")
+    __slots__ = ("vertex_count", "edge_count", "adjacency", "_labels")
 
     def __init__(self, vertex_count: int, edges: Iterable[Edge],
                  labels: Optional[Iterable[str]] = None):
@@ -83,7 +82,7 @@ class Graph:
             adj[b].append(a)
         if labels is not None:
             labels = _checked_labels(labels, vertex_count)
-        self._store(tuple(tuple(sorted(set(nbrs))) for nbrs in adj), None, labels)
+        self._store(tuple(tuple(sorted(set(nbrs))) for nbrs in adj), labels)
 
     @classmethod
     def from_rotation(cls, order: Sequence[Sequence[int]],
@@ -92,7 +91,7 @@ class Graph:
 
         Raises ValueError for a neighbor out of range, a self-loop, a repeated
         neighbor or a dart a -> b without b -> a.  The checked rows are kept
-        as both `adjacency` and `rotation`; tuple rows are kept as they are.
+        as `adjacency`; tuple rows are kept as they are.
         `labels` runs on first read.
         """
         rotation = tuple(map(tuple, order))
@@ -115,13 +114,12 @@ class Graph:
                 raise ValueError("a dart of the rotation has no reverse")
         except IndexError:
             raise ValueError(out_of_range) from None
-        return cls.__new__(cls)._store(rotation, rotation, labels)
+        return cls.__new__(cls)._store(rotation, labels)
 
-    def _store(self, adjacency: tuple[tuple[int, ...], ...], rotation, labels) -> Graph:
+    def _store(self, adjacency: tuple[tuple[int, ...], ...], labels) -> Graph:
         object.__setattr__(self, "vertex_count", len(adjacency))
         object.__setattr__(self, "edge_count", sum(map(len, adjacency)) // 2)
         object.__setattr__(self, "adjacency", adjacency)
-        object.__setattr__(self, "rotation", rotation)
         object.__setattr__(self, "_labels", labels)
         return self
 
@@ -221,4 +219,4 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int
     adjacency = tuple(tuple(sorted(index_map[b] for b in g.adjacency[a] if b in index_map))
                       for a in kept)
     labels = None if g._labels is None else lambda: map(g.labels.__getitem__, kept)
-    return Graph.__new__(Graph)._store(adjacency, None, labels), index_map
+    return Graph.__new__(Graph)._store(adjacency, labels), index_map

@@ -27,7 +27,7 @@ from threecolor.bounds import (
     lemma3_bound,
     report_to_json,
 )
-from threecolor.gadgets import choose_k
+from threecolor.gadgets import choose_k, vertex_count_closed_form
 
 
 class TestLemma3Bound:
@@ -160,6 +160,21 @@ class TestEmitReport:
     def test_json_decimal_roundtrip(self):
         doc = json.loads(report_to_json(emit_report(range(1, 2), include_decimal=True)))
         assert doc["rows"][0]["c_decimal"] == "1056"
+
+    def test_n_column_prediction_bounds_the_digits(self):
+        for ell in range(1, 2000):
+            assert len(str(vertex_count_closed_form(choose_k(ell), ell))) < 2 * ell / 3 + 2
+
+    def test_range_over_the_digit_limit_refused_before_any_row(self, monkeypatch):
+        rows = []
+        monkeypatch.setattr(bounds, "theorem_chain_check", lambda ell, **_: rows.append(ell))
+        # 1 to 7090 may take 16,772,576 digits, 1 to 7091 16,777,306.
+        assert len(emit_report(range(1, 7091)).rows) == 7090
+        for ell_range in (range(1, 7092), range(1, 100001), range(10 ** 30, 10 ** 30 + 1)):
+            rows.clear()
+            with pytest.raises(ValueError, match="over the limit of 16777216$"):
+                emit_report(ell_range)
+            assert rows == []
 
     def test_text_table_lists_all_checks(self):
         text = report_to_text(emit_report(range(1, 2)))

@@ -112,6 +112,16 @@ class TestGenerate:
         assert proc.stdout == ""
         assert message in proc.stderr
 
+    @pytest.mark.parametrize("fmt", ["json", "dot", "graph6"])
+    def test_faces_only_with_json(self, fmt, capsys):
+        code, out, err = run_cli(capsys, "generate", "--k", "2", "--ell", "1",
+                                 "--format", fmt, "--faces")
+        if fmt == "json":
+            assert (code, err) == (0, "") and "faces" in json.loads(out)
+        else:
+            assert (code, out) == (2, "")
+            assert err == f"error: --faces does not apply to --format {fmt}\n"
+
     def test_graph6_refused_past_the_four_byte_header(self):
         # T(17,1) has 393,223 vertices; graph6 would need its 8-byte header
         proc = run_cli_process("generate", "--k", "17", "--ell", "1",
@@ -191,13 +201,13 @@ class TestCount:
         code, out, err = run_cli(capsys, "count", "--k", "1", "--ell", "1",
                                  "--bit-budget", budget)
         assert (code, out) == (2, "")
-        assert err == ("error: the count of T(1,1) may need up to 12.08 bits,"
+        assert err == ("error: the count of T(1,1) may need up to 11 bits,"
                        f" over the budget of {budget}\n")
 
     def test_negative_bit_budget_env_exit_2(self):
         proc = run_cli_process("count", "--k", "1", "--ell", "1", timeout=10, budget_env="-1")
         assert (proc.returncode, proc.stdout) == (2, "")
-        assert proc.stderr == ("error: the count of T(1,1) may need up to 12.08 bits,"
+        assert proc.stderr == ("error: the count of T(1,1) may need up to 11 bits,"
                                " over the budget of -1\n")
 
     def test_json_output(self, capsys):
@@ -522,6 +532,14 @@ class TestReport:
         assert (proc.returncode, proc.stderr) == (1, "")
         assert '"ell": 9100,\n      "k": 5324,\n      "n": 3069' in proc.stdout
         assert '"c_bits": 0,\n      "checks": {},\n      "error": "2^' in proc.stdout
+
+    @pytest.mark.parametrize("extra", [(), ("--json",)])
+    def test_huge_range_refused_before_any_row(self, extra):
+        proc = run_cli_process("report", "--ell-min", "1", "--ell-max", "100000", *extra,
+                               timeout=10)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == ("error: the n column of levels 1 to 100000 may take up to"
+                               " 3333566666 digits, over the limit of 16777216\n")
 
     def test_bit_budget_env(self, capsys, monkeypatch):
         monkeypatch.setenv("THREECOLOR_BIT_BUDGET", "1000")

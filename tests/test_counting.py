@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from collections import Counter
 import tracemalloc
@@ -34,7 +35,6 @@ from threecolor.counting import (
     _path_interior_transfer,
     inner_count_bits,
     inner_subgraph_pair_counts,
-    path_interior_count,
     predicted_count_bits,
 )
 from threecolor.gadgets import Gadget
@@ -304,7 +304,7 @@ class TestPathPairCounts:
     def test_interior_count_depends_only_on_equality(self):
         for b in (1, 2, 5, 6):
             values = {
-                (cu, cv): path_interior_count(b, cu, cv)
+                (cu, cv): _path_interior_transfer(b, cu, cv)
                 for cu in (1, 2, 3)
                 for cv in (1, 2, 3)
             }
@@ -323,20 +323,24 @@ class TestClosedFormsAgainstReferenceRoutes:
     @pytest.mark.parametrize("cu,cv", COLOR_PAIRS)
     def test_fan_closed_form_matches_transfer(self, cu, cv):
         for b in range(1, 301):
-            assert path_interior_count(b, cu, cv) == _path_interior_transfer(b, cu, cv)
+            pc = path_pair_counts(b)
+            assert (pc.same if cu == cv else pc.diff) == _path_interior_transfer(b, cu, cv)
 
     @pytest.mark.parametrize("b", range(1, 13))
     def test_fan_closed_form_matches_brute_force(self, b):
         g = build_P(b, check=False).graph
+        pc = path_pair_counts(b)
         for cu, cv in COLOR_PAIRS:
-            assert path_interior_count(b, cu, cv) == \
+            assert (pc.same if cu == cv else pc.diff) == \
                 count_colorings_bruteforce(g, {0: cu, 1: cv})
 
     def test_transfer_keeps_the_argument_checks(self):
         with pytest.raises(ValueError, match="b must be"):
             _path_interior_transfer(0, 1, 2)
+        with pytest.raises(ValueError, match="b must be"):
+            path_pair_counts(0)
         with pytest.raises(ValueError, match="terminal colors"):
-            path_interior_count(3, 1, 4)
+            _path_interior_transfer(3, 1, 4)
 
     @given(st.integers(min_value=0), st.integers(min_value=0))
     def test_frame_closed_form_matches_pattern_sum(self, s, d):
@@ -360,11 +364,17 @@ class TestClosedFormsAgainstReferenceRoutes:
 
 
 class TestPredictedCountBits:
-    @pytest.mark.parametrize("k,ell", [(k, ell) for k in range(1, 7) for ell in range(9)]
+    # Every T(k, ell) with k <= 8 and ell <= 13, all admitted by the default budget.
+    @pytest.mark.parametrize("k,ell", [(k, ell) for k in range(1, 9) for ell in range(14)]
                              + [(1, 14)])
     def test_bounds_the_exact_bit_length(self, k, ell):
         exact = total_colorings(gadget_pair_counts(k, ell)).bit_length()
         assert exact <= predicted_count_bits(k, ell)
+        assert exact < 1000 or predicted_count_bits(k, ell) <= 1.02 * exact
+
+    def test_worked_instance_is_exact(self):
+        # r = F(4) = 3: 4 + 2 + 2 * log2(5) = 10.64 rounds up to c(T(1,1)) = 1056's 11 bits.
+        assert predicted_count_bits(1, 1) == 11
 
     def test_admits_the_largest_level_under_the_default_budget(self):
         # c(T(1,14)) has 7,211,279 bits; the default budget is 10^7.
@@ -532,10 +542,10 @@ class TestGadgetPairCountsBudget:
         assert peak < 64 * 1024
 
     def test_budget_compares_with_the_prediction(self):
-        # predicted_count_bits(1, 1) is about 12.08; c = 1056 has 11 bits.
-        with pytest.raises(BitBudgetExceededError):
-            gadget_pair_counts(1, 1, bit_budget=12)
-        assert gadget_pair_counts(1, 1, bit_budget=13) == PairCounts(16, 168)
+        # predicted_count_bits(1, 1) is 11, the bit length of c = 1056.
+        with pytest.raises(BitBudgetExceededError, match="up to 11 bits, over the budget of 10$"):
+            gadget_pair_counts(1, 1, bit_budget=10)
+        assert gadget_pair_counts(1, 1, bit_budget=11) == PairCounts(16, 168)
 
     def test_domain_checked_before_the_budget(self):
         with pytest.raises(ValueError, match="k must be"):
@@ -544,6 +554,11 @@ class TestGadgetPairCountsBudget:
 
 class TestFanAndInnerBudgets:
     def test_fan_refused_before_fibonacci(self, monkeypatch):
+        # F(102) has 70 bits; below b + 2 = 128 the bound is read off F itself.
+        with pytest.raises(BitBudgetExceededError, match="69.65 bits, over the budget of 69$"):
+            path_pair_counts(100, bit_budget=69)
+        assert path_pair_counts(100, bit_budget=70).diff.bit_length() == 70
+
         def never(*args):
             raise AssertionError("computed a count over the budget")
 
@@ -553,8 +568,6 @@ class TestFanAndInnerBudgets:
                 path_pair_counts(2 ** 40)      # D = F(2^40 + 2)
             with pytest.raises(BitBudgetExceededError, match="inf bits"):
                 path_pair_counts(10 ** 400)
-            with pytest.raises(BitBudgetExceededError, match="over the budget of 70$"):
-                path_pair_counts(100, bit_budget=70)
 
     def test_inner_refused_before_any_level(self, monkeypatch):
         def never(*args):
@@ -572,21 +585,24 @@ class TestFanAndInnerBudgets:
     def test_budgets_bound_the_exact_bit_lengths(self):
         for b in range(1, 400):
             bits = path_pair_counts(b).diff.bit_length()
-            assert bits <= counting._fibonacci_bits(b + 2) < bits + 2
-            assert path_pair_counts(b, bit_budget=bits + 2).diff.bit_length() == bits
+            assert bits <= math.ceil(counting._fan_log2(b)) <= bits + 1
+            assert path_pair_counts(b, bit_budget=bits + 1).diff.bit_length() == bits
         for ell in range(16):
             bits = total_colorings(inner_subgraph_pair_counts(ell, bit_budget=10 ** 8)).bit_length()
             assert bits <= inner_count_bits(ell) <= bits * 1.01 + 2
+            assert bits < 1000 or inner_count_bits(ell) <= 1.02 * bits
+            assert inner_count_bits(ell) == (3 ** ell - 1) // 2 + 2 ** (ell + 1) + 2
         assert inner_count_bits(0) == 4 and inner_count_bits(1) == 7  # 9 and 84
         assert inner_subgraph_pair_counts(1, bit_budget=7) == PairCounts(2, 13)
 
     def test_callers_check_larger_bounds_first(self):
-        # So the budgets passed through never refuse what they accept.
-        for k in [*range(1, 1024, 7), 1023, 1024]:
-            assert counting._fibonacci_bits(2 ** k + 2) <= predicted_count_bits(k, 0)
+        # theorem_chain_check refuses past 2^E first, E its eq3 exponent, so
+        # the budget it passes on never refuses what it accepts.
         for ell in range(1, 40):
-            exponent = 2 ** (gadgets.choose_k(ell) + ell) + 4 * 3 ** ell
-            assert inner_count_bits(ell) < exponent + 1  # theorem_chain_check's bound
+            k = gadgets.choose_k(ell)
+            exponent = 2 ** (k + ell) + 4 * 3 ** ell
+            assert inner_count_bits(ell) < exponent + 1
+            assert predicted_count_bits(k, ell) < exponent + 1
 
 
 class TestInnerSubgraphCounts:
@@ -766,7 +782,8 @@ def per_edge_rule(gadget, psi):
             return f"coloring is improper on inner edge ({a},{b})"
     pairs = gadget.registry.pairs
     equal = sum(psi[x] == psi[y] for x, y in pairs)
-    return 2 ** equal * path_interior_count(gadget.registry.leaf_b, 1, 2) ** (len(pairs) - equal)
+    fib = _path_interior_transfer(gadget.registry.leaf_b, 1, 2)
+    return 2 ** equal * fib ** (len(pairs) - equal)
 
 
 def inner_colorings(gadget):
@@ -786,6 +803,8 @@ def one_fault_coloring(gadget, a, b):
     col = next(iter_colorings(g, dict.fromkeys(cut, 1)))
     return dict(zip(sorted(index_map), col.values()))
 
+
+FRAMES_REFUSED = "the gadget's frames are not those of T(u,v,k,ell)"
 
 # The edges of P(u,v,5) as positions in a frame (u, v, v1, ..., v5).
 FRAME_EDGES = build_P(5, check=False).graph.edges
@@ -849,11 +868,25 @@ class TestCountExtensionsByFrames:
         assert str(exc.value) == f"coloring is improper on inner edge ({a},{b})"
         assert per_edge_rule(g, psi) == str(exc.value)
 
-    def test_other_mappings_take_the_per_edge_checks(self):
+    def test_other_mappings_count_as_their_dict(self):
         g = build_T(2, 2, check=False)
         psi = next(itertools.islice(inner_colorings(g), 5, None))
         assert count_extensions(2, 2, MappingProxyType(psi), gadget=g) == \
             count_extensions(2, 2, psi, gadget=g) == per_edge_rule(g, psi)
+        bad = dict(psi)
+        bad[4] = 7
+        assert outcome(lambda: count_extensions(2, 2, MappingProxyType(bad), gadget=g)) == \
+            per_edge_rule(g, bad)
+
+        class Defaulting(dict):
+            def __missing__(self, key):
+                return 1
+
+        partial = Defaulting(psi)
+        del partial[max(psi)]
+        partial[g.graph.vertex_count - 1] = 1  # the same length, with a leaf interior vertex
+        assert outcome(lambda: count_extensions(2, 2, partial, gadget=g)) == \
+            per_edge_rule(g, partial)
 
     @pytest.mark.parametrize("slot,i,j", [(0, 0, 2), (0, 4, 5), (3, 1, 5)])
     def test_gadget_missing_a_frame_edge(self, slot, i, j):
@@ -868,9 +901,8 @@ class TestCountExtensionsByFrames:
             frame = frame_at(built, other)
             if (frame[i], frame[j]) != (a, b):
                 cases.append(one_fault_coloring(built, frame[i], frame[j]))
-        for psi in cases:
-            assert outcome(lambda: count_extensions(1, 2, psi, gadget=g)) == \
-                per_edge_rule(g, psi)
+        for psi in cases:  # refused, though some are proper on this graph
+            assert outcome(lambda: count_extensions(1, 2, psi, gadget=g)) == FRAMES_REFUSED
 
     @pytest.mark.parametrize("i,j", [(0, 2), (3, 4)])  # u-v1 and the path edge v2-v3
     def test_gadget_missing_an_edge_in_every_frame(self, i, j):
@@ -882,5 +914,4 @@ class TestCountExtensionsByFrames:
         cases = random.Random(j).sample(list(inner_colorings(g)), 30)
         assert any(psi[a] == psi[b] for psi in cases for a, b in cut)
         for psi in cases:
-            assert outcome(lambda: count_extensions(1, 2, psi, gadget=g)) == \
-                per_edge_rule(g, psi)
+            assert outcome(lambda: count_extensions(1, 2, psi, gadget=g)) == FRAMES_REFUSED

@@ -90,12 +90,13 @@ class TestTracerOracle:
         # compared with the edge-list graph's rows, and as the checked rotation
         assert trace_faces(g, RotationSystem(order)) == expected
         checked = Graph.from_rotation(order)
-        assert trace_faces(checked, RotationSystem(checked.rotation)) == expected
+        assert trace_faces(checked, RotationSystem(checked.adjacency)) == expected
 
 
 class TestRotationCompare:
     """The rows are compared with the graph's edges unless the rotation is
-    the very object that `Graph.from_rotation` checked."""
+    the graph's own adjacency, the very object that `Graph.from_rotation`
+    checked."""
 
     def test_a_different_object_is_compared(self):
         g = build_T(2, 1, check=False).graph
@@ -108,15 +109,15 @@ class TestRotationCompare:
 
             __hash__ = tuple.__hash__
 
-        wrong = list(g.rotation)
+        wrong = list(g.adjacency)
         wrong[4] = Agreeing(wrong[4][1:] + (0,))
         forged = tuple(wrong)
-        assert forged == g.rotation and forged is not g.rotation
+        assert forged == g.adjacency and forged is not g.adjacency
         with pytest.raises(ValueError, match="rotation at vertex 4 does not match its edges"):
             trace_faces(g, RotationSystem(forged))
-        copy = tuple(map(tuple, map(list, g.rotation)))
-        assert copy is not g.rotation
-        assert trace_faces(g, RotationSystem(copy)) == trace_faces(g, RotationSystem(g.rotation))
+        copy = tuple(map(tuple, map(list, g.adjacency)))
+        assert copy is not g.adjacency
+        assert trace_faces(g, RotationSystem(copy)) == trace_faces(g, RotationSystem(g.adjacency))
 
     def test_edge_list_graph_with_a_wrong_rotation(self):
         gadget = build_T(2, 1, check=False)

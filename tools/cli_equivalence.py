@@ -8,8 +8,9 @@ section, then each `--extra` command, then every `demos/*.py` script.  Each
 command runs once per checkout, as `python -m threecolor.cli ARGS` (a demo as
 `python <checkout>/demos/NAME`), in its own empty working directory with
 `PYTHONPATH=<checkout>/src`.  Stdout, stderr, the exit code and every file
-the command writes are compared byte for byte.  Exits 1 if anything
-differs, 0 otherwise.  Standard library only.
+the command writes are compared byte for byte.  A command still running
+after TIMEOUT_S seconds is killed and counts as a difference.  Exits 1 if
+anything differs, 0 otherwise.  Standard library only.
 """
 from __future__ import annotations
 
@@ -25,6 +26,10 @@ import tempfile
 import time
 from pathlib import Path
 
+# Seconds that one command may run per checkout before it is killed; far above
+# the about 10 s of `generate --k 6 --ell 8 --format json --faces`.
+TIMEOUT_S = 300
+
 
 def readme_commands(checkout: Path) -> list[list[str]]:
     """The `threecolor` example lines of the README's "Command line" section."""
@@ -39,8 +44,9 @@ def readme_commands(checkout: Path) -> list[list[str]]:
     return commands
 
 
-def run(checkout: Path, command: list[str], where: Path) -> int:
-    """Run one command for one checkout; outputs land in `where`."""
+def run(checkout: Path, command: list[str], where: Path) -> int | None:
+    """Run one command for one checkout; outputs land in `where`.  Returns
+    the exit code, or None if the command timed out."""
     cwd = where / "cwd"
     cwd.mkdir(parents=True)
     if command[0].startswith("demos/"):
@@ -49,16 +55,21 @@ def run(checkout: Path, command: list[str], where: Path) -> int:
         argv = [sys.executable, "-m", "threecolor.cli", *command]
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     with open(where / "stdout", "wb") as out, open(where / "stderr", "wb") as err:
-        return subprocess.run(argv, cwd=cwd, env=env, stdout=out, stderr=err).returncode
+        try:
+            return subprocess.run(argv, cwd=cwd, env=env, stdout=out, stderr=err,
+                                  timeout=TIMEOUT_S).returncode
+        except subprocess.TimeoutExpired:
+            return None
 
 
 def written_files(cwd: Path) -> set[str]:
     return {str(p.relative_to(cwd)) for p in cwd.rglob("*") if p.is_file()}
 
 
-def differences(before: Path, after: Path, codes: tuple[int, int]) -> list[str]:
-    found = []
-    if codes[0] != codes[1]:
+def differences(before: Path, after: Path, codes: tuple[int | None, int | None]) -> list[str]:
+    found = [f"{side} timed out after {TIMEOUT_S} s"
+             for side, code in zip(("before", "after"), codes) if code is None]
+    if None not in codes and codes[0] != codes[1]:
         found.append(f"exit code {codes[0]} != {codes[1]}")
     for stream in ("stdout", "stderr"):
         if not filecmp.cmp(before / stream, after / stream, shallow=False):
