@@ -14,7 +14,7 @@ import sys
 from typing import Iterable
 
 from . import bounds, counting, serialize, suites
-from .gadgets import build_T, checked_vertex_count, vertex_count_closed_form
+from .gadgets import build_T, checked_vertex_count
 from .graphs import COLORS
 
 EXIT_OK = 0
@@ -90,7 +90,7 @@ def cmd_count(args) -> int:
         else:
             value = pc.same if fix[0] == fix[1] else pc.diff
     else:
-        n = vertex_count_closed_form(args.k, args.ell)
+        n = checked_vertex_count(args.k, args.ell)
         cutoff = counting.DEFAULT_BRUTE_FORCE_CUTOFF if args.cutoff is None else args.cutoff
         if n > cutoff and not args.force:
             raise counting.BruteForceCutoffError(

@@ -106,7 +106,7 @@ def _prepare(g: Graph, fixed: Optional[Mapping[int, int]]):
     for v, c in (fixed or {}).items():
         if not (0 <= v < g.vertex_count):
             raise ValueError(f"fixed vertex {v} out of range")
-        if c not in COLORS:
+        if type(c) is not int or c not in COLORS:  # not a float or a bool
             raise ValueError(f"fixed vertex {v} has invalid color {c}")
         bits[v] = 1 << (c - 1)
         conflict = conflict or any(bits[nb] == bits[v] for nb in g.adjacency[v])

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Optional
 
-from .graphs import Graph, hashed_rows, induced_subgraph, triangle_count
+from .graphs import Graph, hashed_rows, triangle_count
 
 Face = tuple[int, ...]
 
@@ -86,53 +86,29 @@ def trace_faces(g: Graph, rot: RotationSystem) -> list[Face]:
 
 
 def euler_check(g: Graph, faces: list[Face]) -> bool:
-    """True iff V - E + F = 2; requires a connected graph."""
-    n = g.vertex_count
+    """True iff V - E + F = 2, where V counts only the vertices with an edge.
+
+    A vertex with no edge lies on no facial walk and cannot affect
+    planarity, so it is left out.  Raises ValueError unless the vertices
+    with an edge exist and are connected.
+    """
+    adjacency = g.adjacency
+    n = g.vertex_count - adjacency.count(())
     if n == 0:
-        raise ValueError("empty graph has no embedding to check")
-    seen = bytearray(n)
-    stack = [0]
-    seen[0] = 1
-    count = 1
+        raise ValueError("a graph with no edge has no embedding to check")
+    start = next(v for v, nbrs in enumerate(adjacency) if nbrs)
+    seen = bytearray(g.vertex_count)
+    stack = [start]
+    seen[start] = 1
     while stack:
         x = stack.pop()
-        for y in g.adjacency[x]:
+        for y in adjacency[x]:
             if not seen[y]:
                 seen[y] = 1
-                count += 1
                 stack.append(y)
-    if count != n:
+    if seen.count(1) != n:
         raise ValueError("graph is disconnected")
     return n - g.edge_count + len(faces) == 2
-
-
-def outer_face_index(faces: list[Face], terminal_u: int, terminal_v: int,
-                     g: Graph) -> int:
-    """Designate the outer face: the unique walk visiting both terminals.
-
-    If the v terminal is edgeless (the degenerate fan P(u,v,1)) it appears in
-    no walk and the face carrying u alone is taken instead.
-    """
-    hits = [i for i, f in enumerate(faces) if terminal_u in f and terminal_v in f]
-    if not hits and g.degree(terminal_v) == 0:
-        hits = [i for i, f in enumerate(faces) if terminal_u in f]
-    if len(hits) != 1:
-        raise ValueError(
-            f"expected a unique face with both terminals, found {len(hits)}"
-        )
-    return hits[0]
-
-
-def min_bounded_face_length(faces: list[Face], outer_id: int) -> Optional[int]:
-    """Minimum walk length over non-outer faces; None if there are none."""
-    lengths = list(map(len, faces))
-    del lengths[outer_id]
-    return min(lengths, default=None)
-
-
-def face_length_histogram(faces: list[Face]) -> dict[int, int]:
-    """Number of faces of each walk length, lengths in order of first walk."""
-    return dict(Counter(map(len, faces)))
 
 
 def certify(tg, rot: RotationSystem) -> dict:
@@ -141,8 +117,9 @@ def certify(tg, rot: RotationSystem) -> dict:
     Checks: triangle-freeness, Euler consistency, terminals non-adjacent and
     on the outer face, and that no bounded face is shorter than a
     quadrilateral.  Returns a report dict; the `ok` key is the conjunction.
-    An edgeless v terminal (the degenerate fan P(u,v,1)) lies on no facial
-    walk, so Euler's formula is checked on the graph without it.
+    The outer face is the one walk that holds both terminals; an edgeless v
+    terminal (the fan P(u,v,1)) lies on no walk, so then it is the one walk
+    through u, and Euler's formula leaves v out.
     """
     return certify_with_faces(tg, rot)[0]
 
@@ -150,14 +127,16 @@ def certify(tg, rot: RotationSystem) -> dict:
 def certify_with_faces(tg, rot: RotationSystem) -> tuple[dict, list[Face]]:
     """`certify`'s report together with the faces it traced."""
     g = tg.graph
+    u, v = tg.terminal_u, tg.terminal_v
     faces = trace_faces(g, rot)
-    if g.degree(tg.terminal_v) == 0:
-        rest, _ = induced_subgraph(g, set(range(g.vertex_count)) - {tg.terminal_v})
-        euler = euler_check(rest, faces)
-    else:
-        euler = euler_check(g, faces)
-    outer = outer_face_index(faces, tg.terminal_u, tg.terminal_v, g)
-    min_bounded = min_bounded_face_length(faces, outer)
+    euler = euler_check(g, faces)
+    v_edgeless = not g.adjacency[v]
+    hits = [i for i, f in enumerate(faces) if u in f and (v_edgeless or v in f)]
+    if len(hits) != 1:
+        raise ValueError(f"expected a unique face with both terminals, found {len(hits)}")
+    outer = hits[0]
+    lengths = list(map(len, faces))
+    min_bounded = min(lengths[:outer] + lengths[outer + 1:], default=None)
     triangles = triangle_count(g)
     report = {
         "vertices": g.vertex_count,
@@ -166,21 +145,13 @@ def certify_with_faces(tg, rot: RotationSystem) -> tuple[dict, list[Face]]:
         "outer_face_id": outer,
         "triangle_count": triangles,
         "euler": euler,
-        "terminals_nonadjacent": not g.has_edge(tg.terminal_u, tg.terminal_v),
-        "terminals_on_outer_face": (
-            tg.terminal_u in faces[outer]
-            and (tg.terminal_v in faces[outer] or g.degree(tg.terminal_v) == 0)
-        ),
-        "outer_face_length": len(faces[outer]),
+        "terminals_nonadjacent": not g.has_edge(u, v),
+        "terminals_on_outer_face": True,  # the outer face is the walk that holds them
+        "outer_face_length": lengths[outer],
         "min_bounded_face_length": min_bounded,
         "bounded_faces_ge_4": min_bounded is None or min_bounded >= 4,
-        "face_length_histogram": face_length_histogram(faces),
+        "face_length_histogram": dict(Counter(lengths)),
     }
-    report["ok"] = (
-        triangles == 0
-        and euler
-        and report["terminals_nonadjacent"]
-        and report["terminals_on_outer_face"]
-        and report["bounded_faces_ge_4"]
-    )
+    report["ok"] = (triangles == 0 and euler and report["terminals_nonadjacent"]
+                    and report["bounded_faces_ge_4"])
     return report, faces

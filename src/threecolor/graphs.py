@@ -1,4 +1,4 @@
-"""Minimal immutable undirected simple graphs with a proper-coloring check.
+"""Minimal immutable undirected simple graphs.
 
 Vertices are dense 0-based indices, and a neighbor tuple per vertex is the
 only edge store.  A graph made from a rotation keeps the rows it checked as
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import contains, getitem, ne
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 COLORS = (1, 2, 3)
 
@@ -143,9 +143,6 @@ class Graph:
     def has_edge(self, a: int, b: int) -> bool:
         return 0 <= a < self.vertex_count and b in self.adjacency[a]
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     def label_of(self, v: int) -> Optional[str]:
         return None if self.labels is None else self.labels[v]
 
@@ -188,20 +185,6 @@ def triangle_count(g: Graph) -> int:
                 total += len(sa.intersection(adjacency[b]))
     assert total % 3 == 0
     return total // 3
-
-
-def is_proper(g: Graph, coloring: Mapping[int, int]) -> bool:
-    """True iff every edge has differently colored endpoints.
-
-    Requires a total coloring; raises naming the first unassigned vertex.
-    """
-    for v in range(g.vertex_count):
-        if v not in coloring:
-            label = g.label_of(v)
-            where = f"vertex {v}" if label is None else f"vertex {v} ({label!r})"
-            raise ValueError(f"coloring is partial: {where} has no color")
-    return all(coloring[a] != coloring[b]
-               for a, nbrs in enumerate(g.adjacency) for b in nbrs if a < b)
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int, int]]:

@@ -23,19 +23,6 @@ def graphs_with_partial_colorings(draw, max_n=7):
 
 
 @st.composite
-def graphs_with_total_colorings(draw, min_n=1, max_n=8):
-    g = draw(small_graphs(min_n=min_n, max_n=max_n))
-    colors = draw(
-        st.lists(
-            st.sampled_from((1, 2, 3)),
-            min_size=g.vertex_count,
-            max_size=g.vertex_count,
-        )
-    )
-    return g, dict(enumerate(colors))
-
-
-@st.composite
 def edge_lists_with_repeats(draw, max_n=8):
     """(n, edges) where edges may repeat a pair and use either orientation."""
     n = draw(st.integers(min_value=0, max_value=max_n))

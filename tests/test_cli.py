@@ -11,6 +11,7 @@ import threecolor
 from threecolor import counting, embedding, serialize
 from threecolor.cli import main
 from threecolor.counting import MAX_FREE_VERTICES
+from threecolor.gadgets import MAX_VERTICES
 
 SRC = pathlib.Path(threecolor.__file__).resolve().parent.parent
 
@@ -272,13 +273,27 @@ class TestCount:
 
     @pytest.mark.parametrize("argv,free", [
         (("--k", "10", "--ell", "0", "--fix", "1,1"), 1024),
-        (("--k", "40", "--ell", "0"), 2 ** 40 + 2),  # refused before build_T
-    ], ids=["fixed-P1024", "unfixed-P2^40"])
+        (("--k", "10", "--ell", "1"), 3079),  # refused before build_T
+    ], ids=["fixed-P1024", "unfixed-T(10,1)"])
     def test_brute_past_the_free_vertex_limit_exit_2(self, argv, free):
         proc = run_cli_process("count", "--method", "brute", "--force", *argv, timeout=10)
         assert proc.returncode == 2
         assert proc.stdout == "" and proc.stderr == (
             f"error: {free} free vertices exceed the limit of {MAX_FREE_VERTICES}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("--k", "15000", "--ell", "0"),  # 2^15000 has over 4300 decimal digits
+        ("--k", "1000000000", "--ell", "0"),
+        ("--k", "1", "--ell", "1000000000"),
+        ("--k", "40", "--ell", "0", "--force"),
+    ], ids=["k15000", "k1e9", "ell1e9", "forced-k40"])
+    def test_brute_on_a_huge_gadget_refused_before_any_power(self, argv):
+        # k + ell >= 22 is refused before 2^k or 3^ell is formed
+        proc = run_cli_process("count", "--method", "brute", *argv, timeout=10)
+        k, ell = int(argv[1]), int(argv[3])
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (f"error: T({k},{ell}) has more than 2^{k + ell} vertices,"
+                               f" over the limit of {MAX_VERTICES}\n")
 
     def test_bit_budget_env_applies_to_count(self, capsys, monkeypatch):
         monkeypatch.setenv("THREECOLOR_BIT_BUDGET", "1000")

@@ -98,7 +98,9 @@ class TestBruteForce:
         (3, {-1: 1}, "out of range"),
         (3, {5: 1}, "out of range"),
         (3, {0: 7, 1: 7}, "invalid color"),  # 0-1 is an edge
-    ], ids=["color", "negative-vertex", "vertex-past-end", "invalid-on-edge"])
+        (1, {0: 1.0}, "invalid color"),
+        (1, {0: True}, "invalid color"),
+    ], ids=["color", "negative-vertex", "vertex-past-end", "invalid-on-edge", "float", "bool"])
     def test_invalid_fixed_color_rejected(self, n, fixed, message, route):
         g = Graph(n, [(i, i + 1) for i in range(n - 1)])
         with pytest.raises(ValueError, match=message):

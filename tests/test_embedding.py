@@ -1,17 +1,13 @@
+import json
+
+import networkx as nx
 import pytest
 from hypothesis import given
 
 from threecolor import build_P, build_T, certify, graphs
-from threecolor.embedding import (
-    RotationSystem,
-    euler_check,
-    face_length_histogram,
-    min_bounded_face_length,
-    outer_face_index,
-    trace_faces,
-)
+from threecolor.embedding import RotationSystem, euler_check, trace_faces
 from threecolor.gadgets import vertex_count_closed_form
-from threecolor.graphs import LONG_ROW, Graph, _IndexedRow
+from threecolor.graphs import LONG_ROW, Graph, TerminalGraph, _IndexedRow
 
 from graph_strategies import graphs_with_rotations
 from modulo_tracer import trace_faces_modulo
@@ -169,10 +165,21 @@ class TestEulerCheck:
         assert euler_check(g.graph, faces)
 
     def test_disconnected_flagged(self):
-        g = build_P(1).graph  # v is isolated
-        faces = trace_faces(g, build_P(1).rotation)
+        g = Graph(4, [(0, 1), (2, 3)])
+        faces = trace_faces(g, RotationSystem(g.adjacency))
         with pytest.raises(ValueError, match="disconnected"):
             euler_check(g, faces)
+
+    @pytest.mark.parametrize("b,extra", [(1, 0), (1, 1), (5, 1)])
+    def test_isolated_vertices_left_out(self, b, extra):
+        # P(u,v,1)'s v has no edge; `extra` more vertices with no edge follow
+        h = Graph.from_rotation(build_P(b).graph.adjacency + ((),) * extra)
+        assert euler_check(h, trace_faces(h, RotationSystem(h.adjacency)))
+
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_no_edge_rejected(self, n):
+        with pytest.raises(ValueError, match="no edge"):
+            euler_check(Graph(n, []), [])
 
     @pytest.mark.parametrize("k,ell", [(1, 0), (1, 1), (2, 1), (1, 2), (3, 2)])
     def test_gadgets_pass(self, k, ell):
@@ -184,38 +191,46 @@ class TestOuterFace:
     @pytest.mark.parametrize("b", [2, 3, 5, 8])
     def test_fan_outer_is_hexagon_with_terminals(self, b):
         g = build_P(b)
-        faces = trace_faces(g.graph, g.rotation)
-        outer = outer_face_index(faces, 0, 1, g.graph)
+        report = certify(g.tg, g.rotation)
+        outer = report["outer_face_id"]
         assert outer == g.rotation.outer_face_id
-        assert len(faces[outer]) == 6
-        assert 0 in faces[outer] and 1 in faces[outer]
+        assert report["outer_face_length"] == 6
+        walk = trace_faces(g.graph, g.rotation)[outer]
+        assert 0 in walk and 1 in walk
 
     def test_degenerate_fan_falls_back_to_u(self):
         g = build_P(1)
-        faces = trace_faces(g.graph, g.rotation)
-        outer = outer_face_index(faces, 0, 1, g.graph)
-        assert 0 in faces[outer]
+        report = certify(g.tg, g.rotation)
+        assert report["outer_face_length"] == 2
+        assert 0 in trace_faces(g.graph, g.rotation)[report["outer_face_id"]]
+
+    def test_terminals_on_two_faces_rejected(self):
+        # both faces of a 4-cycle hold both of its opposite corners
+        g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+        with pytest.raises(ValueError, match="unique face with both terminals, found 2"):
+            certify(TerminalGraph(g, 0, 2), RotationSystem(g.adjacency))
 
 
 class TestFaceLengths:
-    def test_four_cycle(self):
-        g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-        faces = trace_faces(g, RotationSystem(((1, 3), (2, 0), (3, 1), (0, 2))))
-        assert min_bounded_face_length(faces, 0) == 4
+    def test_four_cycle_with_a_pendant_terminal(self):
+        # the pendant v lies only on the outer walk, around the 4-cycle
+        g = Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3), (2, 4)])
+        report = certify(TerminalGraph(g, 0, 4), RotationSystem(g.adjacency))
+        assert report["ok"]
+        assert report["outer_face_length"] == 6 and report["min_bounded_face_length"] == 4
 
     @pytest.mark.parametrize("b", [3, 4, 5, 8, 16])
     def test_fan_bounded_faces_are_quads(self, b):
         g = build_P(b, check=False)
-        faces = trace_faces(g.graph, g.rotation)
-        outer = outer_face_index(faces, 0, 1, g.graph)
-        assert min_bounded_face_length(faces, outer) == 4
-        hist = face_length_histogram(faces)
-        assert hist == {4: b - 2, 6: 1}
+        report = certify(g.tg, g.rotation)
+        assert report["min_bounded_face_length"] == 4
+        assert report["face_length_histogram"] == {4: b - 2, 6: 1}
 
     def test_tree_fan_has_no_bounded_faces(self):
         g = build_P(2)
-        faces = trace_faces(g.graph, g.rotation)
-        assert min_bounded_face_length(faces, 0) is None
+        report = certify(g.tg, g.rotation)
+        assert report["faces"] == 1 and report["min_bounded_face_length"] is None
+        assert report["bounded_faces_ge_4"]
 
     @pytest.mark.parametrize(
         "k,ell",
@@ -225,13 +240,12 @@ class TestFaceLengths:
         """Exact face census: the leaf fans keep their quads, every child
         gluing contributes two pentagons, the outer face stays a hexagon."""
         g = build_T(k, ell, check=False)
-        faces = trace_faces(g.graph, g.rotation)
         quads = 3 ** ell * (2 ** k - 2)
         pents = 3 * (3 ** ell - 1)
         expected = {5: pents, 6: 1}
         if quads:
             expected[4] = quads
-        assert face_length_histogram(faces) == expected
+        assert certify(g.tg, g.rotation)["face_length_histogram"] == expected
 
     @pytest.mark.xfail(
         strict=True,
@@ -263,6 +277,37 @@ class TestCertify:
         assert report["ok"] and report["euler"]
         assert report["outer_face_id"] == g.rotation.outer_face_id == 0
 
+    def test_isolated_vertex_that_is_not_a_terminal(self):
+        # P(u,v,5) with one vertex more, which has no edge: Euler leaves it out
+        fan = build_P(5)
+        g = Graph.from_rotation(fan.graph.adjacency + ((),))
+        report = certify(TerminalGraph(g, 0, 1), RotationSystem(g.adjacency))
+        expected = dict(certify(fan.tg, fan.rotation), vertices=8)
+        assert json.dumps(report) == json.dumps(expected)
+
+    @pytest.mark.parametrize("build,expected", [
+        (lambda: build_P(1), {
+            "vertices": 3, "edges": 1, "faces": 1, "outer_face_id": 0, "triangle_count": 0,
+            "euler": True, "terminals_nonadjacent": True, "terminals_on_outer_face": True,
+            "outer_face_length": 2, "min_bounded_face_length": None,
+            "bounded_faces_ge_4": True, "face_length_histogram": {2: 1}, "ok": True}),
+        (lambda: build_P(5), {
+            "vertices": 7, "edges": 9, "faces": 4, "outer_face_id": 2, "triangle_count": 0,
+            "euler": True, "terminals_nonadjacent": True, "terminals_on_outer_face": True,
+            "outer_face_length": 6, "min_bounded_face_length": 4,
+            "bounded_faces_ge_4": True, "face_length_histogram": {4: 3, 6: 1}, "ok": True}),
+        (lambda: build_T(2, 2), {
+            "vertices": 58, "edges": 99, "faces": 43, "outer_face_id": 2, "triangle_count": 0,
+            "euler": True, "terminals_nonadjacent": True, "terminals_on_outer_face": True,
+            "outer_face_length": 6, "min_bounded_face_length": 4,
+            "bounded_faces_ge_4": True, "face_length_histogram": {5: 24, 6: 1, 4: 18},
+            "ok": True}),
+    ], ids=["P(u,v,1)", "P(u,v,5)", "T(2,2)"])
+    def test_pinned_report(self, build, expected):
+        """The whole report, key order and histogram order included."""
+        g = build()
+        assert json.dumps(certify(g.tg, g.rotation)) == json.dumps(expected)
+
     def test_construction_check_designates_outer_face(self):
         g = build_T(1, 1)  # check=True by default
         assert g.rotation.outer_face_id is not None
@@ -274,3 +319,38 @@ class TestCertify:
         g = build_P(5)
         rot = RotationSystem(g.rotation.order, None)
         assert trace_faces(g.graph, rot) == trace_faces(g.graph, g.rotation)
+
+
+# Every T(k,l) with at most 2,000 vertices: 38 gadgets.
+NX_GADGETS = [(k, ell) for ell in range(6) for k in range(1, 11)
+              if vertex_count_closed_form(k, ell) <= 2_000]
+
+
+def to_networkx(g):
+    G = nx.Graph()
+    G.add_nodes_from(range(g.vertex_count))
+    G.add_edges_from(g.edges)
+    return G
+
+
+class TestNetworkxRoute:
+    """networkx's planarity test and triangle count, a second route to what
+    `certify` shows by face tracing and `triangle_count`."""
+
+    @pytest.mark.parametrize("k,ell", NX_GADGETS)
+    def test_gadget_planar_and_triangle_free(self, k, ell):
+        G = to_networkx(build_T(k, ell).graph)  # the build certifies it
+        assert nx.check_planarity(G)[0]
+        assert sum(nx.triangles(G).values()) == 0
+
+    @pytest.mark.parametrize("b", range(1, 13))
+    def test_fan_planar_and_triangle_free(self, b):
+        G = to_networkx(build_P(b).graph)
+        assert nx.check_planarity(G)[0]
+        assert sum(nx.triangles(G).values()) == 0
+
+    def test_k33_fails_both_routes(self):
+        # sides {0, 1, 2} and {3, 4, 5}: every rotation has a genus, so Euler fails
+        g = Graph.from_rotation([(3, 4, 5)] * 3 + [(0, 1, 2)] * 3)
+        assert not euler_check(g, trace_faces(g, RotationSystem(g.adjacency)))
+        assert not nx.check_planarity(to_networkx(g))[0]

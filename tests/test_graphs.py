@@ -11,12 +11,10 @@ from threecolor.graphs import (
     Graph,
     TerminalGraph,
     induced_subgraph,
-    is_proper,
     triangle_count,
 )
 
-from graph_strategies import (dense_graphs, edge_lists_with_repeats, graphs_with_total_colorings,
-                              small_graphs)
+from graph_strategies import dense_graphs, edge_lists_with_repeats, small_graphs
 
 
 def naive_triangle_count(g: Graph) -> int:
@@ -183,37 +181,6 @@ class TestTriangleCount:
         G.add_nodes_from(range(g.vertex_count))
         G.add_edges_from(g.edges)
         assert triangle_count(g) == sum(nx.triangles(G).values()) // 3
-
-
-class TestIsProper:
-    def test_single_edge(self):
-        g = Graph(2, [(0, 1)])
-        assert is_proper(g, {0: 1, 1: 2})
-        assert not is_proper(g, {0: 1, 1: 1})
-
-    def test_alternating_fan_coloring(self):
-        # u and v on color 3, the path alternating 1,2,1,2,1
-        g = build_P(5).graph
-        assert is_proper(g, {0: 3, 1: 3, 2: 1, 3: 2, 4: 1, 5: 2, 6: 1})
-
-    def test_partial_coloring_reports_vertex(self):
-        g = build_P(5).graph
-        with pytest.raises(ValueError, match=r"vertex 4 \('v3'\)"):
-            is_proper(g, {0: 1, 1: 1, 2: 2, 3: 3, 5: 3, 6: 2})
-
-    @given(graphs_with_total_colorings())
-    def test_matches_the_edge_list(self, gc):
-        g, coloring = gc
-        assert is_proper(g, coloring) == all(coloring[a] != coloring[b] for a, b in g.edges)
-
-    @given(graphs_with_total_colorings())
-    def test_monotone_under_edge_removal(self, gc):
-        g, coloring = gc
-        if not is_proper(g, coloring):
-            return
-        for removed in g.edges:
-            sub = Graph(g.vertex_count, [e for e in g.edges if e != removed])
-            assert is_proper(sub, coloring)
 
 
 class TestInducedSubgraph:
