@@ -52,8 +52,6 @@ def cmd_generate(args) -> int:
     if args.format == "graph6":  # refused before anything is built
         serialize.check_graph6_size(checked_vertex_count(args.k, args.ell))
     gadget = build_T(args.k, args.ell, check=not args.no_check)
-    if not args.faces:
-        gadget.rotation.faces = None  # the check's walks, kept only to be printed
     if args.format == "json":
         chunks = serialize.json_chunks(
             serialize.gadget_descriptor(gadget, include_faces=args.faces))

@@ -28,7 +28,7 @@ from functools import cached_property, partial
 from itertools import accumulate, chain, repeat
 from typing import Optional
 
-from .embedding import RotationSystem, certify_with_faces
+from .embedding import RotationSystem, certify
 from .graphs import Graph, TerminalGraph, ascending_edges
 
 # The child terminal pairs (v1,v3), (v2,v4), (v3,v5) as positions in a frame.
@@ -155,9 +155,9 @@ def _assemble(leaf_b: int, k: Optional[int], ell: Optional[int], check: bool) ->
     order, pairs, frames = _write(leaf_b, ell or 0)
     g = Graph.from_rotation(order, partial(_labels, leaf_b, ell or 0))
     tg = TerminalGraph(g, 0, 1)
-    rotation = RotationSystem(g.adjacency)  # checked once, by from_rotation
+    rotation = RotationSystem(g.adjacency)  # checked and walked once, by from_rotation
     if check:
-        report, rotation.faces = certify_with_faces(tg, rotation)
+        report = certify(tg, rotation)
         if not report["ok"]:
             raise AssertionError(f"constructed gadget failed certification: {report}")
         rotation.outer_face_id = report["outer_face_id"]
@@ -169,7 +169,8 @@ def build_P(b: int, *, check: bool = True) -> Gadget:
     """Build the fan gadget P(u,v,b); b+2 vertices, 2b-1 edges.
 
     `check` runs `embedding.certify` and raises AssertionError unless it
-    passes (it traces all faces; disable for bulk sweeps).
+    passes.  The faces are walked either way, by `Graph.from_rotation`;
+    `check` adds Euler's formula, the triangle count and the outer face.
     """
     if b < 1:
         raise ValueError("b must be >= 1")
@@ -189,7 +190,8 @@ def check_k_ell(k: int, ell: int) -> None:
 def build_T(k: int, ell: int, *, check: bool = True) -> Gadget:
     """Build T(u,v,k,ell); for ell=0 this is P(u,v,2^k) with one leaf pair.
 
-    Raises ValueError, before allocating, if it has over MAX_VERTICES vertices.
+    `check` is as for `build_P`.  Raises ValueError, before allocating, if
+    it has over MAX_VERTICES vertices.
     """
     checked_vertex_count(k, ell)
     return _assemble(2 ** k, k, ell, check)

@@ -2,17 +2,17 @@
 
 Vertices are dense 0-based indices, and a neighbor tuple per vertex is the
 only edge store.  A graph made from a rotation keeps the rows it checked as
-that store, in rotation order, so that the face tracer need not check them
-again; any other graph's rows are ascending.  `ascending_edges` reads the
-edges of either in one order, and `hashed_rows` searches long rows by hash.
-Labels are an optional parallel decoration (never used for adjacency),
-possibly made on first use.  Colors are the literals 1, 2, 3.
+that store, in rotation order, and the facial walks its check traced;
+any other graph's rows are ascending.  `ascending_edges` reads the edges
+of either in one order.  Labels are an optional parallel decoration (never
+used for adjacency), possibly made on first use.  Colors are 1, 2, 3.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from itertools import chain, repeat
-from operator import contains, getitem, ne
+from itertools import accumulate, chain
+from operator import contains, ne
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 COLORS = (1, 2, 3)
@@ -24,13 +24,10 @@ LONG_ROW = 256
 
 
 class _IndexedRow(tuple):
-    """A row longer than LONG_ROW whose `in` and `index` are dict lookups."""
+    """A row longer than LONG_ROW whose `index` is a dict lookup."""
 
     def __init__(self, row):
         self.at = dict(zip(row, range(len(row))))
-
-    def __contains__(self, x):
-        return x in self.at
 
     def index(self, x):
         if x not in self.at:
@@ -38,10 +35,47 @@ class _IndexedRow(tuple):
         return self.at[x]
 
 
-def hashed_rows(rows: Sequence[Sequence[int]], lengths: Sequence[int]) -> Sequence[Sequence[int]]:
-    """`rows`, whose lengths are `lengths`, each row over LONG_ROW as an `_IndexedRow`."""
-    return rows if max(lengths, default=0) <= LONG_ROW else [
-        _IndexedRow(row) if len(row) > LONG_ROW else row for row in rows]
+def _walk_faces(rows: Sequence[Sequence[int]], lengths: Sequence[int]) -> tuple[array, array]:
+    """The facial walks of the rotation `rows` (row lengths `lengths`) end to
+    end in one array, and each walk's end in another.  A walk entering b from
+    a finds j = rows[b].index(a), the key offset[b] + j of that dart, and
+    leaves b for rows[b][j - 1], clockwise past a; walks start from the darts
+    a -> rows[a][i] in (a, i) order.  As each dart's reverse is looked up,
+    ValueError means a dart has none, IndexError a target past the last row."""
+    if max(lengths, default=0) > LONG_ROW:
+        rows = [_IndexedRow(row) if len(row) > LONG_ROW else row for row in rows]
+    offset = list(accumulate(lengths, initial=0))
+    visited = bytearray(offset[-1])
+    walks, ends = array("i"), array("i")
+    append = walks.append
+    for a0, row0 in enumerate(rows):
+        base = offset[a0]
+        last = len(row0) - 1
+        for i0 in range(last + 1):
+            # dart a0 -> row0[i0] leaves a0 past row0[i0 + 1], cyclically
+            key = base + i0 + 1 if i0 < last else base
+            if visited[key]:
+                continue
+            visited[key] = 1
+            a, b = a0, row0[i0]
+            append(a0)
+            while True:
+                row = rows[b]
+                j = row.index(a)
+                key = offset[b] + j
+                if visited[key]:  # only the first dart of this walk
+                    break
+                visited[key] = 1
+                append(b)
+                a, b = b, row[j - 1]
+            ends.append(len(walks))
+    return walks, ends
+
+
+def facial_walks(faces: tuple[array, array]) -> Iterator[tuple[int, ...]]:
+    """Each walk of `faces`, the pair (walks, ends), as a tuple, lazily."""
+    walks, ends = faces
+    return map(tuple, map(walks.__getitem__, map(slice, chain((0,), ends), ends)))
 
 
 def ascending_edges(adjacency: Sequence[Sequence[int]]) -> Iterator[Edge]:
@@ -63,10 +97,11 @@ class Graph:
 
     The adjacency tuples are the only edge store; `edges` and `has_edge`
     read them.  For a graph made by `from_rotation` they are the rotation
-    it checked, in rotation order; for any other graph each row is ascending.
+    it checked, in rotation order, and `faces` is its walks (`_walk_faces`);
+    for any other graph each row is ascending and `faces` is None.
     """
 
-    __slots__ = ("vertex_count", "edge_count", "adjacency", "_labels")
+    __slots__ = ("vertex_count", "edge_count", "adjacency", "faces", "_labels")
 
     def __init__(self, vertex_count: int, edges: Iterable[Edge],
                  labels: Optional[Iterable[str]] = None):
@@ -90,14 +125,14 @@ class Graph:
         """The graph whose neighbors of vertex a are `order[a]`, in that order.
 
         Raises ValueError for a neighbor out of range, a self-loop, a repeated
-        neighbor or a dart a -> b without b -> a.  The checked rows are kept
-        as `adjacency`; tuple rows are kept as they are.
-        `labels` runs on first read.
+        neighbor or a dart a -> b without b -> a, which the walk of the faces
+        finds.  The checked rows are kept as `adjacency`, tuple rows as they
+        are, and the walks as `faces`.  `labels` runs on first read.
         """
         rotation = tuple(map(tuple, order))
         n = len(rotation)
         out_of_range = f"a neighbor is out of range for n={n}"
-        # A target >= n fails its lookup below; a negative one would not.
+        # A target >= n fails its lookup in the walk; a negative one would not.
         if min(chain.from_iterable(rotation), default=0) < 0:
             raise ValueError(out_of_range)
         if any(map(contains, rotation, range(n))):
@@ -105,21 +140,19 @@ class Graph:
         degrees = list(map(len, rotation))
         if any(map(ne, map(len, map(set, rotation)), degrees)):
             raise ValueError("the rotation has a repeated neighbor")
-        # Dart by dart: is the source among the target's neighbors?
-        lookup = hashed_rows(rotation, degrees)
-        sources = chain.from_iterable(map(repeat, range(n), degrees))
-        rows = map(getitem, repeat(lookup), chain.from_iterable(rotation))
         try:
-            if not all(map(contains, rows, sources)):
-                raise ValueError("a dart of the rotation has no reverse")
+            faces = _walk_faces(rotation, degrees)
+        except ValueError:
+            raise ValueError("a dart of the rotation has no reverse") from None
         except IndexError:
             raise ValueError(out_of_range) from None
-        return cls.__new__(cls)._store(rotation, labels)
+        return cls.__new__(cls)._store(rotation, labels, faces)
 
-    def _store(self, adjacency: tuple[tuple[int, ...], ...], labels) -> Graph:
+    def _store(self, adjacency: tuple[tuple[int, ...], ...], labels, faces=None) -> Graph:
         object.__setattr__(self, "vertex_count", len(adjacency))
         object.__setattr__(self, "edge_count", sum(map(len, adjacency)) // 2)
         object.__setattr__(self, "adjacency", adjacency)
+        object.__setattr__(self, "faces", faces)
         object.__setattr__(self, "_labels", labels)
         return self
 

@@ -14,13 +14,15 @@ from __future__ import annotations
 
 import json
 import mmap
-from itertools import islice
+from functools import partial
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
-from typing import Iterator
+from operator import sub
+from typing import Callable, Iterator
 
-from .embedding import trace_faces
+from .embedding import walks_of
 from .gadgets import Gadget
-from .graphs import Graph, ascending_edges
+from .graphs import Graph, ascending_edges, facial_walks
 
 GRAPH6_MAX_BYTES = 2 ** 24
 # The most vertices whose graph6 line, 4 + ceil(n(n-1)/12) bytes, fits.
@@ -81,28 +83,27 @@ def to_dot(g: Graph, name: str = "G") -> str:
     return "\n".join(lines) + "\n"
 
 
-class EdgeRows(list):
-    """A graph's edges as (a, b) rows with a < b, in ascending order, made
-    from its adjacency on each pass, so that no m pair tuples are held.
-    It is a list only so that `json` writes it as the list of those rows;
-    `len` and iteration see the rows, and no other list operation does."""
+class LazyRows(list):
+    """`length` rows of ints, of the lengths in `widths`, made by `make()` on
+    each pass, so that none is held.  It is a list only so that `json` writes
+    it as a list; `len` and iteration see the rows, no other list operation."""
 
-    __slots__ = ("graph",)
+    __slots__ = ("length", "widths", "make")
 
-    def __init__(self, g: Graph):
-        self.graph = g
+    def __init__(self, length: int, widths: set[int], make: Callable[[], Iterator]):
+        self.length, self.widths, self.make = length, widths, make
 
     def __len__(self) -> int:
-        return self.graph.edge_count
+        return self.length
 
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return ascending_edges(self.graph.adjacency)
+    def __iter__(self) -> Iterator:
+        return self.make()
 
 
 def gadget_descriptor(gadget: Gadget, *, include_faces: bool = False) -> dict:
     """JSON-ready descriptor of a built gadget; labels and the rotation are
-    the gadget's own tuples, which `json` writes as lists, and the edges are
-    read from the adjacency as they are written."""
+    the gadget's own tuples, which `json` writes as lists, and the edges and
+    faces are read from the graph as they are written."""
     g = gadget.graph
     doc = {
         "format_version": 1,
@@ -111,7 +112,7 @@ def gadget_descriptor(gadget: Gadget, *, include_faces: bool = False) -> dict:
         "b": gadget.registry.leaf_b,
         "vertex_count": g.vertex_count,
         "terminals": [gadget.tg.terminal_u, gadget.tg.terminal_v],
-        "edges": EdgeRows(g),
+        "edges": LazyRows(g.edge_count, {2}, partial(ascending_edges, g.adjacency)),
         "labels": g.labels,
         "leaf_pairs": [list(p) for p in gadget.registry.pairs],
         "inner_set": sorted(gadget.registry.inner_set),
@@ -121,8 +122,10 @@ def gadget_descriptor(gadget: Gadget, *, include_faces: bool = False) -> dict:
         },
     }
     if include_faces:
-        faces = gadget.rotation.faces
-        doc["faces"] = trace_faces(g, gadget.rotation) if faces is None else faces
+        faces = walks_of(g, gadget.rotation)
+        ends = faces[1]
+        doc["faces"] = LazyRows(len(ends), set(map(sub, ends, chain((0,), ends))),
+                                partial(facial_walks, faces))
     return doc
 
 
@@ -195,12 +198,12 @@ def _items(items, pad: str, encode) -> Iterator[str]:
 def _rows(rows, pad: str) -> Iterator[str]:
     """A nonempty sequence of int sequences.  Rows are %-formatted by one
     template per row length, as many whole rows to a chunk as the widest
-    leaves room for; a row wider than a chunk goes through `_chunks`.  The
-    rows of an EdgeRows, all of width 2, are made once, as they are written."""
+    leaves room for; a row wider than a chunk goes through `_chunks`.  A
+    LazyRows knows its widths, so its rows are made once, as they are written."""
     inner = pad + "  "
     row_sep = ",\n" + inner
     opener = "[" + row_sep[1:]
-    widths = {2} if isinstance(rows, EdgeRows) else set(map(len, rows))
+    widths = rows.widths if isinstance(rows, LazyRows) else set(map(len, rows))
     width = max(widths)
     if width > CHUNK_ITEMS:
         for row in rows:

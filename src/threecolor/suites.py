@@ -38,17 +38,11 @@ class SuiteResult:
 def run_lemma2() -> SuiteResult:
     """Exhaustive frame-equality classification over P(u,v,5)."""
     res = SuiteResult("lemma2")
-    g = build_P(5, check=False)
-    total = 0
-    a_ok = True
-    b_ok = True
-    for psi in counting.iter_colorings(g.graph):
-        total += 1
-        verdict = counting.lemma2_classify(psi)
-        if not verdict.case_a_witness:
-            a_ok = False
-        if verdict.case_b_applies and verdict.case_a_witness != frozenset({1, 2, 3}):
-            b_ok = False
+    verdicts = list(map(counting.lemma2_classify,
+                        counting.iter_colorings(build_P(5, check=False).graph)))
+    total = len(verdicts)
+    a_ok = all(v.case_a_witness for v in verdicts)
+    b_ok = all(v.case_a_witness == {1, 2, 3} for v in verdicts if v.case_b_applies)
     res.add("coloring count", total == 84, f"{total}/84 colorings enumerated")
     res.add("at least one equality holds in every coloring", a_ok)
     res.add("equal terminals force v1=v3=v5 and v2=v4", b_ok)

@@ -8,7 +8,7 @@ import sys
 import networkx as nx
 import pytest
 import threecolor
-from threecolor import counting, embedding, serialize
+from threecolor import counting, graphs
 from threecolor.cli import main
 from threecolor.counting import MAX_FREE_VERTICES
 from threecolor.gadgets import MAX_VERTICES
@@ -44,15 +44,15 @@ class TestGenerate:
 
     @pytest.mark.parametrize("extra", [(), ("--no-check",)])
     def test_faces_traced_once(self, extra, capsys, monkeypatch):
+        # `Graph.from_rotation` walks the faces; the check and --faces read its walks.
         calls = []
-        real = embedding.trace_faces
+        real = graphs._walk_faces
 
         def counted(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(embedding, "trace_faces", counted)
-        monkeypatch.setattr(serialize, "trace_faces", counted)
+        monkeypatch.setattr(graphs, "_walk_faces", counted)
         code, out, _ = run_cli(capsys, "generate", "--k", "3", "--ell", "3",
                                "--faces", *extra)
         assert code == 0

@@ -1,4 +1,8 @@
+import collections
+import itertools
 import json
+import sys
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -7,7 +11,8 @@ from hypothesis import given
 from threecolor import build_P, build_T, certify, graphs
 from threecolor.embedding import RotationSystem, euler_check, trace_faces
 from threecolor.gadgets import vertex_count_closed_form
-from threecolor.graphs import LONG_ROW, Graph, TerminalGraph, _IndexedRow
+from threecolor.graphs import LONG_ROW, Graph, TerminalGraph, _IndexedRow, facial_walks
+from threecolor.serialize import gadget_descriptor, json_chunks
 
 from graph_strategies import graphs_with_rotations
 from modulo_tracer import trace_faces_modulo
@@ -69,13 +74,15 @@ SMALL_GADGETS = [(k, ell) for ell in range(9) for k in range(1, 11)
 
 
 class TestTracerOracle:
-    """`trace_faces` against the modulo tracer it replaced: the same walks
-    in the same order, so `outer_face_id` and the JSON faces keep."""
+    """The walks that `Graph.from_rotation` keeps, and `trace_faces`, against
+    the modulo tracer they replaced: the same walks in the same order, so
+    `outer_face_id` and the JSON faces keep."""
 
     @pytest.mark.parametrize("k,ell", SMALL_GADGETS)
     def test_gadget_walks_match(self, k, ell):
         gadget = build_T(k, ell, check=False)
-        faces = trace_faces(gadget.graph, gadget.rotation)
+        faces = list(facial_walks(gadget.graph.faces))
+        assert trace_faces(gadget.graph, gadget.rotation) == faces
         assert all(type(face) is tuple for face in faces)
         assert faces == list(map(tuple, trace_faces_modulo(gadget.rotation.order)))
 
@@ -137,8 +144,8 @@ class TestLongRows:
                 row.index(missing)
 
     def test_only_rows_over_the_limit_are_indexed(self, monkeypatch):
-        # Both the rotation check and the tracer search rows through the
-        # one helper in `graphs`.
+        # Only the walker in `graphs` searches rows, and it walks each
+        # rotation once: the graph's own rows are read from its walks.
         made = []
         monkeypatch.setattr(graphs, "_IndexedRow",
                             lambda row: made.append(len(row)) or _IndexedRow(row))
@@ -147,8 +154,101 @@ class TestLongRows:
         assert made == [LONG_ROW + 1]
         made.clear()
         faces = trace_faces(gadget.graph, gadget.rotation)
+        assert certify(gadget.tg, gadget.rotation)["ok"]
+        assert made == []
+        copy = RotationSystem(tuple(map(tuple, gadget.rotation.order)))
+        assert trace_faces(gadget.graph, copy) == faces
         assert made == [LONG_ROW + 1]
         assert faces == list(map(tuple, trace_faces_modulo(gadget.rotation.order)))
+
+
+def count_walks(monkeypatch) -> list:
+    """Record each call of the face walker, wherever it is called from."""
+    calls = []
+    real = graphs._walk_faces
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return real(*args)
+
+    monkeypatch.setattr(graphs, "_walk_faces", counted)
+    return calls
+
+
+class TestKeptWalks:
+    """`Graph.from_rotation` walks the faces as its reverse-dart check and
+    keeps the walks in two arrays; the certificate and the JSON read them."""
+
+    def test_walks_take_under_7_bytes_per_dart(self):
+        order = build_T(4, 6, check=False).rotation.order
+        darts = sum(map(len, order))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            g = Graph.from_rotation(order)  # the tuple rows are kept, not copied
+            kept = tracemalloc.get_traced_memory()[0] - base
+            kept -= sys.getsizeof(g.adjacency) + sys.getsizeof(g) + sys.getsizeof(g.faces)
+            faces = trace_faces(g, RotationSystem(g.adjacency))
+            as_tuples = tracemalloc.get_traced_memory()[0] - base - kept
+        finally:
+            tracemalloc.stop()
+        assert sum(map(len, faces)) == darts == len(g.faces[0])
+        assert kept <= 7 * darts
+        assert as_tuples >= 3 * kept  # the same walks as a list of tuples
+
+    def test_darts_walked_once(self, monkeypatch):
+        calls = count_walks(monkeypatch)
+        gadget = build_T(3, 2)  # check=True, so `certify` runs in the build
+        report = certify(gadget.tg, gadget.rotation)
+        collections.deque(json_chunks(gadget_descriptor(gadget, include_faces=True)), maxlen=0)
+        assert report["ok"] and calls == [gadget.graph.vertex_count]
+
+    @pytest.mark.parametrize("make", [
+        lambda g: Graph(g.vertex_count, g.edges),
+        lambda g: graphs.induced_subgraph(g, range(9))[0],
+    ], ids=["edge list", "induced"])
+    def test_other_graphs_keep_none(self, make):
+        h = make(build_T(2, 1, check=False).graph)
+        assert h.faces is None
+        assert trace_faces(h, RotationSystem(h.adjacency)) == \
+            list(map(tuple, trace_faces_modulo(h.adjacency)))
+
+
+# Every T(k,l) with at most 5,000 vertices.
+ROUTE_GADGETS = [(k, ell) for ell in range(9) for k in range(1, 13)
+                 if vertex_count_closed_form(k, ell) <= 5_000]
+
+
+def outcome(tg, rot) -> str:
+    """`certify`'s report as JSON, key order included, or its error."""
+    try:
+        return json.dumps(certify(tg, rot))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+class TestTwoRoutes:
+    """`certify` on the walks the graph keeps, and on a copy of its rotation,
+    which is compared with the graph's edges and walked afresh: one report."""
+
+    @pytest.mark.parametrize("k,ell", ROUTE_GADGETS)
+    def test_gadget_reports_agree(self, k, ell, monkeypatch):
+        gadget = build_T(k, ell, check=False)
+        calls = count_walks(monkeypatch)
+        kept = outcome(gadget.tg, gadget.rotation)
+        assert calls == []
+        copy = RotationSystem(tuple(map(tuple, gadget.graph.adjacency)))
+        assert outcome(gadget.tg, copy) == kept
+        assert calls == [gadget.graph.vertex_count] and json.loads(kept)["ok"]
+
+    @given(graphs_with_rotations())
+    def test_drawn_rotations_agree(self, case):
+        g = Graph.from_rotation(case[1])
+        copy = RotationSystem(tuple(map(tuple, g.adjacency)))
+        for u, v in itertools.permutations(range(g.vertex_count), 2):
+            if not g.has_edge(u, v):
+                tg = TerminalGraph(g, u, v)
+                assert outcome(tg, copy) == outcome(tg, RotationSystem(g.adjacency))
 
 
 class TestEulerCheck:

@@ -5,6 +5,7 @@ import mmap
 import re
 import sys
 import tracemalloc
+from functools import partial
 
 import networkx as nx
 import pytest
@@ -12,8 +13,9 @@ from hypothesis import given
 
 from threecolor import build_P, build_T, gadget_to_json, to_dot, to_graph6
 from threecolor.cli import _write_output
-from threecolor.graphs import Graph
-from threecolor.serialize import (CHUNK_ITEMS, GRAPH6_MAX_BYTES, GRAPH6_MAX_VERTICES, EdgeRows,
+from threecolor.embedding import trace_faces
+from threecolor.graphs import Graph, ascending_edges
+from threecolor.serialize import (CHUNK_ITEMS, GRAPH6_MAX_BYTES, GRAPH6_MAX_VERTICES, LazyRows,
                                   check_graph6_size, gadget_descriptor, json_chunks)
 
 from graph_strategies import graphs_with_rotations, small_graphs
@@ -128,15 +130,20 @@ class TestDot:
         assert lines == [f"  {a} -- {b};" for a, b in g.edges]
 
 
+def edge_rows(g: Graph) -> LazyRows:
+    """The edges as the descriptor's `edges` view reads them."""
+    return LazyRows(g.edge_count, {2}, partial(ascending_edges, g.adjacency))
+
+
 def _edge_orders(g: Graph) -> tuple[list, list, list]:
-    """The edges as `Graph.edges`, `EdgeRows` and the DOT edge lines give them."""
+    """The edges as `Graph.edges`, the rows view and the DOT edge lines give them."""
     dot = [tuple(map(int, re.fullmatch(r"  (\d+) -- (\d+);", line).groups()))
            for line in to_dot(g).splitlines() if " -- " in line]
-    return list(g.edges), list(EdgeRows(g)), dot
+    return list(g.edges), list(edge_rows(g)), dot
 
 
 class TestOneEdgeOrder:
-    """`Graph.edges`, `EdgeRows` and `to_dot` read the edges in one order:
+    """`Graph.edges`, the rows view and `to_dot` read the edges in one order:
     each edge once as (a, b) with a < b, ascending, also from rotation rows."""
 
     def test_gadget_rows_in_rotation_order(self):
@@ -273,31 +280,46 @@ class TestJsonChunks:
             assert "".join(chunks) == gadget_to_json(gadget, include_faces=faces)
             assert max(map(len, chunks)) <= CHUNK_CHARS
 
-    def test_edges_are_streamed_from_the_adjacency(self):
+    @pytest.mark.parametrize("faces", [False, True], ids=["edges", "faces"])
+    def test_rows_are_streamed_from_the_graph(self, faces):
+        # The edges are read from the adjacency, and the faces from the
+        # walks that the graph keeps, so neither is held as a list of tuples.
         gadget = build_T(4, 6, check=False)
         g = gadget.graph
         g.labels  # made before measuring, as the descriptor only reads them
         tracemalloc.start()
         try:
             pairs = g.edges  # what the descriptor held before
+            walks = trace_faces(g, gadget.rotation) if faces else []  # and its faces
             held = tracemalloc.get_traced_memory()[0]
-            del pairs
+            del pairs, walks
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            collections.deque(json_chunks(gadget_descriptor(gadget)), maxlen=0)
+            collections.deque(json_chunks(gadget_descriptor(gadget, include_faces=faces)),
+                              maxlen=0)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert held > 1_500_000
-        assert peak < held - 1_500_000
+        assert held > (3_000_000 if faces else 1_500_000)
+        assert peak < held - (3_000_000 if faces else 1_500_000)
 
     def test_edge_rows_read_like_the_edges(self):
         g = build_T(2, 2, check=False).graph
-        rows = EdgeRows(g)
+        rows = edge_rows(g)
         assert len(rows) == g.edge_count and bool(rows)
         assert list(rows) == list(g.edges)
         assert json.dumps(rows) == json.dumps(g.edges)  # the C encoder, too
-        assert not EdgeRows(Graph(3, [])) and json.dumps(EdgeRows(Graph(3, []))) == "[]"
+        assert not edge_rows(Graph(3, [])) and json.dumps(edge_rows(Graph(3, []))) == "[]"
+
+    @pytest.mark.parametrize("gadget", [build_T(2, 2, check=False), build_P(1, check=False)],
+                             ids=["T(2,2)", "P(1)"])
+    def test_face_rows_read_like_the_traced_faces(self, gadget):
+        rows = gadget_descriptor(gadget, include_faces=True)["faces"]
+        faces = trace_faces(gadget.graph, gadget.rotation)
+        assert type(rows) is LazyRows and len(rows) == len(faces) and bool(rows)
+        assert rows.widths == set(map(len, faces))
+        assert list(rows) == list(rows) == faces
+        assert json.dumps(rows) == json.dumps(faces)  # the C encoder, too
 
     def test_writing_holds_a_fraction_of_the_text(self, monkeypatch):
         class Sink:
