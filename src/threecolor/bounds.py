@@ -68,6 +68,10 @@ def lemma3_bound(k: int, ell: int, *, bit_budget: int = DEFAULT_BIT_BUDGET) -> i
     if ell < 1:
         raise ValueError("the extension bound is stated for ell >= 1")
     check_k_ell(k, ell)
+    if k + ell >= max(64, bit_budget.bit_length()):  # 2^(k+ell) > bit_budget: refuse unformed
+        power = f"2^{int_to_decimal(k + ell)}"
+        raise BitBudgetExceededError(f"2^({power} + 3^{int_to_decimal(ell)}) needs over {power}"
+                                     f" bits, over the budget of {bit_budget}")
     exponent = 2 ** (k + ell) + 3 ** ell
     _require_bits(exponent, bit_budget)
     return 1 << exponent
@@ -127,17 +131,8 @@ def theorem_chain_check(ell: int, *, bit_budget: int = DEFAULT_BIT_BUDGET,
     )
 
 
-@dataclass(frozen=True)
-class Report:
-    rows: tuple[BoundReport, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(row.ok for row in self.rows)
-
-
 def emit_report(ell_range: range, *, bit_budget: int = DEFAULT_BIT_BUDGET,
-                include_decimal: bool = False) -> Report:
+                include_decimal: bool = False) -> tuple[BoundReport, ...]:
     """One BoundReport per level; budget failures become per-row errors.
     Refuses with ValueError, before any row, a range whose n column may hold
     over REPORT_MAX_DIGITS digits: k_window gives n < 4 * (9/2)^l, which has
@@ -157,7 +152,7 @@ def emit_report(ell_range: range, *, bit_budget: int = DEFAULT_BIT_BUDGET,
             rows.append(BoundReport(
                 ell=ell, k=k, n=vertex_count_closed_form(k, ell),
                 c_bits=0, checks={}, error=str(exc)))
-    return Report(tuple(rows))
+    return tuple(rows)
 
 
 # Integers below this many bits (at most 603 digits) convert directly:
@@ -211,8 +206,8 @@ def int_to_decimal(value: int) -> str:
         return str(convert(value, value.bit_length()))
 
 
-def report_to_json(report: Report) -> str:
-    """The report as JSON, indented by 2, each n written by `int_to_decimal` in
+def report_to_json(rows: tuple[BoundReport, ...]) -> str:
+    """The report's rows as JSON, indented by 2, each n written by `int_to_decimal` in
     place of a 0, as str() refuses a far level's n (a string's quotes are escaped)."""
     doc = {
         "version": 1,
@@ -226,19 +221,19 @@ def report_to_json(report: Report) -> str:
                 "checks": row.checks,
                 **({"error": row.error} if row.error is not None else {}),
             }
-            for row in report.rows
+            for row in rows
         ],
     }
     head, *rest = json.dumps(doc, indent=2).split('"n": 0,')
     return head + "".join(f'"n": {int_to_decimal(row.n)},{text}'
-                          for row, text in zip(report.rows, rest))
+                          for row, text in zip(rows, rest))
 
 
-def report_to_text(report: Report) -> str:
+def report_to_text(rows: tuple[BoundReport, ...]) -> str:
     """Fixed-width human-readable table, one row per level."""
     header = f"{'ell':>4} {'k':>3} {'n':>12} {'c_bits':>10}  checks"
     lines = [header, "-" * len(header)]
-    for row in report.rows:
+    for row in rows:
         n = int_to_decimal(row.n)
         if row.error is not None:
             lines.append(f"{row.ell:>4} {row.k:>3} {n:>12} {'-':>10}  ERROR: {row.error}")
@@ -247,6 +242,6 @@ def report_to_text(report: Report) -> str:
             f"{name}={'pass' if row.checks[name] else 'FAIL'}" for name in CHECK_NAMES
         )
         lines.append(f"{row.ell:>4} {row.k:>3} {n:>12} {row.c_bits:>10}  {marks}")
-    lines.append(f"result: {'all checks pass' if report.ok else 'FAILURES PRESENT'}"
-                 if report.rows else "result: empty report")
+    verdict = "all checks pass" if all(row.ok for row in rows) else "FAILURES PRESENT"
+    lines.append(f"result: {verdict if rows else 'empty report'}")
     return "\n".join(lines)

@@ -4,7 +4,8 @@ A rotation system stores, for every vertex, the cyclic (counterclockwise)
 order of its neighbors.  The orbits of the next-dart permutation are the
 facial walks, which `Graph.from_rotation` traces as its check and keeps;
 with Euler's formula V - E + F = 2 they certify that the map is a plane
-embedding, with no planarity *decision* algorithm involved.
+embedding, with no planarity *decision* algorithm involved.  A rotation is
+certified only as the rows of the graph `Graph.from_rotation` made of it.
 """
 from __future__ import annotations
 
@@ -18,40 +19,31 @@ from typing import Optional
 from .graphs import Graph, facial_walks, triangle_count
 
 
-@dataclass
+@dataclass(frozen=True)
 class RotationSystem:
     """Per-vertex cyclic neighbor order, plus the designated outer face.
 
-    `outer_face_id` indexes into the (deterministic) trace_faces output;
-    None means not yet designated.  It is set after construction."""
+    `order` is the `adjacency` of the graph that `Graph.from_rotation` made
+    from it; `outer_face_id` indexes into that graph's walks, and None means
+    not designated."""
 
     order: tuple[tuple[int, ...], ...]
     outer_face_id: Optional[int] = None
 
 
-def walks_of(g: Graph, rot: RotationSystem):
-    """The facial walks of (g, rot) as the pair (walks, ends) of `Graph.faces`:
-    the graph's own if the rows are `g.adjacency` itself, as `from_rotation`
-    keeps them; any other rows are compared with the edges, then walked."""
-    order = rot.order
-    if len(order) != g.vertex_count:
-        raise ValueError("rotation must list every vertex")
-    if order is g.adjacency and g.faces is not None:
-        return g.faces
-    for a, (row, nbrs) in enumerate(zip(order, g.adjacency)):
-        if sorted(row) != sorted(nbrs):
-            raise ValueError(f"rotation at vertex {a} does not match its edges")
-    return Graph.from_rotation(order).faces
+def _walks(g: Graph, rot: RotationSystem):
+    """g's kept walks (walks, ends); refused unless `rot.order` is g's rows."""
+    if rot.order is not g.adjacency or g.faces is None:
+        raise ValueError("a rotation is certified only as its own graph:"
+                         " make it with Graph.from_rotation(rows)")
+    return g.faces
 
 
 def trace_faces(g: Graph, rot: RotationSystem) -> list[tuple[int, ...]]:
-    """Facial walks of the combinatorial map (g, rot).
-
-    Each directed edge side is used exactly once; a face is returned as the
-    tuple of vertices along its closed walk (walk length = len(face)).
-    Raises ValueError if the rotation is inconsistent with the graph.
-    """
-    return list(facial_walks(walks_of(g, rot)))
+    """Facial walks of the map (g, rot) as `Graph.from_rotation` walked them,
+    each a tuple of vertices along a closed walk, each dart on one walk.
+    Raises ValueError unless `rot.order` is the graph's own rows."""
+    return list(facial_walks(_walks(g, rot)))
 
 
 def euler_check(g: Graph, faces) -> bool:
@@ -89,11 +81,12 @@ def certify(tg, rot: RotationSystem) -> dict:
     quadrilateral.  Returns a report dict; the `ok` key is the conjunction.
     The outer face is the one walk that holds both terminals; an edgeless v
     terminal (the fan P(u,v,1)) lies on no walk, so then it is the one walk
-    through u, and Euler's formula leaves v out.  No tuple is made per face.
+    through u, and Euler's formula leaves v out.  The walks are the graph's
+    own, so `rot.order` must be its rows; no tuple is made per face.
     """
     g = tg.graph
     u, v = tg.terminal_u, tg.terminal_v
-    walks, ends = walks_of(g, rot)
+    walks, ends = _walks(g, rot)
     euler = euler_check(g, ends)
     # u lies once on the walks per neighbor; face i ends before ends[i].
     through_u, place = set(), -1

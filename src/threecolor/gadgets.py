@@ -155,14 +155,14 @@ def _assemble(leaf_b: int, k: Optional[int], ell: Optional[int], check: bool) ->
     order, pairs, frames = _write(leaf_b, ell or 0)
     g = Graph.from_rotation(order, partial(_labels, leaf_b, ell or 0))
     tg = TerminalGraph(g, 0, 1)
-    rotation = RotationSystem(g.adjacency)  # checked and walked once, by from_rotation
+    outer = None  # the rows were checked and walked once, by from_rotation
     if check:
-        report = certify(tg, rotation)
+        report = certify(tg, RotationSystem(g.adjacency))
         if not report["ok"]:
             raise AssertionError(f"constructed gadget failed certification: {report}")
-        rotation.outer_face_id = report["outer_face_id"]
+        outer = report["outer_face_id"]
     registry = LeafPairRegistry(pairs, frozenset(chain((0, 1), *frames)), leaf_b, frames)
-    return Gadget(tg, k, ell, registry, rotation)
+    return Gadget(tg, k, ell, registry, RotationSystem(g.adjacency, outer))
 
 
 def build_P(b: int, *, check: bool = True) -> Gadget:

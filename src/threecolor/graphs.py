@@ -2,10 +2,11 @@
 
 Vertices are dense 0-based indices, and a neighbor tuple per vertex is the
 only edge store.  A graph made from a rotation keeps the rows it checked as
-that store, in rotation order, and the facial walks its check traced;
-any other graph's rows are ascending.  `ascending_edges` reads the edges
-of either in one order.  Labels are an optional parallel decoration (never
-used for adjacency), possibly made on first use.  Colors are 1, 2, 3.
+that store, in rotation order, and the facial walks its check traced, the
+only walks a rotation is certified by; any other graph's rows are ascending.
+`ascending_edges` reads the edges of either in one order.  Labels are an
+optional parallel decoration (never used for adjacency), possibly made on
+first use.  Colors are 1, 2, 3.
 """
 from __future__ import annotations
 

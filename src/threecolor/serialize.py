@@ -20,7 +20,6 @@ from json.encoder import encode_basestring_ascii
 from operator import sub
 from typing import Callable, Iterator
 
-from .embedding import walks_of
 from .gadgets import Gadget
 from .graphs import Graph, ascending_edges, facial_walks
 
@@ -76,7 +75,7 @@ def to_dot(g: Graph, name: str = "G") -> str:
         if label is None:
             lines.append(f"  {v};")
         else:
-            escaped = label.replace('"', '\\"')
+            escaped = label.replace("\\", "\\\\").replace('"', '\\"')
             lines.append(f'  {v} [label="{escaped}"];')
     lines.extend(f"  {a} -- {b};" for a, b in ascending_edges(g.adjacency))
     lines.append("}")
@@ -122,10 +121,9 @@ def gadget_descriptor(gadget: Gadget, *, include_faces: bool = False) -> dict:
         },
     }
     if include_faces:
-        faces = walks_of(g, gadget.rotation)
-        ends = faces[1]
+        ends = g.faces[1]
         doc["faces"] = LazyRows(len(ends), set(map(sub, ends, chain((0,), ends))),
-                                partial(facial_walks, faces))
+                                partial(facial_walks, g.faces))
     return doc
 
 

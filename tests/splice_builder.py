@@ -105,13 +105,12 @@ def build_reference(leaf_b: int, k, ell, *, check: bool = True) -> Gadget:
     builder.rot[u] = u_fan
     builder.rot[v] = v_fan
 
-    edges = [(a, b) for a, nbrs in enumerate(builder.rot) for b in nbrs if a < b]
-    graph = Graph(len(builder.rot), edges, builder.labels)
+    graph = Graph.from_rotation(builder.rot, lambda: builder.labels)
     tg = TerminalGraph(graph, u, v)
     registry = LeafPairRegistry(tuple(pairs), frozenset(inner), leaf_b)
-    rotation = RotationSystem(tuple(tuple(nbrs) for nbrs in builder.rot))
+    outer = None
     if check:
-        report = certify(tg, rotation)
+        report = certify(tg, RotationSystem(graph.adjacency))
         assert report["ok"], report
-        rotation.outer_face_id = report["outer_face_id"]
-    return Gadget(tg, k, ell, registry, rotation)
+        outer = report["outer_face_id"]
+    return Gadget(tg, k, ell, registry, RotationSystem(graph.adjacency, outer))

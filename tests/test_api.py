@@ -1,4 +1,5 @@
-"""The public names are exactly those the README sketch and the demos import."""
+"""The public names are exactly those the README sketch and the demos import,
+and the sketch computes what its comments say."""
 import ast
 import pathlib
 import re
@@ -35,3 +36,16 @@ def test_all_is_what_the_readme_and_demos_import():
 def test_every_public_name_resolves():
     for name in threecolor.__all__:
         assert getattr(threecolor, name) is not None
+
+
+def test_library_sketch_runs_as_its_comments_say():
+    # Each statement runs in order; each bare expression's value is kept.
+    scope, values = {}, []
+    for node in ast.parse(_library_sketch()).body:
+        if isinstance(node, ast.Expr):
+            values.append(eval(compile(ast.Expression(node.value), "README", "eval"), scope))
+        else:
+            exec(compile(ast.Module([node], []), "README", "exec"), scope)
+    assert scope["gadget"].graph.vertex_count == 13
+    assert repr(scope["pc"]) == "PairCounts(same=16, diff=168)"
+    assert values == [1056, 1056, True] and values[2] is True

@@ -48,6 +48,21 @@ class TestLemma3Bound:
         with pytest.raises(BitBudgetExceededError):
             lemma3_bound(3, 10, bit_budget=1000)
 
+    def test_far_exponent_refused_before_it_is_formed(self):
+        # 2^(10^9 + 1) alone would take 125 MB, and its decimal 3 * 10^8 digits
+        with deadline(0.1), pytest.raises(BitBudgetExceededError) as info:
+            lemma3_bound(10 ** 9, 1)
+        assert str(info.value) == ("2^(2^1000000001 + 3^1) needs over 2^1000000001 bits,"
+                                   f" over the budget of {bounds.DEFAULT_BIT_BUDGET}")
+
+    @pytest.mark.parametrize("k,ell,budget", [(1, 1, 5), (2, 2, 25), (60, 3, 2 ** 62)])
+    def test_near_exponent_message_kept(self, k, ell, budget):
+        exponent = 2 ** (k + ell) + 3 ** ell
+        with pytest.raises(BitBudgetExceededError) as info:
+            lemma3_bound(k, ell, bit_budget=budget)
+        assert str(info.value) == (f"2^{exponent} needs {exponent + 1} bits,"
+                                   f" over the budget of {budget}")
+
 
 class TestTheoremChain:
     def test_worked_level(self):
@@ -126,27 +141,26 @@ class TestBelowPow2:
 
 class TestEmitReport:
     def test_single_row(self):
-        report = emit_report(range(1, 2))
-        assert len(report.rows) == 1
-        assert report.rows[0].n == 13 and report.ok
+        [row] = emit_report(range(1, 2))
+        assert row.n == 13 and row.ok
 
     def test_six_rows_pass(self):
-        report = emit_report(range(1, 7))
-        assert len(report.rows) == 6
-        assert report.ok
+        rows = emit_report(range(1, 7))
+        assert len(rows) == 6
+        assert all(row.ok for row in rows)
 
     def test_empty_range(self):
-        report = emit_report(range(1, 1))
-        assert report.rows == () and report.ok
-        assert "empty report" in report_to_text(report)
+        rows = emit_report(range(1, 1))
+        assert rows == ()
+        assert "empty report" in report_to_text(rows)
 
     def test_budget_error_isolated_per_row(self):
         # eq3 exponents: 12844 bits at ell=7, 34436 at ell=8
-        report = emit_report(range(7, 10), bit_budget=30000)
-        assert [row.error is None for row in report.rows] == [True, False, False]
-        assert [row.inner_total is None for row in report.rows] == [False, True, True]
-        assert report.rows[0].ok and not report.ok
-        assert "ERROR" in report_to_text(report)
+        rows = emit_report(range(7, 10), bit_budget=30000)
+        assert [row.error is None for row in rows] == [True, False, False]
+        assert [row.inner_total is None for row in rows] == [False, True, True]
+        assert [row.ok for row in rows] == [True, False, False]
+        assert "ERROR" in report_to_text(rows)
 
     def test_json_schema(self):
         doc = json.loads(report_to_json(emit_report(range(1, 3))))
@@ -169,7 +183,7 @@ class TestEmitReport:
         rows = []
         monkeypatch.setattr(bounds, "theorem_chain_check", lambda ell, **_: rows.append(ell))
         # 1 to 7090 may take 16,772,576 digits, 1 to 7091 16,777,306.
-        assert len(emit_report(range(1, 7091)).rows) == 7090
+        assert len(emit_report(range(1, 7091))) == 7090
         for ell_range in (range(1, 7092), range(1, 100001), range(10 ** 30, 10 ** 30 + 1)):
             rows.clear()
             with pytest.raises(ValueError, match="over the limit of 16777216$"):
@@ -214,9 +228,9 @@ class TestFarLevels:
     def test_one_error_row_rendered(self, ell):
         default = getattr(sys.int_info, "default_max_str_digits", 0)
         with int_str_limit(default), deadline(10):
-            report = emit_report(range(ell, ell + 1))
-            text = report_to_text(report)
-        [row] = report.rows
+            rows = emit_report(range(ell, ell + 1))
+            text = report_to_text(rows)
+        [row] = rows
         assert (row.k, row.checks) == (choose_k(ell), {})
         exponent = 2 ** (row.k + ell) + 4 * 3 ** ell
         assert row.error == (f"2^{int_to_decimal(exponent)} needs"
@@ -231,10 +245,10 @@ class TestFarLevels:
     def test_one_error_row_in_json(self, ell):
         default = getattr(sys.int_info, "default_max_str_digits", 0)
         with int_str_limit(default), deadline(10):
-            report = emit_report(range(ell, ell + 1))
-            text = report_to_json(report)
-        [row] = report.rows
-        assert not report.ok and row.error is not None
+            rows = emit_report(range(ell, ell + 1))
+            text = report_to_json(rows)
+        [row] = rows
+        assert not row.ok and row.error is not None
         with int_str_limit(0):  # parsing n's digits needs no limit either
             doc = json.loads(text)
         assert doc == {"version": 1, "rows": [{

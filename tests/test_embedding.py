@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import itertools
 import json
 import sys
@@ -32,9 +33,8 @@ def face_key(walk):
 
 class TestTraceFaces:
     def test_four_cycle_two_quad_faces(self):
-        g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-        rot = RotationSystem(((1, 3), (2, 0), (3, 1), (0, 2)))
-        faces = trace_faces(g, rot)
+        g = Graph.from_rotation(((1, 3), (2, 0), (3, 1), (0, 2)))
+        faces = trace_faces(g, RotationSystem(g.adjacency))
         assert sorted(len(f) for f in faces) == [4, 4]
 
     def test_fan_b5_faces(self):
@@ -54,14 +54,13 @@ class TestTraceFaces:
         assert sum(len(f) for f in faces) == 2 * g.graph.edge_count
 
     def test_inconsistent_rotation_rejected(self):
-        g = Graph(3, [(0, 1), (1, 2)])
-        with pytest.raises(ValueError, match="rotation at vertex 1"):
-            trace_faces(g, RotationSystem(((1,), (0,), (1,))))
+        # the dart 2 -> 1 has no reverse 1 -> 2
+        with pytest.raises(ValueError, match="no reverse"):
+            Graph.from_rotation(((1,), (0,), (1,)))
 
     def test_rotation_missing_vertex_rejected(self):
-        g = Graph(3, [(0, 1), (1, 2)])
-        with pytest.raises(ValueError, match="every vertex"):
-            trace_faces(g, RotationSystem(((1,), (0, 2))))
+        with pytest.raises(ValueError, match="out of range"):
+            Graph.from_rotation(((1,), (0, 2)))
 
 
 # Every T(k,l) with at most 50,000 vertices and k <= 10, and three with
@@ -90,46 +89,52 @@ class TestTracerOracle:
     def test_drawn_rotations_match(self, case):
         g, order = case
         expected = list(map(tuple, trace_faces_modulo(order)))
-        # compared with the edge-list graph's rows, and as the checked rotation
-        assert trace_faces(g, RotationSystem(order)) == expected
         checked = Graph.from_rotation(order)
         assert trace_faces(checked, RotationSystem(checked.adjacency)) == expected
+        with pytest.raises(ValueError, match=OWN_GRAPH):  # the edge-list graph walks nothing
+            trace_faces(g, RotationSystem(order))
 
 
-class TestRotationCompare:
-    """The rows are compared with the graph's edges unless the rotation is
-    the graph's own adjacency, the very object that `Graph.from_rotation`
-    checked."""
+OWN_GRAPH = r"only as its own graph: make it with Graph\.from_rotation"
+BOTH_READERS = pytest.mark.parametrize(
+    "call", [trace_faces, lambda g, rot: certify(TerminalGraph(g, 0, 1), rot)],
+    ids=["trace_faces", "certify"])
 
-    def test_a_different_object_is_compared(self):
-        g = build_T(2, 1, check=False).graph
 
-        class Agreeing(tuple):
-            """A row that claims to equal any other row."""
+class TestOwnRowsOnly:
+    """A rotation is certified only as the rows of its own graph, the very
+    object that `Graph.from_rotation` checked: any other rows, equal or not,
+    and an edge-list graph, are refused before anything is walked."""
 
-            def __eq__(self, other):
-                return True
+    @BOTH_READERS
+    def test_a_copied_rotation_is_refused(self, call, monkeypatch):
+        gadget = build_T(2, 1, check=False)
+        g = gadget.graph
+        copy = RotationSystem(tuple(map(tuple, map(list, g.adjacency))))
+        assert copy.order == g.adjacency and copy.order is not g.adjacency
+        calls = count_walks(monkeypatch)
+        with pytest.raises(ValueError, match=OWN_GRAPH):
+            call(g, copy)
+        assert calls == []
+        fresh = Graph.from_rotation(copy.order)  # the way in: walked afresh
+        assert call(fresh, RotationSystem(fresh.adjacency)) == call(g, gadget.rotation)
 
-            __hash__ = tuple.__hash__
-
-        wrong = list(g.adjacency)
-        wrong[4] = Agreeing(wrong[4][1:] + (0,))
-        forged = tuple(wrong)
-        assert forged == g.adjacency and forged is not g.adjacency
-        with pytest.raises(ValueError, match="rotation at vertex 4 does not match its edges"):
-            trace_faces(g, RotationSystem(forged))
-        copy = tuple(map(tuple, map(list, g.adjacency)))
-        assert copy is not g.adjacency
-        assert trace_faces(g, RotationSystem(copy)) == trace_faces(g, RotationSystem(g.adjacency))
-
-    def test_edge_list_graph_with_a_wrong_rotation(self):
+    @BOTH_READERS
+    def test_an_edge_list_graph_is_refused(self, call):
         gadget = build_T(2, 1, check=False)
         g = Graph(gadget.graph.vertex_count, gadget.graph.edges)
-        assert trace_faces(g, gadget.rotation) == trace_faces(gadget.graph, gadget.rotation)
-        order = list(gadget.rotation.order)
-        order[0], order[1] = order[1], order[0]
-        with pytest.raises(ValueError, match="rotation at vertex 0 does not match its edges"):
-            trace_faces(g, RotationSystem(tuple(order)))
+        assert g.faces is None
+        for rot in (RotationSystem(g.adjacency), gadget.rotation):
+            with pytest.raises(ValueError, match=OWN_GRAPH):
+                call(g, rot)
+
+    def test_fields_are_frozen(self):
+        rotation = build_P(5).rotation
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rotation.outer_face_id = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rotation.order = ()
+        assert rotation.outer_face_id == 2
 
 
 class TestLongRows:
@@ -156,8 +161,9 @@ class TestLongRows:
         faces = trace_faces(gadget.graph, gadget.rotation)
         assert certify(gadget.tg, gadget.rotation)["ok"]
         assert made == []
-        copy = RotationSystem(tuple(map(tuple, gadget.rotation.order)))
-        assert trace_faces(gadget.graph, copy) == faces
+        copy = Graph.from_rotation(tuple(map(tuple, gadget.rotation.order)))
+        assert made == [LONG_ROW + 1]
+        assert trace_faces(copy, RotationSystem(copy.adjacency)) == faces
         assert made == [LONG_ROW + 1]
         assert faces == list(map(tuple, trace_faces_modulo(gadget.rotation.order)))
 
@@ -210,7 +216,10 @@ class TestKeptWalks:
     def test_other_graphs_keep_none(self, make):
         h = make(build_T(2, 1, check=False).graph)
         assert h.faces is None
-        assert trace_faces(h, RotationSystem(h.adjacency)) == \
+        with pytest.raises(ValueError, match=OWN_GRAPH):
+            trace_faces(h, RotationSystem(h.adjacency))
+        checked = Graph.from_rotation(h.adjacency)
+        assert trace_faces(checked, RotationSystem(checked.adjacency)) == \
             list(map(tuple, trace_faces_modulo(h.adjacency)))
 
 
@@ -227,9 +236,14 @@ def outcome(tg, rot) -> str:
         return f"ValueError: {exc}"
 
 
+def walked_afresh(g: Graph) -> Graph:
+    """A copy of g's rows, checked and walked again by `Graph.from_rotation`."""
+    return Graph.from_rotation(tuple(map(tuple, map(list, g.adjacency))))
+
+
 class TestTwoRoutes:
-    """`certify` on the walks the graph keeps, and on a copy of its rotation,
-    which is compared with the graph's edges and walked afresh: one report."""
+    """`certify` on the walks the graph keeps, and on the graph of a copy of
+    its rotation, which is walked afresh: one report."""
 
     @pytest.mark.parametrize("k,ell", ROUTE_GADGETS)
     def test_gadget_reports_agree(self, k, ell, monkeypatch):
@@ -237,24 +251,24 @@ class TestTwoRoutes:
         calls = count_walks(monkeypatch)
         kept = outcome(gadget.tg, gadget.rotation)
         assert calls == []
-        copy = RotationSystem(tuple(map(tuple, gadget.graph.adjacency)))
-        assert outcome(gadget.tg, copy) == kept
+        fresh = walked_afresh(gadget.graph)
+        assert outcome(TerminalGraph(fresh, 0, 1), RotationSystem(fresh.adjacency)) == kept
         assert calls == [gadget.graph.vertex_count] and json.loads(kept)["ok"]
 
     @given(graphs_with_rotations())
     def test_drawn_rotations_agree(self, case):
         g = Graph.from_rotation(case[1])
-        copy = RotationSystem(tuple(map(tuple, g.adjacency)))
+        fresh = walked_afresh(g)
         for u, v in itertools.permutations(range(g.vertex_count), 2):
             if not g.has_edge(u, v):
-                tg = TerminalGraph(g, u, v)
-                assert outcome(tg, copy) == outcome(tg, RotationSystem(g.adjacency))
+                assert outcome(TerminalGraph(fresh, u, v), RotationSystem(fresh.adjacency)) \
+                    == outcome(TerminalGraph(g, u, v), RotationSystem(g.adjacency))
 
 
 class TestEulerCheck:
     def test_single_edge(self):
-        g = Graph(2, [(0, 1)])
-        faces = trace_faces(g, RotationSystem(((1,), (0,))))
+        g = Graph.from_rotation(((1,), (0,)))
+        faces = trace_faces(g, RotationSystem(g.adjacency))
         assert len(faces) == 1 and len(faces[0]) == 2
         assert euler_check(g, faces)
 
@@ -265,7 +279,7 @@ class TestEulerCheck:
         assert euler_check(g.graph, faces)
 
     def test_disconnected_flagged(self):
-        g = Graph(4, [(0, 1), (2, 3)])
+        g = Graph.from_rotation(((1,), (0,), (3,), (2,)))
         faces = trace_faces(g, RotationSystem(g.adjacency))
         with pytest.raises(ValueError, match="disconnected"):
             euler_check(g, faces)
@@ -306,7 +320,7 @@ class TestOuterFace:
 
     def test_terminals_on_two_faces_rejected(self):
         # both faces of a 4-cycle hold both of its opposite corners
-        g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+        g = Graph.from_rotation(((1, 3), (0, 2), (1, 3), (0, 2)))
         with pytest.raises(ValueError, match="unique face with both terminals, found 2"):
             certify(TerminalGraph(g, 0, 2), RotationSystem(g.adjacency))
 
@@ -314,7 +328,7 @@ class TestOuterFace:
 class TestFaceLengths:
     def test_four_cycle_with_a_pendant_terminal(self):
         # the pendant v lies only on the outer walk, around the 4-cycle
-        g = Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3), (2, 4)])
+        g = Graph.from_rotation(((1, 3), (0, 2), (1, 3, 4), (0, 2), (2,)))
         report = certify(TerminalGraph(g, 0, 4), RotationSystem(g.adjacency))
         assert report["ok"]
         assert report["outer_face_length"] == 6 and report["min_bounded_face_length"] == 4

@@ -124,6 +124,16 @@ class TestDot:
         g = build_T(1, 1, check=False).graph
         assert to_dot(g) == to_dot(g)
 
+    def test_quoted_labels_read_back(self):
+        # A backslash is escaped before a quote is, so a label's own
+        # backslash cannot escape the closing quote.
+        labels = ["a\\", 'b"', '\\"', '"\\', "c\\\\d", "plain"]
+        lines = to_dot(Graph(len(labels), [(0, 1)], labels)).splitlines()[1:len(labels) + 1]
+        read = [re.fullmatch(r'  (\d+) \[label="((?:[^"\\]|\\.)*)"\];', line) for line in lines]
+        assert all(read), lines
+        assert [int(m[1]) for m in read] == list(range(len(labels)))
+        assert [re.sub(r"\\(.)", r"\1", m[2]) for m in read] == labels
+
     @given(small_graphs())
     def test_edge_lines_follow_the_edge_order(self, g):
         lines = [line for line in to_dot(g).splitlines() if " -- " in line]
