@@ -19,8 +19,8 @@ g = log base 9/2 of 3, since 3^l <= n^g follows monotonically; the irrational
 exponent itself is never evaluated.  No check ever compares floats.
 
 `theorem_chain_check` alone counts a level.  It compares c with powers of
-two by bit length, so nothing larger than c is built, and refuses a level
-before counting when 2^E, E its eq3 exponent, exceeds the bit budget.
+two by bit length, so nothing larger than c is built; `bound_exponent` alone
+forms eq3's and lemma 3's exponents E and refuses 2^E over the bit budget.
 """
 from __future__ import annotations
 
@@ -50,11 +50,20 @@ CHECK_NAMES = (
 REPORT_MAX_DIGITS = 2 ** 24
 
 
-def _require_bits(exponent: int, bit_budget: int) -> None:
-    if exponent + 1 > bit_budget:  # a far level's exponent outgrows str()'s digit limit
+def bound_exponent(k: int, ell: int, c: int, bit_budget: int) -> int:
+    """E = 2^(k+ell) + c*3^ell (c = 4: eq3, c = 1: lemma 3), or BitBudgetExceededError
+    if 2^E needs over bit_budget bits; a far E is named by its formula, unformed."""
+    if k + ell >= max(64, bit_budget.bit_length()):  # 2^(k+ell) > bit_budget: refuse unformed
+        power = f"2^{int_to_decimal(k + ell)}"
+        times = "" if c == 1 else f"{c}*"
+        raise BitBudgetExceededError(f"2^({power} + {times}3^{int_to_decimal(ell)}) needs over"
+                                     f" {power} bits, over the budget of {bit_budget}")
+    exponent = 2 ** (k + ell) + c * 3 ** ell
+    if exponent + 1 > bit_budget:  # a huge budget's exponent may outgrow str()'s digit limit
         raise BitBudgetExceededError(f"2^{int_to_decimal(exponent)} needs"
                                      f" {int_to_decimal(exponent + 1)} bits,"
                                      f" over the budget of {bit_budget}")
+    return exponent
 
 
 def _below_pow2(x: int, exponent: int) -> bool:
@@ -68,13 +77,7 @@ def lemma3_bound(k: int, ell: int, *, bit_budget: int = DEFAULT_BIT_BUDGET) -> i
     if ell < 1:
         raise ValueError("the extension bound is stated for ell >= 1")
     check_k_ell(k, ell)
-    if k + ell >= max(64, bit_budget.bit_length()):  # 2^(k+ell) > bit_budget: refuse unformed
-        power = f"2^{int_to_decimal(k + ell)}"
-        raise BitBudgetExceededError(f"2^({power} + 3^{int_to_decimal(ell)}) needs over {power}"
-                                     f" bits, over the budget of {bit_budget}")
-    exponent = 2 ** (k + ell) + 3 ** ell
-    _require_bits(exponent, bit_budget)
-    return 1 << exponent
+    return 1 << bound_exponent(k, ell, 1, bit_budget)
 
 
 @dataclass(frozen=True)
@@ -102,18 +105,16 @@ def theorem_chain_check(ell: int, *, bit_budget: int = DEFAULT_BIT_BUDGET,
     if ell < 1:
         raise ValueError("the bound chain starts at ell = 1")
     k = choose_k(ell)
+    exponent = bound_exponent(k, ell, 4, bit_budget)
     p3 = 3 ** ell
-    p2 = 2 ** (k + ell)
     n = vertex_count_closed_form(k, ell)
-    exponent = p2 + 4 * p3
-    _require_bits(exponent, bit_budget)
     c = total_colorings(gadget_pair_counts(k, ell, bit_budget=bit_budget))
     inner_total = total_colorings(inner_subgraph_pair_counts(ell, bit_budget=bit_budget))
     checks = {
         "eq1": n >= p3 * 2 ** k,
         "eq2": 2 * inner_set_size(ell) < 5 * p3,
-        "k_window": p3 <= p2 <= 2 * p3,
-        "lemma3_exponent": 5 * p3 + 2 + 2 * (p2 + p3) < 2 * exponent,
+        "k_window": p3 <= 2 ** (k + ell) <= 2 * p3,
+        "lemma3_exponent": 5 * p3 + 2 + 2 * bound_exponent(k, ell, 1, bit_budget) < 2 * exponent,
         "eq3": _below_pow2(c, exponent)
         and inner_total <= 3 << (inner_set_size(ell) - 1),
         "c_le_2pow6_3ell": _below_pow2(c - 1, 6 * p3),
@@ -136,7 +137,8 @@ def emit_report(ell_range: range, *, bit_budget: int = DEFAULT_BIT_BUDGET,
     """One BoundReport per level; budget failures become per-row errors.
     Refuses with ValueError, before any row, a range whose n column may hold
     over REPORT_MAX_DIGITS digits: k_window gives n < 4 * (9/2)^l, which has
-    fewer than l * log10(9/2) + 2 < 2l/3 + 2 digits."""
+    fewer than l * log10(9/2) + 2 < 2l/3 + 2 digits.  The guard bounds whole
+    rows, n's digits plus O(log l), as a far error names E by its formula."""
     digits = len(ell_range) * (ell_range[0] + ell_range[-1] + 6) // 3 if ell_range else 0
     if digits > REPORT_MAX_DIGITS:
         raise ValueError(f"the n column of levels {ell_range[0]} to {ell_range[-1]} may take"

@@ -104,36 +104,33 @@ def run_lemma3(ell_max: int = 2,
     return res
 
 
-def run_eq3(ell_max: int = 6, bit_budget: int = bounds.DEFAULT_BIT_BUDGET) -> SuiteResult:
-    """Total-count bound and the inner-subgraph count bound per level."""
+def _chain_suite(suite: str, ell_max: int, bit_budget: int, line) -> SuiteResult:
+    """One check per level 1..ell_max of the bound chain, as line(row) gives it."""
     if ell_max < 1:
         raise ValueError("the bound chain starts at ell = 1")
-    res = SuiteResult("eq3")
+    res = SuiteResult(suite)
     for ell in range(1, ell_max + 1):
-        row = bounds.theorem_chain_check(ell, bit_budget=bit_budget)
-        res.add(
-            f"ell={ell} (k={row.k})",
-            row.checks["eq3"],
-            f"c has {row.c_bits} bits < 2^{2 ** (row.k + ell) + 4 * 3 ** ell};"
-            f" inner count {bounds.int_to_decimal(row.inner_total)}",
-        )
+        res.add(*line(bounds.theorem_chain_check(ell, bit_budget=bit_budget)))
     return res
+
+
+def run_eq3(ell_max: int = 6, bit_budget: int = bounds.DEFAULT_BIT_BUDGET) -> SuiteResult:
+    """Total-count bound and the inner-subgraph count bound per level."""
+    return _chain_suite("eq3", ell_max, bit_budget, lambda row: (
+        f"ell={row.ell} (k={row.k})",
+        row.checks["eq3"],
+        f"c has {row.c_bits} bits < 2^{bounds.bound_exponent(row.k, row.ell, 4, bit_budget)};"
+        f" inner count {bounds.int_to_decimal(row.inner_total)}",
+    ))
 
 
 def run_theorem(ell_max: int = 8, bit_budget: int = bounds.DEFAULT_BIT_BUDGET) -> SuiteResult:
     """The full integer chain behind the main coloring-count bound."""
-    if ell_max < 1:
-        raise ValueError("the bound chain starts at ell = 1")
-    res = SuiteResult("theorem")
-    for ell in range(1, ell_max + 1):
-        row = bounds.theorem_chain_check(ell, bit_budget=bit_budget)
-        failing = [name for name, ok in row.checks.items() if not ok]
-        res.add(
-            f"ell={ell} (k={row.k}, n={row.n}, c_bits={row.c_bits})",
-            row.ok,
-            "all checks" if row.ok else f"failing: {failing}",
-        )
-    return res
+    return _chain_suite("theorem", ell_max, bit_budget, lambda row: (
+        f"ell={row.ell} (k={row.k}, n={row.n}, c_bits={row.c_bits})",
+        row.ok,
+        "all checks" if row.ok else f"failing: {[key for key, ok in row.checks.items() if not ok]}",
+    ))
 
 
 def run_embedding(ell_max: int = 4, k_max: int = 6) -> SuiteResult:

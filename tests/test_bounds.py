@@ -63,6 +63,18 @@ class TestLemma3Bound:
         assert str(info.value) == (f"2^{exponent} needs {exponent + 1} bits,"
                                    f" over the budget of {budget}")
 
+    def test_wide_budget_threshold(self):
+        # a budget of 2^70 has bit length 71: k + l = 70 is near, 71 far
+        budget = 2 ** 70
+        with pytest.raises(BitBudgetExceededError) as near:
+            lemma3_bound(69, 1, bit_budget=budget)
+        with pytest.raises(BitBudgetExceededError) as far:
+            lemma3_bound(70, 1, bit_budget=budget)
+        assert str(near.value) == (f"2^{2 ** 70 + 3} needs {2 ** 70 + 4} bits,"
+                                   f" over the budget of {budget}")
+        assert str(far.value) == ("2^(2^71 + 3^1) needs over 2^71 bits,"
+                                  f" over the budget of {budget}")
+
 
 class TestTheoremChain:
     def test_worked_level(self):
@@ -224,22 +236,49 @@ class TestFarLevels:
     """A level whose numbers outgrow the interpreter's int-to-str limit
     (4,300 digits by default) is one error row all the same, made fast."""
 
-    @pytest.mark.parametrize("ell", [9_100, 100_000])
-    def test_one_error_row_rendered(self, ell):
+    @pytest.mark.parametrize("ell,power", [
+        pytest.param(9_100, 14_424, id="9100"),
+        pytest.param(100_000, 158_497, id="100000"),
+        pytest.param(3_000_000, 4_754_888, id="3000000"),  # E has 1.4 M digits
+    ])
+    def test_one_error_row_rendered(self, ell, power):
         default = getattr(sys.int_info, "default_max_str_digits", 0)
         with int_str_limit(default), deadline(10):
             rows = emit_report(range(ell, ell + 1))
             text = report_to_text(rows)
         [row] = rows
-        assert (row.k, row.checks) == (choose_k(ell), {})
-        exponent = 2 ** (row.k + ell) + 4 * 3 ** ell
-        assert row.error == (f"2^{int_to_decimal(exponent)} needs"
-                             f" {int_to_decimal(exponent + 1)} bits,"
+        assert (row.k + ell, row.checks) == (power, {})
+        assert row.error == (f"2^(2^{power} + 4*3^{ell}) needs over 2^{power} bits,"
                              f" over the budget of {bounds.DEFAULT_BIT_BUDGET}")
         lines = text.splitlines()
         assert len(lines) == 4 and lines[-1] == "result: FAILURES PRESENT"
         assert lines[2] == (f"{ell:>4} {row.k:>3} {int_to_decimal(row.n)} {'-':>10}"
                             f"  ERROR: {row.error}")
+
+    def test_default_budget_threshold(self):
+        # a level is far once k + l >= max(64, bit length of 10^7) = 64:
+        # l = 39 has k + l = 62 and keeps the decimal text, l = 40 has 64
+        row39, row40 = emit_report(range(39, 41))
+        exponent = 2 ** 62 + 4 * 3 ** 39
+        assert row39.error == (f"2^{exponent} needs {exponent + 1} bits,"
+                               " over the budget of 10000000")
+        assert row40.error == ("2^(2^64 + 4*3^40) needs over 2^64 bits,"
+                               " over the budget of 10000000")
+
+    def test_wide_budget_threshold(self):
+        # a budget of 2^70 has bit length 71: k + l = 70 is near, 71 far; no
+        # level has k + l = 71 (3^l skips that bit length), so l = 45 has 72
+        budget = 2 ** 70
+        row44, row45 = emit_report(range(44, 46), bit_budget=budget)
+        exponent = 2 ** 70 + 4 * 3 ** 44
+        assert row44.error == (f"2^{exponent} needs {exponent + 1} bits,"
+                               f" over the budget of {budget}")
+        assert row45.error == ("2^(2^72 + 4*3^45) needs over 2^72 bits,"
+                               f" over the budget of {budget}")
+        with pytest.raises(BitBudgetExceededError) as info:
+            bounds.bound_exponent(70, 1, 4, budget)
+        assert str(info.value) == ("2^(2^71 + 4*3^1) needs over 2^71 bits,"
+                                   f" over the budget of {budget}")
 
     @pytest.mark.parametrize("ell", [6_600, 9_100])
     def test_one_error_row_in_json(self, ell):
