@@ -13,10 +13,10 @@ report = emit_report(range(1, 9))
 print(report_to_text(report))
 print()
 
-row = theorem_chain_check(1, include_decimal=True)
-print("worked level l=1: n =", row.n, " c =", row.c_decimal)
+row = theorem_chain_check(1)
+print("worked level l=1: n =", row.n, " c =", row.c)
 print("  9^1 <= n * 2^1      :", 9, "<=", row.n * 2)
-print("  c <= 2^(6*3^1)      :", row.c_decimal, "<= 2^18 =", 2 ** 18)
+print("  c <= 2^(6*3^1)      :", row.c, "<= 2^18 =", 2 ** 18)
 print()
 
 print("how the two sides scale (bits of the count vs. the budget 6*3^l):")

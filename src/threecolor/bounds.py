@@ -18,9 +18,10 @@ Together, n >= (9/2)^l and c <= 2^(6*3^l) give c <= 64^(n^g) with
 g = log base 9/2 of 3, since 3^l <= n^g follows monotonically; the irrational
 exponent itself is never evaluated.  No check ever compares floats.
 
-`theorem_chain_check` alone counts a level.  It compares c with powers of
-two by bit length, so nothing larger than c is built; `bound_exponent` alone
-forms eq3's and lemma 3's exponents E and refuses 2^E over the bit budget.
+`theorem_chain_check` alone counts a level and makes its row, a refused level's
+too, with c exact.  It compares c with powers of two by bit length, so nothing
+larger than c is built; `bound_exponent` alone forms eq3's and lemma 3's
+exponents E and refuses 2^E over the bit budget.
 """
 from __future__ import annotations
 
@@ -82,34 +83,40 @@ def lemma3_bound(k: int, ell: int, *, bit_budget: int = DEFAULT_BIT_BUDGET) -> i
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Per-level record: parameters, exact sizes, and named check results;
-    `inner_total` counts the colorings of the V_ell subgraph (None on errors)."""
+    """Per-level record: parameters, exact counts (c, and `inner_total` for the V_ell
+    subgraph) and named checks; a refused level has only k, n and its `error`."""
 
     ell: int
     k: int
     n: int
-    c_bits: int
     checks: dict[str, bool]
+    c: Optional[int] = None
     inner_total: Optional[int] = None
-    c_decimal: Optional[str] = None
     error: Optional[str] = None
+
+    @property
+    def c_bits(self) -> int:
+        return 0 if self.c is None else self.c.bit_length()
 
     @property
     def ok(self) -> bool:
         return self.error is None and all(self.checks.values())
 
 
-def theorem_chain_check(ell: int, *, bit_budget: int = DEFAULT_BIT_BUDGET,
-                        include_decimal: bool = False) -> BoundReport:
-    """Run every named check for one level ell >= 1, with k = choose_k(ell)."""
+def theorem_chain_check(ell: int, *, bit_budget: int = DEFAULT_BIT_BUDGET) -> BoundReport:
+    """Run every named check for one level ell >= 1, with k = choose_k(ell); a level
+    the bit budget refuses is a row with that refusal as its `error`, nothing counted."""
     if ell < 1:
         raise ValueError("the bound chain starts at ell = 1")
     k = choose_k(ell)
-    exponent = bound_exponent(k, ell, 4, bit_budget)
-    p3 = 3 ** ell
     n = vertex_count_closed_form(k, ell)
-    c = total_colorings(gadget_pair_counts(k, ell, bit_budget=bit_budget))
-    inner_total = total_colorings(inner_subgraph_pair_counts(ell, bit_budget=bit_budget))
+    try:
+        exponent = bound_exponent(k, ell, 4, bit_budget)
+        c = total_colorings(gadget_pair_counts(k, ell, bit_budget=bit_budget))
+        inner_total = total_colorings(inner_subgraph_pair_counts(ell, bit_budget=bit_budget))
+    except BitBudgetExceededError as exc:
+        return BoundReport(ell=ell, k=k, n=n, checks={}, error=str(exc))
+    p3 = 3 ** ell
     checks = {
         "eq1": n >= p3 * 2 ** k,
         "eq2": 2 * inner_set_size(ell) < 5 * p3,
@@ -121,20 +128,12 @@ def theorem_chain_check(ell: int, *, bit_budget: int = DEFAULT_BIT_BUDGET,
         "n_ge_9half_ell": 9 ** ell <= n * 2 ** ell,
     }
     assert set(checks) == set(CHECK_NAMES)
-    return BoundReport(
-        ell=ell,
-        k=k,
-        n=n,
-        c_bits=c.bit_length(),
-        checks=checks,
-        inner_total=inner_total,
-        c_decimal=int_to_decimal(c) if include_decimal else None,
-    )
+    return BoundReport(ell=ell, k=k, n=n, checks=checks, c=c, inner_total=inner_total)
 
 
-def emit_report(ell_range: range, *, bit_budget: int = DEFAULT_BIT_BUDGET,
-                include_decimal: bool = False) -> tuple[BoundReport, ...]:
-    """One BoundReport per level; budget failures become per-row errors.
+def emit_report(ell_range: range, *,
+                bit_budget: int = DEFAULT_BIT_BUDGET) -> tuple[BoundReport, ...]:
+    """One `theorem_chain_check` row per level, refused levels included.
     Refuses with ValueError, before any row, a range whose n column may hold
     over REPORT_MAX_DIGITS digits: k_window gives n < 4 * (9/2)^l, which has
     fewer than l * log10(9/2) + 2 < 2l/3 + 2 digits.  The guard bounds whole
@@ -144,17 +143,7 @@ def emit_report(ell_range: range, *, bit_budget: int = DEFAULT_BIT_BUDGET,
         raise ValueError(f"the n column of levels {ell_range[0]} to {ell_range[-1]} may take"
                          f" up to {int_to_decimal(digits)} digits,"
                          f" over the limit of {REPORT_MAX_DIGITS}")
-    rows = []
-    for ell in ell_range:
-        try:
-            rows.append(theorem_chain_check(
-                ell, bit_budget=bit_budget, include_decimal=include_decimal))
-        except BitBudgetExceededError as exc:
-            k = choose_k(ell)
-            rows.append(BoundReport(
-                ell=ell, k=k, n=vertex_count_closed_form(k, ell),
-                c_bits=0, checks={}, error=str(exc)))
-    return tuple(rows)
+    return tuple(theorem_chain_check(ell, bit_budget=bit_budget) for ell in ell_range)
 
 
 # Integers below this many bits (at most 603 digits) convert directly:
@@ -208,9 +197,10 @@ def int_to_decimal(value: int) -> str:
         return str(convert(value, value.bit_length()))
 
 
-def report_to_json(rows: tuple[BoundReport, ...]) -> str:
+def report_to_json(rows: tuple[BoundReport, ...], *, full: bool = False) -> str:
     """The report's rows as JSON, indented by 2, each n written by `int_to_decimal` in
-    place of a 0, as str() refuses a far level's n (a string's quotes are escaped)."""
+    place of a 0, as str() refuses a far level's n (a string's quotes are escaped).
+    With `full`, each counted row also gives its c as a decimal string."""
     doc = {
         "version": 1,
         "rows": [
@@ -219,7 +209,7 @@ def report_to_json(rows: tuple[BoundReport, ...]) -> str:
                 "k": row.k,
                 "n": 0,
                 "c_bits": row.c_bits,
-                **({"c_decimal": row.c_decimal} if row.c_decimal is not None else {}),
+                **({"c_decimal": int_to_decimal(row.c)} if full and row.c is not None else {}),
                 "checks": row.checks,
                 **({"error": row.error} if row.error is not None else {}),
             }

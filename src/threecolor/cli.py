@@ -88,8 +88,10 @@ def cmd_count(args) -> int:
         else:
             value = pc.same if fix[0] == fix[1] else pc.diff
     else:
-        n = checked_vertex_count(args.k, args.ell)
         cutoff = counting.DEFAULT_BRUTE_FORCE_CUTOFF if args.cutoff is None else args.cutoff
+        if cutoff < 0:
+            raise ValueError("--cutoff must be >= 0")
+        n = checked_vertex_count(args.k, args.ell)
         if n > cutoff and not args.force:
             raise counting.BruteForceCutoffError(
                 f"{n} vertices exceeds the brute-force cutoff {cutoff} (use --force to override)")
@@ -157,19 +159,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_report(args) -> int:
-    rows = bounds.emit_report(
-        range(args.ell_min, args.ell_max + 1),
-        bit_budget=_bit_budget(args.bit_budget),
-        include_decimal=args.full,
-    )
+    rows = bounds.emit_report(range(args.ell_min, args.ell_max + 1),
+                              bit_budget=_bit_budget(args.bit_budget))
     if args.json:
-        print(bounds.report_to_json(rows))
+        print(bounds.report_to_json(rows, full=args.full))
     else:
         print(bounds.report_to_text(rows))
         if args.full:
             for row in rows:
-                if row.c_decimal is not None:
-                    print(f"c({row.ell}) = {row.c_decimal}")
+                if row.c is not None:
+                    print(f"c({row.ell}) = {bounds.int_to_decimal(row.c)}")
     return EXIT_OK if all(row.ok for row in rows) else EXIT_VERIFY_FAILED
 
 

@@ -110,7 +110,10 @@ def _chain_suite(suite: str, ell_max: int, bit_budget: int, line) -> SuiteResult
         raise ValueError("the bound chain starts at ell = 1")
     res = SuiteResult(suite)
     for ell in range(1, ell_max + 1):
-        res.add(*line(bounds.theorem_chain_check(ell, bit_budget=bit_budget)))
+        row = bounds.theorem_chain_check(ell, bit_budget=bit_budget)
+        if row.error is not None:  # a refused level ends the suite, as a refusal
+            raise bounds.BitBudgetExceededError(row.error)
+        res.add(*line(row))
     return res
 
 

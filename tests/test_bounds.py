@@ -113,13 +113,22 @@ class TestTheoremChain:
             assert theorem_chain_check(ell).inner_total == \
                 count_colorings_bruteforce(sub, force=True)
 
-    def test_budget_guard_precedes_dp(self, monkeypatch):
-        def no_dp(*args):
-            raise AssertionError("the DP ran before the budget check")
+    @staticmethod
+    def assert_refused_row_at_8(monkeypatch, budget):
+        """Level 8 under `budget` is a refused row, made before either DP runs."""
+        def no_dp(*args, **kwargs):
+            raise AssertionError("a DP ran before the budget check")
 
         monkeypatch.setattr(bounds, "gadget_pair_counts", no_dp)
-        with pytest.raises(BitBudgetExceededError):
-            theorem_chain_check(8, bit_budget=10000)
+        monkeypatch.setattr(bounds, "inner_subgraph_pair_counts", no_dp)
+        row = theorem_chain_check(8, bit_budget=budget)
+        assert row.error == f"2^34436 needs 34437 bits, over the budget of {budget}"
+        assert (row.ell, row.k, row.n) == (8, 5, vertex_count_closed_form(5, 8))
+        assert (row.checks, row.c, row.c_bits, row.inner_total) == ({}, None, 0, None)
+        assert not row.ok
+
+    def test_budget_guard_precedes_dp(self, monkeypatch):
+        self.assert_refused_row_at_8(monkeypatch, 34436)
 
     def test_bit_budget_reaches_the_dp(self, monkeypatch):
         seen = []
@@ -129,18 +138,16 @@ class TestTheoremChain:
         assert theorem_chain_check(2, bit_budget=53).ok
         assert seen == [{"bit_budget": 53}]
 
-    def test_budget_window_is_the_eq3_exponent(self):
+    def test_budget_window_is_the_eq3_exponent(self, monkeypatch):
         # eq3 exponent at ell = 8: 2^13 + 4*3^8 = 34436.  The count itself
         # has 15,589 bits and 2^(6*3^8) is never built.
         assert theorem_chain_check(8, bit_budget=34437).ok
-        with pytest.raises(BitBudgetExceededError) as info:
-            theorem_chain_check(8, bit_budget=34436)
-        assert str(info.value) == "2^34436 needs 34437 bits, over the budget of 34436"
+        self.assert_refused_row_at_8(monkeypatch, 34436)
 
     def test_decimal_on_demand(self):
-        row = theorem_chain_check(1, include_decimal=True)
-        assert row.c_decimal == "1056"
-        assert theorem_chain_check(1).c_decimal is None
+        row = theorem_chain_check(1)
+        assert row.c == 1056
+        assert row.c_bits == 11
 
 
 class TestBelowPow2:
@@ -184,8 +191,26 @@ class TestEmitReport:
             assert all(isinstance(v, bool) for v in row["checks"].values())
 
     def test_json_decimal_roundtrip(self):
-        doc = json.loads(report_to_json(emit_report(range(1, 2), include_decimal=True)))
+        doc = json.loads(report_to_json(emit_report(range(1, 2)), full=True))
         assert doc["rows"][0]["c_decimal"] == "1056"
+
+    def test_json_decimal_only_on_counted_rows(self):
+        # row 14's eq3 exponent, 2^23 + 4*3^14, is over the default budget
+        row13, row14 = json.loads(report_to_json(emit_report(range(13, 15)), full=True))["rows"]
+        assert row13["c_decimal"] == int_to_decimal(total_colorings(gadget_pair_counts(8, 13)))
+        assert "error" not in row13
+        assert row14["error"].startswith("2^") and "c_decimal" not in row14
+
+    def test_refused_row_forms_k_and_n_once(self, monkeypatch):
+        calls = []
+        for name in ("choose_k", "vertex_count_closed_form"):
+            real = getattr(bounds, name)
+            monkeypatch.setattr(bounds, name,
+                                lambda *args, _name=name, _real=real:
+                                calls.append(_name) or _real(*args))
+        [row] = emit_report(range(9, 10), bit_budget=30000)
+        assert row.error is not None and (row.k, row.n) == (6, 1308919)
+        assert sorted(calls) == ["choose_k", "vertex_count_closed_form"]
 
     def test_n_column_prediction_bounds_the_digits(self):
         for ell in range(1, 2000):

@@ -22,14 +22,14 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_cli_process(*argv, timeout, budget_env=None):
-    """Run the CLI in a fresh interpreter, with $THREECOLOR_BIT_BUDGET set to
-    `budget_env`, or unset for the default bit budget."""
+def run_cli_process(*argv, timeout, budget_env=None, module="threecolor.cli"):
+    """Run the CLI as `python -m module` in a fresh interpreter, with
+    $THREECOLOR_BIT_BUDGET set to `budget_env`, or unset for the default bit budget."""
     env = {k: v for k, v in os.environ.items() if k != "THREECOLOR_BIT_BUDGET"}
     env["PYTHONPATH"] = str(SRC)
     if budget_env is not None:
         env["THREECOLOR_BIT_BUDGET"] = budget_env
-    return subprocess.run([sys.executable, "-m", "threecolor.cli", *argv],
+    return subprocess.run([sys.executable, "-m", module, *argv],
                           capture_output=True, text=True, env=env, timeout=timeout)
 
 
@@ -168,6 +168,12 @@ class TestCount:
                                "--method", "brute")
         assert code == 2
         assert "cutoff" in err
+
+    @pytest.mark.parametrize("force", [(), ("--force",)], ids=["no-force", "force"])
+    def test_negative_brute_cutoff_exit_2(self, capsys, force):
+        code, out, err = run_cli(capsys, "count", "--k", "1", "--ell", "1",
+                                 "--method", "brute", "--cutoff", "-5", *force)
+        assert (code, out, err) == (2, "", "error: --cutoff must be >= 0\n")
 
     def test_brute_force_override(self, capsys):
         code, out, _ = run_cli(capsys, "count", "--k", "3", "--ell", "0",
@@ -503,6 +509,12 @@ class TestReport:
         assert code == 0
         doc = json.loads(out)
         assert [r["ell"] for r in doc["rows"]] == [1, 2]
+
+    def test_python_m_threecolor_runs_the_cli(self, capsys, monkeypatch):
+        monkeypatch.delenv("THREECOLOR_BIT_BUDGET", raising=False)
+        code, out, _ = run_cli(capsys, "report", "--ell-max", "2")
+        proc = run_cli_process("report", "--ell-max", "2", timeout=30, module="threecolor")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, "")
 
     def test_empty_range_succeeds(self, capsys):
         code, out, _ = run_cli(capsys, "report", "--ell-min", "3",
