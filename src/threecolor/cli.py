@@ -78,7 +78,7 @@ def _parse_fix(raw: str | None):
 def cmd_count(args) -> int:
     budget = _bit_budget(args.bit_budget)  # read (and checked) for every method
     for name, method in (("force", "brute"), ("cutoff", "brute"), ("bit_budget", "dp")):
-        if getattr(args, name) not in (None, False) and method != args.method:
+        if getattr(args, name) is not None and method != args.method:
             raise ValueError(f"--{name.replace('_', '-')} does not apply to --method {args.method}")
     fix = _parse_fix(args.fix)
     if args.method == "dp":
@@ -198,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cnt.add_argument("--fix", default=None, metavar="CU,CV",
                        help="fix the terminal colors, e.g. 1,1 or 1,2")
     p_cnt.add_argument("--full", action="store_true", help="print the full decimal count")
-    p_cnt.add_argument("--force", action="store_true",
+    p_cnt.add_argument("--force", action="store_true", default=None,  # unset: None, as below
                        help="run the brute-force oracle past its cutoff")
     p_cnt.add_argument("--cutoff", type=int, default=None)
     p_cnt.add_argument("--bit-budget", type=int, default=None)

@@ -41,11 +41,13 @@ def _walk_faces(rows: Sequence[Sequence[int]], lengths: Sequence[int]) -> tuple[
     end in one array, and each walk's end in another.  A walk entering b from
     a finds j = rows[b].index(a), the key offset[b] + j of that dart, and
     leaves b for rows[b][j - 1], clockwise past a; walks start from the darts
-    a -> rows[a][i] in (a, i) order.  As each dart's reverse is looked up,
-    ValueError means a dart has none, IndexError a target past the last row."""
+    a -> rows[a][i] in (a, i) order.  ValueError means a dart has no reverse,
+    IndexError a target past the last row or below 0 (offset is padded past the
+    last key), KeyError a walk not closed at its first dart (a repeated neighbor)."""
     if max(lengths, default=0) > LONG_ROW:
         rows = [_IndexedRow(row) if len(row) > LONG_ROW else row for row in rows]
     offset = list(accumulate(lengths, initial=0))
+    offset += [offset[-1]] * len(lengths)  # offset[b] of a b < 0 is past the last key
     visited = bytearray(offset[-1])
     walks, ends = array("i"), array("i")
     append = walks.append
@@ -58,13 +60,15 @@ def _walk_faces(rows: Sequence[Sequence[int]], lengths: Sequence[int]) -> tuple[
             if visited[key]:
                 continue
             visited[key] = 1
-            a, b = a0, row0[i0]
+            first, a, b = key, a0, row0[i0]
             append(a0)
             while True:
                 row = rows[b]
                 j = row.index(a)
                 key = offset[b] + j
-                if visited[key]:  # only the first dart of this walk
+                if visited[key]:
+                    if key != first:
+                        raise KeyError(key)
                     break
                 visited[key] = 1
                 append(b)
@@ -126,28 +130,29 @@ class Graph:
         """The graph whose neighbors of vertex a are `order[a]`, in that order.
 
         Raises ValueError for a neighbor out of range, a self-loop, a repeated
-        neighbor or a dart a -> b without b -> a, which the walk of the faces
-        finds.  The checked rows are kept as `adjacency`, tuple rows as they
-        are, and the walks as `faces`.  `labels` runs on first read.
+        neighbor or a dart a -> b without b -> a.  The walk of the faces is the
+        check, after one pass for self-loops (a lone one is its own reverse);
+        a refused rotation is scanned again only to name its fault.  The rows
+        are kept as `adjacency`, tuple rows as they are, and the walks as
+        `faces`.  `labels` runs on first read.
         """
         rotation = tuple(map(tuple, order))
-        n = len(rotation)
-        out_of_range = f"a neighbor is out of range for n={n}"
-        # A target >= n fails its lookup in the walk; a negative one would not.
+        degrees = list(map(len, rotation))
+        loop = any(map(contains, rotation, range(len(rotation))))
+        try:
+            if not loop:
+                return cls.__new__(cls)._store(rotation, labels, _walk_faces(rotation, degrees))
+        except (ValueError, LookupError) as exc:
+            fault = exc
+        out_of_range = f"a neighbor is out of range for n={len(rotation)}"
         if min(chain.from_iterable(rotation), default=0) < 0:
             raise ValueError(out_of_range)
-        if any(map(contains, rotation, range(n))):
+        if loop:
             raise ValueError("the rotation has a self-loop")
-        degrees = list(map(len, rotation))
         if any(map(ne, map(len, map(set, rotation)), degrees)):
             raise ValueError("the rotation has a repeated neighbor")
-        try:
-            faces = _walk_faces(rotation, degrees)
-        except ValueError:
-            raise ValueError("a dart of the rotation has no reverse") from None
-        except IndexError:
-            raise ValueError(out_of_range) from None
-        return cls.__new__(cls)._store(rotation, labels, faces)
+        raise ValueError(out_of_range if isinstance(fault, IndexError)
+                         else "a dart of the rotation has no reverse")
 
     def _store(self, adjacency: tuple[tuple[int, ...], ...], labels, faces=None) -> Graph:
         object.__setattr__(self, "vertex_count", len(adjacency))

@@ -250,6 +250,8 @@ class TestCount:
         (("--method", "dp", "--force"), "--force"),
         (("--method", "dp", "--cutoff", "3"), "--cutoff"),
         (("--method", "brute", "--bit-budget", "100"), "--bit-budget"),
+        (("--method", "dp", "--cutoff", "0"), "--cutoff"),  # 0 is given, not unset
+        (("--method", "brute", "--bit-budget", "0"), "--bit-budget"),
     ])
     def test_option_of_the_other_method_exit_2(self, capsys, argv, option):
         code, out, err = run_cli(capsys, "count", "--k", "2", "--ell", "2", *argv)

@@ -1,5 +1,6 @@
 import itertools
 import operator
+import random
 
 import networkx as nx
 import pytest
@@ -15,6 +16,33 @@ from threecolor.graphs import (
 )
 
 from graph_strategies import dense_graphs, edge_lists_with_repeats, small_graphs
+from rotation_reference import rotation_fault
+
+
+def corrupt_rotation(rng: random.Random, rows: list[list[int]], favored: list[int]) -> None:
+    """One seeded fault in one row of `rows`, in place: a neighbor b made the
+    alias b - n, a negative appended, a neighbor duplicated, dropped or written
+    over another, a target past the end, or a self-loop.  Half the faults go
+    to a row of `favored`, if any."""
+    n = len(rows)
+    a = rng.choice(favored) if favored and rng.random() < 0.5 else rng.randrange(n)
+    row = rows[a]
+    i = rng.randrange(len(row)) if row else 0
+    kind = rng.randrange(7) if len(row) > 1 else rng.choice((1, 5, 6))
+    if kind == 0:
+        row[i] -= n
+    elif kind == 1:
+        row.append(-rng.randint(1, n + 1))
+    elif kind == 2:
+        row.insert(rng.randint(0, len(row)), row[i])
+    elif kind == 3:
+        del row[i]
+    elif kind == 4:
+        row[i] = row[i - 1]
+    elif kind == 5:
+        row.insert(rng.randint(0, len(row)), n + rng.randrange(3))
+    else:
+        row.insert(rng.randint(0, len(row)), a)
 
 
 def naive_triangle_count(g: Graph) -> int:
@@ -123,6 +151,60 @@ class TestFromRotation:
             message = f"^a neighbor is out of range for n={len(order)}$"
             with pytest.raises(ValueError, match=message):
                 Graph.from_rotation(order[:a] + [order[a] + (target,)] + order[a + 1:])
+
+    def test_refusals_match_the_four_reference_passes(self):
+        # The face walk is the whole check, yet a refused rotation gets the
+        # message of the reference passes, whose order names the first fault.
+        outcomes = set()
+        for k, ell in ((1, 1), (2, 2), (3, 1), (1, 3), (10, 0)):
+            order = build_T(k, ell, check=False).rotation.order
+            favored = [a for a, row in enumerate(order) if len(row) > LONG_ROW]
+            rng = random.Random(100 * k + ell)
+            for case in range(160):
+                rows = [list(row) for row in order]
+                for _ in range(1 + case % 2):  # single and double faults
+                    corrupt_rotation(rng, rows, favored)
+                expected = rotation_fault(rows)
+                try:
+                    Graph.from_rotation(rows)
+                    got = None
+                except ValueError as exc:
+                    got = str(exc)
+                assert got == expected, (k, ell, case, rows)
+                outcomes.add(got and got.split(" for n=")[0])
+        assert outcomes == {None, "a neighbor is out of range", "the rotation has a self-loop",
+                            "the rotation has a repeated neighbor",
+                            "a dart of the rotation has no reverse"}
+
+    def test_aliased_negative_targets_rejected(self):
+        # rows[b - n] is rows[b], so the reverse of a -> b - n is found; only
+        # the padded offset[b - n], past the last key, stops the walk.  With a
+        # self-loop or a repeated neighbor beside it, the negative is named first.
+        for k, ell in ((2, 2), (10, 0)):
+            gadget = build_T(k, ell, check=False)
+            order, n = list(gadget.rotation.order), gadget.graph.vertex_count
+            a = gadget.tg.terminal_u if k == 10 else 9  # u's long row, a short row
+            assert (len(order[a]) > LONG_ROW) == (k == 10)
+            aliased = (order[a][0] - n,) + order[a][1:]
+            for nbrs in (aliased, aliased + (a,), aliased + order[a][1:2]):
+                with pytest.raises(ValueError, match=f"^a neighbor is out of range for n={n}$"):
+                    Graph.from_rotation(order[:a] + [nbrs] + order[a + 1:])
+
+    def test_negative_targets_closing_every_walk_rejected(self):
+        # Without the padded offsets these pass the walk: each walk closes at
+        # its first dart and no key is entered twice.
+        for order in (((2,), (-4,), (-3, 0)), ((5,), (5,), (), (2,), (), (-5, 0, 1))):
+            with pytest.raises(ValueError, match=f"^a neighbor is out of range for n={len(order)}$"):
+                Graph.from_rotation(order)
+
+    def test_repeated_neighbor_in_a_long_row_rejected(self):
+        gadget = build_T(10, 0, check=False)
+        order, u = list(gadget.rotation.order), gadget.tg.terminal_u
+        assert len(order[u]) > LONG_ROW
+        # appended, and written over the last neighbor (whose dart then has no reverse)
+        for nbrs in (order[u] + order[u][:1], order[u][:-1] + order[u][:1]):
+            with pytest.raises(ValueError, match="^the rotation has a repeated neighbor$"):
+                Graph.from_rotation(order[:u] + [nbrs] + order[u + 1:])
 
     def test_keeps_the_rotation_it_checked(self):
         order = build_T(2, 1, check=False).rotation.order
