@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Exact 3-coloring counts: independent routes that must agree.
 
-The brute-force backtracker colors one vertex at a time and caches each
-level's count by the colors its later vertices still see.  The fan's pair
-counts come from a closed form, S = 2 and D = F(b+2), a Fibonacci number;
-the transfer counter that slides along the fan's path is kept as its
-oracle.  The pair-count recursion multiplies child counts through the
-frame, in the closed form S' = 2S^3, D' = S(3S^2 + 6SD + 4D^2).  Totals
-expand from the pair counts (S, D) as 3S + 6D by color-permutation
+The brute-force oracle sweeps forward one vertex at a time, counting the
+partial colorings per coloring of the earlier vertices that later ones
+still see, and refuses a sweep that may make more than 2^20 such states.
+The fan's pair counts come from a closed form, S = 2 and D = F(b+2), a
+Fibonacci number; the transfer counter that slides along the fan's path is
+kept as its oracle.  The pair-count recursion multiplies child counts
+through the frame, in the closed form S' = 2S^3, D' = S(3S^2 + 6SD + 4D^2).
+Totals expand from the pair counts (S, D) as 3S + 6D by color-permutation
 symmetry.
 """
 from threecolor import (

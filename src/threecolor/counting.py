@@ -11,10 +11,10 @@ count, so that each is refused over the bit budget before it is computed.
 Four slower routes, kept deliberately independent, are the oracles that
 check them:
 
-* a brute-force backtracking oracle over any small graph, which lists each
-  free vertex's colored neighbors once, caches each level's count per call
-  by the colors of the earlier free vertices the rest of the search still
-  sees, and refuses too many free vertices or a search past its cache,
+* a brute-force oracle over any small graph, one forward pass over the
+  free vertices that counts the partial colorings per coloring of the
+  earlier ones a later vertex still sees, and refuses too many free
+  vertices or a pass that may make more than `_MAX_STATES` such states,
 * a left-to-right transfer counter for the fan (`_path_interior_transfer`),
 * the frame level as a sum over the 13 proper frame colorings with
   terminals (1,2) (`_frame_combine_patterns`), read off the 84 proper
@@ -47,9 +47,9 @@ from .graphs import COLORS, Graph, induced_subgraph
 
 DEFAULT_BIT_BUDGET = 10 ** 7
 DEFAULT_BRUTE_FORCE_CUTOFF = 20
-# The oracle recurses one frame per free vertex, the last making no call,
-# and so no more than 800 deep, leaving 200 of Python's 1000 to callers;
-# `iter_colorings` keeps the same limit.
+# The oracle and `iter_colorings` refuse more free vertices than this, and
+# `count --method brute` and `verify --suite remark` check it before they
+# build anything.
 MAX_FREE_VERTICES = 800
 # Color c is the bit 1 << (c - 1); _ALLOWED[used] lists the bits clear in used.
 _ALLOWED = tuple(tuple(bit for bit in (1, 2, 4) if not used & bit) for used in range(8))
@@ -121,10 +121,10 @@ def iter_colorings(
     g: Graph, fixed: Optional[Mapping[int, int]] = None
 ) -> Iterator[dict[int, int]]:
     """Yield every proper total 3-coloring extending `fixed` (as dicts), in the
-    index order and under the limit of `count_colorings_bruteforce`, with no
-    cache.  The levels are walked with an explicit stack of color iterators,
-    one per free vertex, so a coloring passes up through no generator
-    frames."""
+    index order and under the free-vertex limit of `count_colorings_bruteforce`,
+    which counts them in a forward pass without listing them.  The levels
+    are walked with an explicit stack of color iterators, one per free
+    vertex, so a coloring passes up through no generator frames."""
     state = _prepare(g, fixed)
     if state is None:
         return
@@ -152,29 +152,24 @@ def iter_colorings(
             i += 1
 
 
-# The oracle caches at most this many sub-search counts per call, so that a
-# graph too large to finish holds bounded memory; once the cache is full, it
-# refuses after this many more sub-searches, so that such a graph stops.
-_CACHE_ENTRIES = 2 ** 18
-_UNCACHED_SEARCHES = 2 ** 20
-# A cache key holds the level in its low bits, so no two levels share a key.
-_LEVEL_BITS = MAX_FREE_VERTICES.bit_length()
+# A level makes at most three states per state it extends; the oracle charges
+# that many before it builds the level, and refuses once the charges pass this.
+_MAX_STATES = 2 ** 20
 
 
 def count_colorings_bruteforce(g: Graph, fixed: Optional[Mapping[int, int]] = None, *,
                                force: bool = False) -> int:
     """Exact number of proper total 3-colorings extending `fixed`.
 
-    Backtracks over the free vertices in index order; each looks up the
-    colors its colored neighbors leave in `_ALLOWED`, and the last one
-    counts how many are left.  The completions from a level depend only on
-    the colors of its frontier, the earlier free vertices that some vertex
-    at that level or later sees, so each level's count is cached per call
-    by those colors and the level, up to _CACHE_ENTRIES entries.  Refuses
-    graphs above DEFAULT_BRUTE_FORCE_CUTOFF vertices unless `force` is given,
-    and always refuses more than MAX_FREE_VERTICES free vertices, and a
-    search that makes more than _UNCACHED_SEARCHES sub-searches past a full
-    cache.
+    Sweeps the free vertices forward in index order.  A frontier coloring
+    holds the color bits of the earlier free vertices that a later vertex
+    still sees; each level maps every one to the number of partial colorings
+    that reach it, drops the vertices no later one sees, and extends it by
+    the colors its vertex's colored neighbors leave in `_ALLOWED`.  The
+    count is the sum over the last level.  Refuses graphs above
+    DEFAULT_BRUTE_FORCE_CUTOFF vertices unless `force` is given, and always
+    refuses more than MAX_FREE_VERTICES free vertices, and a search that may
+    make more than _MAX_STATES frontier states.
     """
     if g.vertex_count > DEFAULT_BRUTE_FORCE_CUTOFF and not force:
         raise BruteForceCutoffError(
@@ -187,48 +182,38 @@ def count_colorings_bruteforce(g: Graph, fixed: Optional[Mapping[int, int]] = No
     # Each free vertex that a later one sees -> the last level that sees it.
     last_seen = {nb: i for i, (_, colored) in enumerate(order)
                  for nb in colored if not bits[nb]}
-    frontiers = []
     frontier: tuple[int, ...] = ()
-    for i, (v, _) in enumerate(order):
-        frontier = tuple(w for w in frontier if last_seen[w] >= i)
-        frontiers.append(frontier)
-        if v in last_seen:
-            frontier += (v,)
-    last = len(order) - 1
-    cache: dict[int, int] = {}
-    uncached = _UNCACHED_SEARCHES
-
-    def rec(i: int) -> int:
-        nonlocal uncached
-        key = 0
-        for w in frontiers[i]:
-            key = key << 3 | bits[w]
-        key = key << _LEVEL_BITS | i
-        total = cache.get(key)
-        if total is not None:
-            return total
-        v, colored = order[i]
+    states = {(): 1}
+    charged = 0
+    for i, (v, colored) in enumerate(order):
+        charged += 3 * len(states)
+        if charged > _MAX_STATES:
+            raise BruteForceCutoffError(f"the search of {g.vertex_count} vertices may make"
+                                        f" more than {_MAX_STATES} frontier states")
         used = 0
         for nb in colored:
-            used |= bits[nb]
-        allowed = _ALLOWED[used]
-        if i == last:
-            total = len(allowed)
-        else:
-            total = 0
-            for b in allowed:
-                bits[v] = b
-                total += rec(i + 1)
-            bits[v] = 0
-        if len(cache) < _CACHE_ENTRIES:
-            cache[key] = total
-        elif (uncached := uncached - 1) < 0:
-            raise BruteForceCutoffError(
-                f"the search of {g.vertex_count} vertices outgrew its cache of"
-                f" {_CACHE_ENTRIES} entries by {_UNCACHED_SEARCHES} sub-searches")
-        return total
-
-    return rec(0) if order else 1
+            used |= bits[nb]  # the fixed neighbors; a free vertex's bits stay 0
+        sees = [frontier.index(nb) for nb in colored if not bits[nb]]
+        keep = [j for j, w in enumerate(frontier) if last_seen[w] > i]
+        frontier = tuple(frontier[j] for j in keep)
+        seen_later = v in last_seen
+        if seen_later:
+            frontier += (v,)
+        level: dict[tuple[int, ...], int] = {}
+        for key, ways in states.items():
+            u = used
+            for j in sees:
+                u |= key[j]
+            allowed = _ALLOWED[u]
+            base = tuple([key[j] for j in keep])
+            if seen_later:
+                for b in allowed:
+                    nxt = base + (b,)
+                    level[nxt] = level.get(nxt, 0) + ways
+            elif allowed:
+                level[base] = level.get(base, 0) + ways * len(allowed)
+        states = level
+    return sum(states.values())
 
 
 def _check_terminals(b: int, color_u: int, color_v: int) -> None:

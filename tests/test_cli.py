@@ -264,15 +264,20 @@ class TestCount:
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == "error: invalid THREECOLOR_BIT_BUDGET: 'junk'\n"
 
-    def test_forced_brute_past_its_cache_stops(self):
-        # T(4,3) has 499 vertices; its search fills the cache within a second
-        # and would then run for much longer than this test allows.
+    def test_forced_brute_counts_T43(self):
+        # T(4,3) has 499 vertices and no terminal fixed; its frontier states
+        # stay under the limit, and the count equals the DP's.
         proc = run_cli_process("count", "--k", "4", "--ell", "3", "--method", "brute",
+                               "--force", timeout=15)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "bit_length: 133\n", "")
+
+    def test_forced_brute_past_its_state_limit_stops(self):
+        proc = run_cli_process("count", "--k", "2", "--ell", "4", "--method", "brute",
                                "--force", timeout=15)
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == (
-            f"error: the search of 499 vertices outgrew its cache of {counting._CACHE_ENTRIES}"
-            f" entries by {counting._UNCACHED_SEARCHES} sub-searches\n")
+            f"error: the search of 526 vertices may make more than {counting._MAX_STATES}"
+            " frontier states\n")
 
     def test_huge_fan_refused_before_any_work(self):
         proc = run_cli_process("count", "--k", "40", "--ell", "0", timeout=10)

@@ -211,22 +211,29 @@ class TestTail:
                 for c in itertools.product((1, 2, 3), repeat=t))
 
 
-class TestCache:
-    @pytest.mark.parametrize("entries", [0, 5])
-    def test_counts_hold_with_a_small_cache(self, entries, monkeypatch):
-        monkeypatch.setattr(counting, "_CACHE_ENTRIES", entries)
-        for case in itertools.product(range(8), range(6), ("before", "between", "after"),
-                                      range(4)):
-            g, fixed = tail_case(*case)
-            assert count_colorings_bruteforce(g, fixed) == product_filter_count(g, fixed)
-        # The (1,2) class of T(1,2) takes seconds without a cache.
+class TestStateLimit:
+    @pytest.mark.parametrize("limit", [0, 30, 300])
+    def test_a_small_limit_refuses_but_never_miscounts(self, limit, monkeypatch):
+        monkeypatch.setattr(counting, "_MAX_STATES", limit)
+        cases = [tail_case(*case) for case in itertools.product(
+            range(8), range(6), ("before", "between", "after"), range(4))]
         for k, ell in ((1, 1), (2, 1), (1, 2)):
             g = build_T(k, ell, check=False).graph
             pc = gadget_pair_counts(k, ell)
-            classes = ((1, pc.same),) if ell == 2 else ((1, pc.same), (2, pc.diff))
-            for color_v, expected in classes:
-                assert count_colorings_bruteforce(
-                    g, {0: 1, 1: color_v}, force=True) == expected
+            cases += [(g, {0: 1, 1: 1}, pc.same), (g, {0: 1, 1: 2}, pc.diff)]
+        outcomes = Counter()
+        for g, fixed, *expected in cases:
+            try:
+                got = count_colorings_bruteforce(g, fixed, force=True)
+            except BruteForceCutoffError as error:
+                assert str(error) == (f"the search of {g.vertex_count} vertices may make"
+                                      f" more than {limit} frontier states")
+                outcomes["refused"] += 1
+            else:
+                assert got == (expected[0] if expected else product_filter_count(g, fixed))
+                outcomes["counted"] += 1
+        # Even at limit 0 the tail cases with no free vertex count.
+        assert outcomes["refused"] > 0 and outcomes["counted"] > 0
 
     def test_levels_with_equal_frontier_colors_keep_their_own_counts(self):
         # On the path 0-1-2-3 levels 1, 2 and 3 each see one earlier vertex,
@@ -237,9 +244,10 @@ class TestCache:
         assert count_colorings_bruteforce(g) == 24
         assert count_colorings_bruteforce(g, {0: 1}) == 8
 
-    def test_cache_stays_within_its_limit(self, monkeypatch):
+    def test_limit_bounds_the_states_held(self, monkeypatch):
         # Seven free vertices that all see only a last, shared neighbor: every
-        # partial coloring is its own cache key, about 3,300 of them.
+        # partial coloring is its own frontier coloring, 3^7 = 2,187 at the
+        # last level, and the levels charge 3 * (3^8 - 1) / 2 = 9,840 states.
         g = Graph(8, [(i, 7) for i in range(7)])
 
         def peak_bytes():
@@ -251,18 +259,32 @@ class TestCache:
                 tracemalloc.stop()
 
         assert peak_bytes() > 128 * 1024
-        monkeypatch.setattr(counting, "_CACHE_ENTRIES", 5)
-        assert peak_bytes() < 16 * 1024
+        monkeypatch.setattr(counting, "_MAX_STATES", 9840)
+        assert count_colorings_bruteforce(g) == 3 * 2 ** 7
+        monkeypatch.setattr(counting, "_MAX_STATES", 9839)
+        with pytest.raises(BruteForceCutoffError):
+            count_colorings_bruteforce(g)
+        monkeypatch.setattr(counting, "_MAX_STATES", 40)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BruteForceCutoffError):
+                count_colorings_bruteforce(g)
+            assert tracemalloc.get_traced_memory()[1] < 16 * 1024
+        finally:
+            tracemalloc.stop()
 
     def test_forced_gadget_counts_match_the_dp(self):
-        gadgets = [build_T(k, ell, check=False) for k in range(1, 8) for ell in range(4)
-                   if vertex_count_closed_form(k, ell) <= 200]
-        assert len(gadgets) == 19  # every T(k, ell) with at most 200 vertices
-        for gadget in gadgets:
-            pc = gadget_pair_counts(gadget.k, gadget.ell)
-            g = gadget.graph
-            assert count_colorings_bruteforce(g, {0: 1, 1: 1}, force=True) == pc.same
-            assert count_colorings_bruteforce(g, {0: 1, 1: 2}, force=True) == pc.diff
+        # Every T(k, ell) with at most MAX_FREE_VERTICES free vertices once
+        # both terminals are fixed, up to T(8, 1) with n = 775.
+        gadgets = [build_T(k, ell, check=False) for k in range(1, 10) for ell in range(5)
+                   if vertex_count_closed_form(k, ell) - 2 <= MAX_FREE_VERTICES]
+        assert len(gadgets) == 29
+        with deadline(10):
+            for gadget in gadgets:
+                pc = gadget_pair_counts(gadget.k, gadget.ell)
+                g = gadget.graph
+                assert count_colorings_bruteforce(g, {0: 1, 1: 1}, force=True) == pc.same
+                assert count_colorings_bruteforce(g, {0: 1, 1: 2}, force=True) == pc.diff
 
 
 class TestPathPairCounts:
