@@ -3,7 +3,8 @@
 
 The brute-force oracle sweeps forward one vertex at a time, counting the
 partial colorings per coloring of the earlier vertices that later ones
-still see, and refuses a sweep that may make more than 2^20 such states.
+still see, and refuses a sweep that may make more than 2^24 frontier cells
+(one per color of such a coloring, charged before each level is built).
 The fan's pair counts come from a closed form, S = 2 and D = F(b+2), a
 Fibonacci number; the transfer counter that slides along the fan's path is
 kept as its oracle.  The pair-count recursion multiplies child counts

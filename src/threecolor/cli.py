@@ -77,9 +77,8 @@ def _parse_fix(raw: str | None):
 
 def cmd_count(args) -> int:
     budget = _bit_budget(args.bit_budget)  # read (and checked) for every method
-    for name, method in (("force", "brute"), ("cutoff", "brute"), ("bit_budget", "dp")):
-        if getattr(args, name) is not None and method != args.method:
-            raise ValueError(f"--{name.replace('_', '-')} does not apply to --method {args.method}")
+    if args.bit_budget is not None and args.method != "dp":
+        raise ValueError(f"--bit-budget does not apply to --method {args.method}")
     fix = _parse_fix(args.fix)
     if args.method == "dp":
         pc = counting.gadget_pair_counts(args.k, args.ell, bit_budget=budget)
@@ -88,18 +87,11 @@ def cmd_count(args) -> int:
         else:
             value = pc.same if fix[0] == fix[1] else pc.diff
     else:
-        cutoff = counting.DEFAULT_BRUTE_FORCE_CUTOFF if args.cutoff is None else args.cutoff
-        if cutoff < 0:
-            raise ValueError("--cutoff must be >= 0")
         n = checked_vertex_count(args.k, args.ell)
-        if n > cutoff and not args.force:
-            raise counting.BruteForceCutoffError(
-                f"{n} vertices exceeds the brute-force cutoff {cutoff} (use --force to override)")
         counting.check_free_vertices(n - (0 if fix is None else 2))
         gadget = build_T(args.k, args.ell, check=False)
         fixed = None if fix is None else {0: fix[0], 1: fix[1]}
-        # The cutoff is checked above, before the gadget is built.
-        value = counting.count_colorings_bruteforce(gadget.graph, fixed, force=True)
+        value = counting.count_colorings_bruteforce(gadget.graph, fixed, force=True)  # no cutoff
     if args.json:
         doc = {
             "k": args.k,
@@ -198,9 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cnt.add_argument("--fix", default=None, metavar="CU,CV",
                        help="fix the terminal colors, e.g. 1,1 or 1,2")
     p_cnt.add_argument("--full", action="store_true", help="print the full decimal count")
-    p_cnt.add_argument("--force", action="store_true", default=None,  # unset: None, as below
-                       help="run the brute-force oracle past its cutoff")
-    p_cnt.add_argument("--cutoff", type=int, default=None)
     p_cnt.add_argument("--bit-budget", type=int, default=None)
     p_cnt.add_argument("--json", action="store_true")
     p_cnt.set_defaults(func=cmd_count)

@@ -13,8 +13,8 @@ check them:
 
 * a brute-force oracle over any small graph, one forward pass over the
   free vertices that counts the partial colorings per coloring of the
-  earlier ones a later vertex still sees, and refuses too many free
-  vertices or a pass that may make more than `_MAX_STATES` such states,
+  earlier ones a later vertex still sees; it refuses too many free
+  vertices, or a pass that may store over `_MAX_CELLS` frontier colors,
 * a left-to-right transfer counter for the fan (`_path_interior_transfer`),
 * the frame level as a sum over the 13 proper frame colorings with
   terminals (1,2) (`_frame_combine_patterns`), read off the 84 proper
@@ -117,14 +117,20 @@ def _prepare(g: Graph, fixed: Optional[Mapping[int, int]]):
                   for v, nbrs in enumerate(g.adjacency) if not bits[v]]
 
 
+# A level makes at most three frontier colorings per one it extends, each at most
+# one color wider.  The oracle charges those cells before it builds a level and
+# refuses past this many; `iter_colorings` refuses as many steps between colorings.
+_MAX_CELLS = 2 ** 24
+
+
 def iter_colorings(
     g: Graph, fixed: Optional[Mapping[int, int]] = None
 ) -> Iterator[dict[int, int]]:
     """Yield every proper total 3-coloring extending `fixed` (as dicts), in the
     index order and under the free-vertex limit of `count_colorings_bruteforce`,
-    which counts them in a forward pass without listing them.  The levels
-    are walked with an explicit stack of color iterators, one per free
-    vertex, so a coloring passes up through no generator frames."""
+    which counts them without listing them; refuses _MAX_CELLS steps without a
+    coloring.  The levels are walked with an explicit stack of color iterators,
+    one per free vertex, so a coloring passes up through no generator frames."""
     state = _prepare(g, fixed)
     if state is None:
         return
@@ -134,8 +140,11 @@ def iter_colorings(
         return
     last = len(order) - 1
     stack = []  # stack[i] iterates over the colors left for order[i]
-    i = 0
+    i = steps = 0  # steps since the last coloring
     while i >= 0:
+        if (steps := steps + 1) > _MAX_CELLS:
+            raise BruteForceCutoffError(f"the search of {g.vertex_count} vertices took more"
+                                        f" than {_MAX_CELLS} steps without a coloring")
         v, colored = order[i]
         if i == len(stack):
             used = 0
@@ -147,14 +156,10 @@ def iter_colorings(
             stack.pop()
             i -= 1
         elif i == last:
+            steps = 0
             yield dict(enumerate(map(int.bit_length, bits)))
         else:
             i += 1
-
-
-# A level makes at most three states per state it extends; the oracle charges
-# that many before it builds the level, and refuses once the charges pass this.
-_MAX_STATES = 2 ** 20
 
 
 def count_colorings_bruteforce(g: Graph, fixed: Optional[Mapping[int, int]] = None, *,
@@ -167,9 +172,9 @@ def count_colorings_bruteforce(g: Graph, fixed: Optional[Mapping[int, int]] = No
     that reach it, drops the vertices no later one sees, and extends it by
     the colors its vertex's colored neighbors leave in `_ALLOWED`.  The
     count is the sum over the last level.  Refuses graphs above
-    DEFAULT_BRUTE_FORCE_CUTOFF vertices unless `force` is given, and always
-    refuses more than MAX_FREE_VERTICES free vertices, and a search that may
-    make more than _MAX_STATES frontier states.
+    DEFAULT_BRUTE_FORCE_CUTOFF vertices unless `force` is given, more than
+    MAX_FREE_VERTICES free vertices, and a search that may make more than
+    _MAX_CELLS frontier cells, charged 3 * (w + 1) per w-wide state extended.
     """
     if g.vertex_count > DEFAULT_BRUTE_FORCE_CUTOFF and not force:
         raise BruteForceCutoffError(
@@ -186,10 +191,10 @@ def count_colorings_bruteforce(g: Graph, fixed: Optional[Mapping[int, int]] = No
     states = {(): 1}
     charged = 0
     for i, (v, colored) in enumerate(order):
-        charged += 3 * len(states)
-        if charged > _MAX_STATES:
+        charged += 3 * len(states) * (len(frontier) + 1)
+        if charged > _MAX_CELLS:
             raise BruteForceCutoffError(f"the search of {g.vertex_count} vertices may make"
-                                        f" more than {_MAX_STATES} frontier states")
+                                        f" more than {_MAX_CELLS} frontier cells")
         used = 0
         for nb in colored:
             used |= bits[nb]  # the fixed neighbors; a free vertex's bits stay 0

@@ -164,23 +164,25 @@ class TestCount:
         assert out == "" and err == "error: ell must be >= 0\n"
 
     def test_brute_cutoff_exit_2(self, capsys):
-        code, _, err = run_cli(capsys, "count", "--k", "5", "--ell", "8",
-                               "--method", "brute")
-        assert code == 2
-        assert "cutoff" in err
+        code, out, err = run_cli(capsys, "count", "--k", "5", "--ell", "8",
+                                 "--method", "brute")
+        assert (code, out) == (2, "")
+        assert err == f"error: 226354 free vertices exceed the limit of {MAX_FREE_VERTICES}\n"
 
-    @pytest.mark.parametrize("force", [(), ("--force",)], ids=["no-force", "force"])
-    def test_negative_brute_cutoff_exit_2(self, capsys, force):
-        code, out, err = run_cli(capsys, "count", "--k", "1", "--ell", "1",
-                                 "--method", "brute", "--cutoff", "-5", *force)
-        assert (code, out, err) == (2, "", "error: --cutoff must be >= 0\n")
+    @pytest.mark.parametrize("option", [("--force",), ("--cutoff", "5")],
+                             ids=["force", "cutoff"])
+    def test_removed_brute_options_are_unrecognized(self, capsys, option):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["count", "--k", "1", "--ell", "1", "--method", "brute", *option])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
 
-    def test_brute_force_override(self, capsys):
-        code, out, _ = run_cli(capsys, "count", "--k", "3", "--ell", "0",
-                               "--method", "brute", "--cutoff", "5",
-                               "--force", "--full")
-        assert code == 0
-        assert "count: 336" in out
+    def test_help_lists_no_cutoff_options(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["count", "--help"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        assert "--method" in out and "--force" not in out and "--cutoff" not in out
 
     def test_fixed_terminals(self, capsys):
         code, out, _ = run_cli(capsys, "count", "--k", "1", "--ell", "1",
@@ -240,18 +242,14 @@ class TestCount:
     def test_forced_brute_matches_dp_past_the_cutoff(self):
         # T(2,3) has 175 vertices and about 2^68 colorings.
         outputs = [run_cli_process("count", "--k", "2", "--ell", "3", "--method", method,
-                                   *extra, "--full", timeout=30)
-                   for method, extra in (("brute", ("--force",)), ("dp", ()))]
+                                   "--full", timeout=30) for method in ("brute", "dp")]
         assert [proc.returncode for proc in outputs] == [0, 0]
         assert outputs[0].stdout == outputs[1].stdout
         assert "count: 241610832445358211072" in outputs[0].stdout
 
     @pytest.mark.parametrize("argv,option", [
-        (("--method", "dp", "--force"), "--force"),
-        (("--method", "dp", "--cutoff", "3"), "--cutoff"),
         (("--method", "brute", "--bit-budget", "100"), "--bit-budget"),
-        (("--method", "dp", "--cutoff", "0"), "--cutoff"),  # 0 is given, not unset
-        (("--method", "brute", "--bit-budget", "0"), "--bit-budget"),
+        (("--method", "brute", "--bit-budget", "0"), "--bit-budget"),  # 0 is given, not unset
     ])
     def test_option_of_the_other_method_exit_2(self, capsys, argv, option):
         code, out, err = run_cli(capsys, "count", "--k", "2", "--ell", "2", *argv)
@@ -265,19 +263,19 @@ class TestCount:
         assert proc.stderr == "error: invalid THREECOLOR_BIT_BUDGET: 'junk'\n"
 
     def test_forced_brute_counts_T43(self):
-        # T(4,3) has 499 vertices and no terminal fixed; its frontier states
+        # T(4,3) has 499 vertices and no terminal fixed; its frontier cells
         # stay under the limit, and the count equals the DP's.
         proc = run_cli_process("count", "--k", "4", "--ell", "3", "--method", "brute",
-                               "--force", timeout=15)
+                               timeout=15)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "bit_length: 133\n", "")
 
     def test_forced_brute_past_its_state_limit_stops(self):
         proc = run_cli_process("count", "--k", "2", "--ell", "4", "--method", "brute",
-                               "--force", timeout=15)
+                               timeout=15)
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == (
-            f"error: the search of 526 vertices may make more than {counting._MAX_STATES}"
-            " frontier states\n")
+            f"error: the search of 526 vertices may make more than {counting._MAX_CELLS}"
+            " frontier cells\n")
 
     def test_huge_fan_refused_before_any_work(self):
         proc = run_cli_process("count", "--k", "40", "--ell", "0", timeout=10)
@@ -289,7 +287,7 @@ class TestCount:
         (("--k", "10", "--ell", "1"), 3079),  # refused before build_T
     ], ids=["fixed-P1024", "unfixed-T(10,1)"])
     def test_brute_past_the_free_vertex_limit_exit_2(self, argv, free):
-        proc = run_cli_process("count", "--method", "brute", "--force", *argv, timeout=10)
+        proc = run_cli_process("count", "--method", "brute", *argv, timeout=10)
         assert proc.returncode == 2
         assert proc.stdout == "" and proc.stderr == (
             f"error: {free} free vertices exceed the limit of {MAX_FREE_VERTICES}\n")
@@ -298,8 +296,8 @@ class TestCount:
         ("--k", "15000", "--ell", "0"),  # 2^15000 has over 4300 decimal digits
         ("--k", "1000000000", "--ell", "0"),
         ("--k", "1", "--ell", "1000000000"),
-        ("--k", "40", "--ell", "0", "--force"),
-    ], ids=["k15000", "k1e9", "ell1e9", "forced-k40"])
+        ("--k", "40", "--ell", "0"),
+    ], ids=["k15000", "k1e9", "ell1e9", "k40"])
     def test_brute_on_a_huge_gadget_refused_before_any_power(self, argv):
         # k + ell >= 22 is refused before 2^k or 3^ell is formed
         proc = run_cli_process("count", "--method", "brute", *argv, timeout=10)

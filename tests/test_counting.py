@@ -214,7 +214,7 @@ class TestTail:
 class TestStateLimit:
     @pytest.mark.parametrize("limit", [0, 30, 300])
     def test_a_small_limit_refuses_but_never_miscounts(self, limit, monkeypatch):
-        monkeypatch.setattr(counting, "_MAX_STATES", limit)
+        monkeypatch.setattr(counting, "_MAX_CELLS", limit)
         cases = [tail_case(*case) for case in itertools.product(
             range(8), range(6), ("before", "between", "after"), range(4))]
         for k, ell in ((1, 1), (2, 1), (1, 2)):
@@ -227,7 +227,7 @@ class TestStateLimit:
                 got = count_colorings_bruteforce(g, fixed, force=True)
             except BruteForceCutoffError as error:
                 assert str(error) == (f"the search of {g.vertex_count} vertices may make"
-                                      f" more than {limit} frontier states")
+                                      f" more than {limit} frontier cells")
                 outcomes["refused"] += 1
             else:
                 assert got == (expected[0] if expected else product_filter_count(g, fixed))
@@ -247,7 +247,8 @@ class TestStateLimit:
     def test_limit_bounds_the_states_held(self, monkeypatch):
         # Seven free vertices that all see only a last, shared neighbor: every
         # partial coloring is its own frontier coloring, 3^7 = 2,187 at the
-        # last level, and the levels charge 3 * (3^8 - 1) / 2 = 9,840 states.
+        # last level.  Level j extends 3^j states of a frontier j wide, so the
+        # levels charge the sum of 3 * 3^j * (j + 1) over j < 8, 73,812 cells.
         g = Graph(8, [(i, 7) for i in range(7)])
 
         def peak_bytes():
@@ -259,12 +260,12 @@ class TestStateLimit:
                 tracemalloc.stop()
 
         assert peak_bytes() > 128 * 1024
-        monkeypatch.setattr(counting, "_MAX_STATES", 9840)
+        monkeypatch.setattr(counting, "_MAX_CELLS", 73812)
         assert count_colorings_bruteforce(g) == 3 * 2 ** 7
-        monkeypatch.setattr(counting, "_MAX_STATES", 9839)
+        monkeypatch.setattr(counting, "_MAX_CELLS", 73811)
         with pytest.raises(BruteForceCutoffError):
             count_colorings_bruteforce(g)
-        monkeypatch.setattr(counting, "_MAX_STATES", 40)
+        monkeypatch.setattr(counting, "_MAX_CELLS", 40)
         tracemalloc.start()
         try:
             with pytest.raises(BruteForceCutoffError):
@@ -272,6 +273,55 @@ class TestStateLimit:
             assert tracemalloc.get_traced_memory()[1] < 16 * 1024
         finally:
             tracemalloc.stop()
+
+    def test_limit_charges_the_width_of_the_frontier(self, monkeypatch):
+        # Terminals 0 and 1 at colors 1 and 2 force m = 88 vertices to color 3,
+        # and a last vertex sees those and 8 free ones, so the frontier grows
+        # 96 wide while it holds only 3^8 = 6,561 colorings.  The last vertex
+        # takes color 1 or 2, and the 8 free ones each the other two colors.
+        m, n = 88, 99
+        g = Graph(n, [(t, v) for v in range(2, 2 + m) for t in (0, 1)]
+                  + [(v, n - 1) for v in range(2, n - 1)])
+        fixed = {0: 1, 1: 2}
+        # The forced levels extend one state each, of widths 0..87; free level
+        # j extends 3^j states 88 + j wide, and the last level 3^8, 96 wide.
+        cells = (sum(3 * (w + 1) for w in range(m))
+                 + sum(3 * 3 ** j * (m + j + 1) for j in range(9)))
+        assert cells == 2_860_731
+        monkeypatch.setattr(counting, "_MAX_CELLS", cells)
+        assert count_colorings_bruteforce(g, fixed, force=True) == 2 * 2 ** 8
+        monkeypatch.setattr(counting, "_MAX_CELLS", cells - 1)
+        with pytest.raises(BruteForceCutoffError):
+            count_colorings_bruteforce(g, fixed, force=True)
+        # A charge of 3 per state, under this limit, still built the last free
+        # level (a 7.09 MiB tracemalloc peak); the cells stop at 27 states.
+        monkeypatch.setattr(counting, "_MAX_CELLS", 2 ** 14)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BruteForceCutoffError):
+                count_colorings_bruteforce(g, fixed, force=True)
+            assert tracemalloc.get_traced_memory()[1] < 256 * 1024
+        finally:
+            tracemalloc.stop()
+
+    def test_colorings_walk_refuses_too_many_steps_without_a_coloring(self, monkeypatch):
+        # K4 has no 3-coloring.  Each color of vertex 0 takes 10 steps: it is
+        # set, vertex 1 tries two colors, each followed by one color of
+        # vertex 2, a dead end at vertex 3 and the pop of vertex 2, and
+        # vertex 1 is popped; vertex 0's pop is step 31.
+        k4 = Graph(4, list(itertools.combinations(range(4), 2)))
+        monkeypatch.setattr(counting, "_MAX_CELLS", 31)
+        assert list(iter_colorings(k4)) == []
+        # The steps count since the last coloring, so a walk with many
+        # colorings passes; with no coloring, every step counts.
+        assert len(list(iter_colorings(build_P(5).graph))) == 84
+        isolated_then_k4 = Graph(6, list(itertools.combinations(range(2, 6), 2)))
+        message = "the search of 6 vertices took more than 31 steps without a coloring"
+        with pytest.raises(BruteForceCutoffError, match=message):
+            list(iter_colorings(isolated_then_k4))
+        monkeypatch.setattr(counting, "_MAX_CELLS", 30)
+        with pytest.raises(BruteForceCutoffError):
+            list(iter_colorings(k4))
 
     def test_forced_gadget_counts_match_the_dp(self):
         # Every T(k, ell) with at most MAX_FREE_VERTICES free vertices once
