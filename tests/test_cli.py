@@ -169,13 +169,23 @@ class TestCount:
         assert (code, out) == (2, "")
         assert err == f"error: 226354 free vertices exceed the limit of {MAX_FREE_VERTICES}\n"
 
-    @pytest.mark.parametrize("option", [("--force",), ("--cutoff", "5")],
-                             ids=["force", "cutoff"])
-    def test_removed_brute_options_are_unrecognized(self, capsys, option):
+    @pytest.mark.parametrize("method,option", [
+        ("brute", ("--force",)),
+        ("brute", ("--cutoff", "5")),
+        ("dp", ("--force",)),
+        ("dp", ("--cutoff", "0")),
+    ], ids=["force", "cutoff", "dp-force", "dp-cutoff"])
+    def test_removed_brute_options_are_unrecognized(self, capsys, method, option):
         with pytest.raises(SystemExit) as exit_info:
-            main(["count", "--k", "1", "--ell", "1", "--method", "brute", *option])
+            main(["count", "--k", "1", "--ell", "1", "--method", method, *option])
         assert exit_info.value.code == 2
         assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+
+    def test_brute_full_count_matches_dp(self, capsys):
+        # T(3,0) has 10 vertices; brute counts it with no option to pass a cutoff
+        outputs = [run_cli(capsys, "count", "--k", "3", "--ell", "0",
+                           "--method", method, "--full") for method in ("brute", "dp")]
+        assert outputs[0] == outputs[1] == (0, "bit_length: 9\ncount: 336\n", "")
 
     def test_help_lists_no_cutoff_options(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
