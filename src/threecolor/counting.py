@@ -5,8 +5,10 @@ Fibonacci number computed by fast doubling, and each recursion level of
 T(u,v,k,l) maps (S, D) to (2S^3, S(3S^2 + 6SD + 4D^2)).  S is always a power
 of two, so the levels run on (e, r) with S = 2^e and r = 2D/S, where a level
 is e -> 3e + 1 and r -> r^2 + 3r + 3: one squaring of r, and no product with
-S.  As r^2 + 3r + 5 <= (r + 2)^2 for r >= 1, r + 2 at most squares per level,
-and that one closed form (`_level_bits`) bounds the bit length of every
+S.  From `_TOOM_BITS` bits on, `_square` squares r by Toom-3, five squarings
+of a third the size, which beats CPython's Karatsuba product.  As
+r^2 + 3r + 5 <= (r + 2)^2 for r >= 1, r + 2 at most squares per level, and
+that one closed form (`_level_bits`) bounds the bit length of every
 count, so that each is refused over the bit budget before it is computed.
 Four slower routes, kept deliberately independent, are the oracles that
 check them:
@@ -128,13 +130,20 @@ def iter_colorings(
 ) -> Iterator[dict[int, int]]:
     """Yield every proper total 3-coloring extending `fixed` (as dicts), in the
     index order and under the free-vertex limit of `count_colorings_bruteforce`,
-    which counts them without listing them; refuses _MAX_CELLS steps without a
-    coloring.  The levels are walked with an explicit stack of color iterators,
-    one per free vertex, so a coloring passes up through no generator frames."""
+    which counts them without listing them.  That forward pass runs first, so a
+    graph with no coloring yields nothing at once; where the pass is refused,
+    the walk refuses _MAX_CELLS steps without a coloring.  The levels are
+    walked with an explicit stack of color iterators, one per free vertex, so
+    a coloring passes up through no generator frames."""
     state = _prepare(g, fixed)
     if state is None:
         return
     bits, order = state
+    try:
+        if not _forward_count(g, bits, order):
+            return
+    except BruteForceCutoffError:
+        pass  # walk, under the step limit
     if not order:
         yield dict(enumerate(map(int.bit_length, bits)))
         return
@@ -181,9 +190,11 @@ def count_colorings_bruteforce(g: Graph, fixed: Optional[Mapping[int, int]] = No
             f"{g.vertex_count} vertices exceeds the brute-force cutoff"
             f" {DEFAULT_BRUTE_FORCE_CUTOFF} (pass force=True to override)")
     state = _prepare(g, fixed)
-    if state is None:
-        return 0
-    bits, order = state
+    return 0 if state is None else _forward_count(g, *state)
+
+
+def _forward_count(g: Graph, bits: list[int], order: list) -> int:
+    """The forward pass of `count_colorings_bruteforce` over `_prepare`'s state."""
     # Each free vertex that a later one sees -> the last level that sees it.
     last_seen = {nb: i for i, (_, colored) in enumerate(order)
                  for nb in colored if not bits[nb]}
@@ -340,15 +351,45 @@ def _frame_combine_patterns(child: PairCounts) -> PairCounts:
     return PairCounts(weight(_FRAME_PATTERNS_SAME), weight(_FRAME_PATTERNS_DIFF))
 
 
+# Below this many bits `_square` leaves x * x to CPython's Karatsuba.  Timed on
+# operands of 6k to 1.5M bits, one Toom-3 split pays from about 30,000 bits on.
+_TOOM_BITS = 30_000
+
+
+def _square(x: int) -> int:
+    """x * x by Toom-3: |x| = x2 B^2 + x1 B + x0 with B = 2^s, s = ceil(n/3),
+    is evaluated at 0, 1, -1, -2 and infinity, the five values are squared
+    recursively (about n^1.465, against Karatsuba's n^1.585), and the square's
+    five coefficients are interpolated by Bodrato's sequence, whose divisions
+    by 3 and 2 are exact, then recombined from the top down."""
+    x = abs(x)
+    n = x.bit_length()
+    if n < _TOOM_BITS:
+        return x * x
+    s = (n + 2) // 3
+    mask = (1 << s) - 1
+    x0, x1, x2 = x & mask, (x >> s) & mask, x >> 2 * s
+    a = x0 + x2
+    r0, r_inf = _square(x0), _square(x2)
+    r1, r_m1 = _square(a + x1), _square(a - x1)
+    r3 = (_square(((x2 << 1) - x1 << 1) + x0) - r1) // 3  # (r(-2) - r(1)) / 3
+    r1 = (r1 - r_m1) >> 1
+    r2 = r_m1 - r0
+    r3 = ((r2 - r3) >> 1) + (r_inf << 1)
+    r2 += r1 - r_inf
+    r1 -= r3
+    return ((((r_inf << s) + r3 << s) + r2 << s) + r1 << s) + r0
+
+
 def _frame_levels(e: int, r: int, levels: int) -> PairCounts:
     """Run `levels` frame levels from S = 2^e, D = r * 2^(e-1), i.e. r = 2D/S.
 
     The 13 frame patterns give S' = 2S^3 = 2^(3e+1) and
     D' = S(3S^2 + 6SD + 4D^2) = 2^(3e) (r^2 + 3r + 3), so a level is one
-    squaring of r.  (e, r) = (0, 2) is S = D = 1.
+    squaring of r, by `_square`.  (e, r) = (0, 2) is S = D = 1.
     """
     for _ in range(levels):
-        e, r = 3 * e + 1, r * r + 3 * r + 3
+        e, r = 3 * e + 1, _square(r) + 3 * r + 3
     # D = r * 2^(e-1) in one shift, so no temporary is as large as 2D; r is
     # even when e = 0.
     return PairCounts(1 << e, r << (e - 1) if e else r >> 1)

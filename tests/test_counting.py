@@ -27,12 +27,14 @@ from threecolor import counting, gadgets
 from threecolor.bounds import lemma3_bound
 from threecolor.counting import (
     MAX_FREE_VERTICES,
+    _TOOM_BITS,
     BitBudgetExceededError,
     BruteForceCutoffError,
     PairCounts,
     _frame_combine_patterns,
     _frame_levels,
     _path_interior_transfer,
+    _square,
     inner_count_bits,
     inner_subgraph_pair_counts,
     predicted_count_bits,
@@ -304,24 +306,62 @@ class TestStateLimit:
         finally:
             tracemalloc.stop()
 
-    def test_colorings_walk_refuses_too_many_steps_without_a_coloring(self, monkeypatch):
-        # K4 has no 3-coloring.  Each color of vertex 0 takes 10 steps: it is
-        # set, vertex 1 tries two colors, each followed by one color of
-        # vertex 2, a dead end at vertex 3 and the pop of vertex 2, and
-        # vertex 1 is popped; vertex 0's pop is step 31.
+    def test_colorings_walk_of_a_graph_with_no_coloring_yields_nothing(self, monkeypatch):
+        # The forward count runs first and answers 0, so the walk takes no
+        # step: with twelve isolated vertices before a K4 it would meet
+        # 3^12 dead ends at the K4.
+        with deadline(1):
+            assert list(iter_colorings(
+                Graph(16, list(itertools.combinations(range(12, 16), 2))))) == []
+        # Two isolated vertices before a K4: the count charges 3 cells at each
+        # isolated vertex and 3, 18, 54 and 72 at the K4's, 153 in all, while
+        # the walk would take 3 * 3 K4 walks of 30 steps and more.
+        isolated_then_k4 = Graph(6, list(itertools.combinations(range(2, 6), 2)))
+        monkeypatch.setattr(counting, "_MAX_CELLS", 153)
+        assert list(iter_colorings(isolated_then_k4)) == []
+        monkeypatch.setattr(counting, "_MAX_CELLS", 152)
+        with pytest.raises(BruteForceCutoffError, match="took more than 152 steps"):
+            list(iter_colorings(isolated_then_k4))
+        # Where the count is refused the walk runs, under the step limit.
+        # K4's walk takes 10 steps per color of vertex 0: it is set, vertex
+        # 1 tries two colors, each followed by one color of vertex 2, a dead
+        # end at vertex 3 and the pop of vertex 2, and vertex 1 is popped;
+        # vertex 0's pop is step 31.
         k4 = Graph(4, list(itertools.combinations(range(4), 2)))
         monkeypatch.setattr(counting, "_MAX_CELLS", 31)
         assert list(iter_colorings(k4)) == []
         # The steps count since the last coloring, so a walk with many
-        # colorings passes; with no coloring, every step counts.
+        # colorings passes.
         assert len(list(iter_colorings(build_P(5).graph))) == 84
-        isolated_then_k4 = Graph(6, list(itertools.combinations(range(2, 6), 2)))
-        message = "the search of 6 vertices took more than 31 steps without a coloring"
-        with pytest.raises(BruteForceCutoffError, match=message):
-            list(iter_colorings(isolated_then_k4))
         monkeypatch.setattr(counting, "_MAX_CELLS", 30)
-        with pytest.raises(BruteForceCutoffError):
+        with pytest.raises(BruteForceCutoffError, match="took more than 30 steps"):
             list(iter_colorings(k4))
+
+    def test_colorings_walk_refuses_too_many_steps_before_a_coloring(self, monkeypatch):
+        # Vertex 0 must take color 3: late vertex a is pinned to color 1 by
+        # fixed neighbors q and t, and late vertex b to color 2 by p and t.
+        # The walk meets that only past the m isolated vertices, so colors 1
+        # and 2 of vertex 0 take 3^(m+1) - 1 and 5 * 3^m - 1 steps (every
+        # level's colors lead to a dead end at a, resp. one level later at b);
+        # color 3 then reaches the first coloring in m + 3 steps.
+        m = 4
+        a, b, p, q, t = range(m + 1, m + 6)
+        g = Graph(m + 6, [(0, a), (0, b), (a, q), (a, t), (b, p), (b, t)])
+        fixed = {p: 1, q: 2, t: 3}
+        steps = (3 ** (m + 1) - 1) + (5 * 3 ** m - 1) + m + 3
+        assert steps == 653
+        # The count charges 3 cells at vertex 0 and 18 at each later level.
+        monkeypatch.setattr(counting, "_MAX_CELLS", 111)
+        assert count_colorings_bruteforce(g, fixed) == 3 ** m
+        for limit in (110, 111, steps - 1):  # the count refused, then counted
+            monkeypatch.setattr(counting, "_MAX_CELLS", limit)
+            message = f"the search of {m + 6} vertices took more than {limit} steps"
+            with pytest.raises(BruteForceCutoffError, match=message):
+                list(iter_colorings(g, fixed))
+        monkeypatch.setattr(counting, "_MAX_CELLS", steps)
+        colorings = list(iter_colorings(g, fixed))
+        assert len(colorings) == 3 ** m
+        assert {(c[0], c[a], c[b]) for c in colorings} == {(3, 1, 2)}
 
     def test_forced_gadget_counts_match_the_dp(self):
         # Every T(k, ell) with at most MAX_FREE_VERTICES free vertices once
@@ -508,6 +548,15 @@ class TestGadgetPairCounts:
         assert total_colorings(PairCounts(16, 168)) == 1056
 
 
+def _ints_of(bits: int, seed: int) -> int:
+    """A random integer of exactly `bits` bits."""
+    return random.Random(seed).getrandbits(bits) | 1 << bits - 1 if bits else 0
+
+
+# Deep enough that the Toom-3 split recurses three levels below the top.
+DEEP = _ints_of(27 * _TOOM_BITS + 5, 1)
+
+
 # (k, ell) for ell <= 13 and k in {1, 2, choose_k(ell)}: the report's rows
 # and the two smallest fans at every level.
 RATIO_CASES = sorted({(k, ell) for ell in range(14) for k in (1, 2, gadgets.choose_k(ell))})
@@ -554,6 +603,20 @@ class TestRatioForm:
     def test_one_ratio_step_is_one_frame_combine(self, e, r):
         assert _frame_levels(e, r, 1) == frame_combine(PairCounts(2 ** e, r << (e - 1)))
 
+    @given(st.integers(min_value=1, max_value=300), st.builds(
+        _ints_of, st.integers(min_value=_TOOM_BITS, max_value=4 * _TOOM_BITS),
+        st.integers(0, 2 ** 32)))
+    def test_one_ratio_step_on_a_large_r_is_one_frame_combine(self, e, r):
+        # r above the Toom-3 cutoff, so the step squares it by `_square`.
+        assert _frame_levels(e, r, 1) == frame_combine(PairCounts(2 ** e, r << (e - 1)))
+
+    def test_the_largest_row_squares_past_three_toom_splits(self, frame_combine_chains):
+        # A cutoff raised past this would leave `_square`'s recursion
+        # untested by the rows.
+        widest = max(_ratio(frame_combine_chains[k][ell - 1])[1].bit_length()
+                     for k, ell in RATIO_CASES if ell)
+        assert widest > 3 * _TOOM_BITS
+
     @pytest.mark.parametrize("k,ell", RATIO_CASES)
     def test_gadget_invariants(self, k, ell):
         pc = gadget_pair_counts(k, ell)
@@ -569,6 +632,46 @@ class TestRatioForm:
         assert e == (3 ** ell - 1) // 2
         assert r % 2 == 1 or ell == 0
         assert total_colorings(pc) == 3 * 2 ** e * (r + 1)
+
+
+class TestSquare:
+    """`_square` is x * x, by Toom-3 from `_TOOM_BITS` bits on."""
+
+    @given(st.builds(lambda n, seed, sign: sign * _ints_of(n, seed),
+                     st.integers(min_value=0, max_value=4 * _TOOM_BITS),
+                     st.integers(0, 2 ** 32), st.sampled_from((1, -1))))
+    @example(0)
+    @example(1)
+    @example(-1)
+    @example(2 ** (_TOOM_BITS - 1))
+    @example(2 ** (_TOOM_BITS - 1) - 1)
+    @example(2 ** _TOOM_BITS)
+    @example(2 ** _TOOM_BITS - 1)
+    @example(2 ** (_TOOM_BITS + 1) - 1)
+    @example(-(2 ** (3 * _TOOM_BITS) - 1))
+    @example(2 ** (3 * _TOOM_BITS + 1) - 1)  # sizes not a multiple of 3
+    @example(-_ints_of(3 * _TOOM_BITS + 2, 2))
+    @example(_ints_of(10 * _TOOM_BITS + 1, 3))
+    @example(DEEP)
+    def test_square_is_the_product(self, x):
+        assert _square(x) == x * x
+
+    def test_deep_example_recurses_three_levels(self, monkeypatch):
+        # Three levels of splits make at least 1 + 5 + 25 + 125 calls; two
+        # make at most 31.
+        square, calls = counting._square, []
+        monkeypatch.setattr(counting, "_square", lambda x: calls.append(x) or square(x))
+        assert counting._square(-DEEP) == DEEP * DEEP
+        assert len(calls) >= 156
+
+    def test_it_splits_from_the_cutoff_on(self, monkeypatch):
+        square, calls = counting._square, []
+        monkeypatch.setattr(counting, "_square", lambda x: calls.append(x) or square(x))
+        x = 2 ** _TOOM_BITS - 1
+        assert counting._square(x >> 1) == (x >> 1) ** 2
+        assert len(calls) == 1
+        assert counting._square(x) == x * x
+        assert len(calls) == 1 + 1 + 5
 
 
 class TestRatioStepIdentity:
