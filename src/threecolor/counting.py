@@ -13,10 +13,11 @@ count, so that each is refused over the bit budget before it is computed.
 Four slower routes, kept deliberately independent, are the oracles that
 check them:
 
-* a brute-force oracle over any small graph, one forward pass over the
-  free vertices that counts the partial colorings per coloring of the
-  earlier ones a later vertex still sees; it refuses too many free
-  vertices, or a pass that may store over `_MAX_CELLS` frontier colors,
+* a brute-force oracle over any small graph, one forward pass over the free
+  vertices in index order that counts the partial colorings per frontier key,
+  the color bits, in 3-bit slots, of the earlier free vertices a later one
+  sees; it refuses too many free vertices, or a pass that may make over
+  `_MAX_CELLS` frontier cells.  Listing walks only the pass's live keys,
 * a left-to-right transfer counter for the fan (`_path_interior_transfer`),
 * the frame level as a sum over the 13 proper frame colorings with
   terminals (1,2) (`_frame_combine_patterns`), read off the 84 proper
@@ -49,10 +50,11 @@ from .graphs import COLORS, Graph, induced_subgraph
 
 DEFAULT_BIT_BUDGET = 10 ** 7
 DEFAULT_BRUTE_FORCE_CUTOFF = 20
-# The oracle and `iter_colorings` refuse more free vertices than this, and
-# `count --method brute` and `verify --suite remark` check it before they
-# build anything.
+# The oracle refuses more free vertices than this; `count --method brute` and
+# `verify --suite remark` check it before they build anything.
 MAX_FREE_VERTICES = 800
+# The oracle refuses a pass that may make more frontier cells than this.
+_MAX_CELLS = 2 ** 24
 # Color c is the bit 1 << (c - 1); _ALLOWED[used] lists the bits clear in used.
 _ALLOWED = tuple(tuple(bit for bit in (1, 2, 4) if not used & bit) for used in range(8))
 
@@ -96,13 +98,12 @@ def check_free_vertices(count: int) -> None:
 
 
 def _prepare(g: Graph, fixed: Optional[Mapping[int, int]]):
-    """Validate `fixed`, check the free-vertex limit and lay out the backtracking state.
-
-    Returns the color bits (0 = free) and, for each free vertex in index
-    order, the vertex and its neighbors colored when it is reached: the
-    fixed ones and the earlier free ones.  Returns None when two fixed
-    endpoints of an edge share a color, so that no coloring extends `fixed`.
-    """
+    """Validate `fixed`, check the free-vertex limit and plan the forward pass:
+    the color bits (0 = free) and a level (v, used, shifts, keep, table, cost)
+    per free vertex v in index order, or None when two fixed endpoints of an
+    edge share a color.  `used` ORs v's fixed neighbors' bits, `shifts` are
+    its free ones' slots, `keep` masks the slots kept, `table[u]` holds the
+    bits u leaves in v's slot, and `cost` is 3 * (w + 1) for w slots in use."""
     bits = [0] * g.vertex_count
     conflict = False
     for v, c in (fixed or {}).items():
@@ -115,121 +116,120 @@ def _prepare(g: Graph, fixed: Optional[Mapping[int, int]]):
     if conflict:
         return None
     check_free_vertices(bits.count(0))
-    return bits, [(v, tuple(nb for nb in nbrs if bits[nb] or nb < v))
-                  for v, nbrs in enumerate(g.adjacency) if not bits[v]]
+    # Each free vertex that a later one sees -> the last free vertex that sees it.
+    seen_until = {nb: v for v, nbrs in enumerate(g.adjacency) if not bits[v]
+                  for nb in nbrs if nb < v and not bits[nb]}
+    shift_of: dict[int, int] = {}  # each frontier vertex -> the shift of its slot
+    keep = 0  # 7 in each slot in use
+    plan = []
+    for v, nbrs in enumerate(g.adjacency):
+        if bits[v]:
+            continue
+        cost = keep.bit_count() + 3
+        used = 0
+        shifts = []
+        for nb in nbrs:
+            used |= bits[nb]  # a free vertex's bits stay 0
+            if not bits[nb] and nb < v:
+                shifts.append(shift_of[nb])
+                if seen_until[nb] == v:
+                    keep ^= 7 << shift_of.pop(nb)
+        low = ~keep & (keep + 1) if v in seen_until else 0  # the lowest free slot's bit 0
+        plan.append((v, used, shifts, keep, _shifted(low), cost))
+        if low:
+            shift_of[v] = low.bit_length() - 1
+            keep |= 7 * low
+    return bits, plan
 
 
-# A level makes at most three frontier colorings per one it extends, each at most
-# one color wider.  The oracle charges those cells before it builds a level and
-# refuses past this many; `iter_colorings` refuses as many steps between colorings.
-_MAX_CELLS = 2 ** 24
+@cache
+def _shifted(low: int) -> tuple:
+    """`_ALLOWED` times `low`, bit 0 of a vertex's slot (0 if it takes none)."""
+    return tuple(tuple(b * low for b in allowed) for allowed in _ALLOWED)
+
+
+def _forward(g: Graph, plan: list, levels: Optional[list] = None) -> dict[int, int]:
+    """The forward pass over `_prepare`'s plan, each level a count per frontier
+    key; returns the last level and appends the others to `levels` if given."""
+    states = {0: 1}
+    charged = 0
+    for _, used, shifts, keep, table, cost in plan:
+        if (charged := charged + cost * len(states)) > _MAX_CELLS:
+            raise BruteForceCutoffError(f"the search of {g.vertex_count} vertices may make"
+                                        f" more than {_MAX_CELLS} frontier cells")
+        if levels is not None:
+            levels.append(states)
+        level: dict[int, int] = {}
+        get = level.get
+        for key, ways in states.items():
+            u = used
+            for s in shifts:
+                u |= key >> s & 7
+            key &= keep
+            for b in table[u]:
+                b |= key
+                level[b] = get(b, 0) + ways
+        states = level
+    return states
 
 
 def iter_colorings(
     g: Graph, fixed: Optional[Mapping[int, int]] = None
 ) -> Iterator[dict[int, int]]:
-    """Yield every proper total 3-coloring extending `fixed` (as dicts), in the
-    index order and under the free-vertex limit of `count_colorings_bruteforce`,
-    which counts them without listing them.  That forward pass runs first, so a
-    graph with no coloring yields nothing at once; where the pass is refused,
-    the walk refuses _MAX_CELLS steps without a coloring.  The levels are
-    walked with an explicit stack of color iterators, one per free vertex, so
-    a coloring passes up through no generator frames."""
+    """Yield every proper total 3-coloring extending `fixed` (as dicts) in the index
+    order, refused exactly where `count_colorings_bruteforce` is.  A backward sweep
+    over the pass's levels gives each key with a completion the (color, next key's
+    pairs) that lead to one; an explicit stack walks them, the last level inline."""
     state = _prepare(g, fixed)
     if state is None:
         return
-    bits, order = state
-    try:
-        if not _forward_count(g, bits, order):
-            return
-    except BruteForceCutoffError:
-        pass  # walk, under the step limit
-    if not order:
-        yield dict(enumerate(map(int.bit_length, bits)))
+    bits, plan = state
+    colors = [b.bit_length() for b in bits]
+    vertices = range(len(colors))
+    if not plan:
+        yield dict(zip(vertices, colors))
         return
-    last = len(order) - 1
-    stack = []  # stack[i] iterates over the colors left for order[i]
-    i = steps = 0  # steps since the last coloring
-    while i >= 0:
-        if (steps := steps + 1) > _MAX_CELLS:
-            raise BruteForceCutoffError(f"the search of {g.vertex_count} vertices took more"
-                                        f" than {_MAX_CELLS} steps without a coloring")
-        v, colored = order[i]
-        if i == len(stack):
-            used = 0
-            for nb in colored:
-                used |= bits[nb]
-            stack.append(iter(_ALLOWED[used]))
-        bits[v] = b = next(stack[i], 0)
-        if not b:
-            stack.pop()
-            i -= 1
-        elif i == last:
-            steps = 0
-            yield dict(enumerate(map(int.bit_length, bits)))
+    live = _forward(g, plan, levels := [])
+    for _, used, shifts, keep, table, _ in reversed(plan):
+        pairs = {}
+        for key in levels.pop():
+            u = used
+            for s in shifts:
+                u |= key >> s & 7
+            if nxt := [(b.bit_length(), live[k]) for b, shifted in zip(_ALLOWED[u], table[u])
+                       if (k := key & keep | shifted) in live]:
+                pairs[key] = nxt
+        live = pairs
+    free = [v for v, *_ in plan]
+    last = len(free) - 1
+    stack = [iter(live.get(0, ()))]  # free[i]'s pairs; i reaches last only if one is free
+    while stack:
+        i = len(stack) - 1
+        for c, nxt in stack[i]:
+            colors[free[i]] = c
+            if i + 1 < last:
+                stack.append(iter(nxt))
+                break
+            for c, _ in nxt if i < last else ((c, nxt),):
+                colors[free[last]] = c
+                yield dict(zip(vertices, colors))
         else:
-            i += 1
+            stack.pop()
 
 
 def count_colorings_bruteforce(g: Graph, fixed: Optional[Mapping[int, int]] = None, *,
                                force: bool = False) -> int:
-    """Exact number of proper total 3-colorings extending `fixed`.
-
-    Sweeps the free vertices forward in index order.  A frontier coloring
-    holds the color bits of the earlier free vertices that a later vertex
-    still sees; each level maps every one to the number of partial colorings
-    that reach it, drops the vertices no later one sees, and extends it by
-    the colors its vertex's colored neighbors leave in `_ALLOWED`.  The
-    count is the sum over the last level.  Refuses graphs above
+    """Exact number of proper total 3-colorings extending `fixed`: the sum over
+    the last level of the forward pass.  Refuses graphs above
     DEFAULT_BRUTE_FORCE_CUTOFF vertices unless `force` is given, more than
-    MAX_FREE_VERTICES free vertices, and a search that may make more than
-    _MAX_CELLS frontier cells, charged 3 * (w + 1) per w-wide state extended.
-    """
+    MAX_FREE_VERTICES free vertices, and a pass that may make more than
+    _MAX_CELLS frontier cells, charged 3 * (w + 1) per w-wide key extended."""
     if g.vertex_count > DEFAULT_BRUTE_FORCE_CUTOFF and not force:
         raise BruteForceCutoffError(
             f"{g.vertex_count} vertices exceeds the brute-force cutoff"
             f" {DEFAULT_BRUTE_FORCE_CUTOFF} (pass force=True to override)")
     state = _prepare(g, fixed)
-    return 0 if state is None else _forward_count(g, *state)
-
-
-def _forward_count(g: Graph, bits: list[int], order: list) -> int:
-    """The forward pass of `count_colorings_bruteforce` over `_prepare`'s state."""
-    # Each free vertex that a later one sees -> the last level that sees it.
-    last_seen = {nb: i for i, (_, colored) in enumerate(order)
-                 for nb in colored if not bits[nb]}
-    frontier: tuple[int, ...] = ()
-    states = {(): 1}
-    charged = 0
-    for i, (v, colored) in enumerate(order):
-        charged += 3 * len(states) * (len(frontier) + 1)
-        if charged > _MAX_CELLS:
-            raise BruteForceCutoffError(f"the search of {g.vertex_count} vertices may make"
-                                        f" more than {_MAX_CELLS} frontier cells")
-        used = 0
-        for nb in colored:
-            used |= bits[nb]  # the fixed neighbors; a free vertex's bits stay 0
-        sees = [frontier.index(nb) for nb in colored if not bits[nb]]
-        keep = [j for j, w in enumerate(frontier) if last_seen[w] > i]
-        frontier = tuple(frontier[j] for j in keep)
-        seen_later = v in last_seen
-        if seen_later:
-            frontier += (v,)
-        level: dict[tuple[int, ...], int] = {}
-        for key, ways in states.items():
-            u = used
-            for j in sees:
-                u |= key[j]
-            allowed = _ALLOWED[u]
-            base = tuple([key[j] for j in keep])
-            if seen_later:
-                for b in allowed:
-                    nxt = base + (b,)
-                    level[nxt] = level.get(nxt, 0) + ways
-            elif allowed:
-                level[base] = level.get(base, 0) + ways * len(allowed)
-        states = level
-    return sum(states.values())
+    return 0 if state is None else sum(_forward(g, state[1]).values())
 
 
 def _check_terminals(b: int, color_u: int, color_v: int) -> None:

@@ -122,9 +122,11 @@ class TestBruteForce:
                     assert count_colorings_bruteforce(bigger) <= base
                     break
 
-    # A fixed vertex after a free neighbor; two fixed neighbors that clash.
+    # A fixed vertex after a free neighbor; two fixed neighbors that clash; a
+    # path whose vertices 1 and 2 each take the slot their left neighbor frees.
     @example((Graph(3, [(0, 1), (1, 2)]), {2: 1}))
     @example((Graph(4, [(0, 1), (1, 2), (2, 3)]), {1: 2, 2: 2}))
+    @example((Graph(4, [(0, 1), (1, 2), (2, 3)]), {}))
     @given(graphs_with_partial_colorings())
     def test_routes_match_product_filter_with_fixed_vertices(self, case):
         g, fixed = case
@@ -132,6 +134,8 @@ class TestBruteForce:
         yielded = sorted(tuple(sorted(c.items())) for c in iter_colorings(g, fixed))
         assert yielded == expected
         assert count_colorings_bruteforce(g, fixed) == len(expected)
+        # The product runs over the free vertices in index order, as the walk does.
+        assert list(iter_colorings(g, fixed)) == list(product_filter_colorings(g, fixed))
 
     def test_free_vertex_limit(self):
         equal = {0: 1, 1: 1}
@@ -307,61 +311,95 @@ class TestStateLimit:
             tracemalloc.stop()
 
     def test_colorings_walk_of_a_graph_with_no_coloring_yields_nothing(self, monkeypatch):
-        # The forward count runs first and answers 0, so the walk takes no
-        # step: with twelve isolated vertices before a K4 it would meet
-        # 3^12 dead ends at the K4.
+        # The pass answers 0, so the walk takes no step: with twelve isolated
+        # vertices before a K4 a walk over partial colorings would meet 3^12
+        # dead ends at the K4.
         with deadline(1):
             assert list(iter_colorings(
                 Graph(16, list(itertools.combinations(range(12, 16), 2))))) == []
-        # Two isolated vertices before a K4: the count charges 3 cells at each
-        # isolated vertex and 3, 18, 54 and 72 at the K4's, 153 in all, while
-        # the walk would take 3 * 3 K4 walks of 30 steps and more.
+        # Two isolated vertices before a K4: the pass charges 3 cells at each
+        # isolated vertex and 3, 18, 54 and 72 at the K4's, 153 in all.
         isolated_then_k4 = Graph(6, list(itertools.combinations(range(2, 6), 2)))
         monkeypatch.setattr(counting, "_MAX_CELLS", 153)
         assert list(iter_colorings(isolated_then_k4)) == []
         monkeypatch.setattr(counting, "_MAX_CELLS", 152)
-        with pytest.raises(BruteForceCutoffError, match="took more than 152 steps"):
+        with pytest.raises(BruteForceCutoffError,
+                           match="^the search of 6 vertices may make more than 152 frontier cells$"):
             list(iter_colorings(isolated_then_k4))
-        # Where the count is refused the walk runs, under the step limit.
-        # K4's walk takes 10 steps per color of vertex 0: it is set, vertex
-        # 1 tries two colors, each followed by one color of vertex 2, a dead
-        # end at vertex 3 and the pop of vertex 2, and vertex 1 is popped;
-        # vertex 0's pop is step 31.
-        k4 = Graph(4, list(itertools.combinations(range(4), 2)))
-        monkeypatch.setattr(counting, "_MAX_CELLS", 31)
-        assert list(iter_colorings(k4)) == []
-        # The steps count since the last coloring, so a walk with many
-        # colorings passes.
-        assert len(list(iter_colorings(build_P(5).graph))) == 84
-        monkeypatch.setattr(counting, "_MAX_CELLS", 30)
-        with pytest.raises(BruteForceCutoffError, match="took more than 30 steps"):
-            list(iter_colorings(k4))
 
-    def test_colorings_walk_refuses_too_many_steps_before_a_coloring(self, monkeypatch):
+    def test_colorings_walk_lists_under_the_pass_charge(self, monkeypatch):
         # Vertex 0 must take color 3: late vertex a is pinned to color 1 by
-        # fixed neighbors q and t, and late vertex b to color 2 by p and t.
-        # The walk meets that only past the m isolated vertices, so colors 1
-        # and 2 of vertex 0 take 3^(m+1) - 1 and 5 * 3^m - 1 steps (every
-        # level's colors lead to a dead end at a, resp. one level later at b);
-        # color 3 then reaches the first coloring in m + 3 steps.
+        # fixed neighbors q and t, and late vertex b to color 2 by p and t,
+        # past m isolated vertices.  The pass charges 3 cells at vertex 0, 18
+        # at each isolated vertex and at a, and 12 at b, where 0 has two
+        # colors left; the walk lists the 3^m colorings with no step limit.
         m = 4
         a, b, p, q, t = range(m + 1, m + 6)
         g = Graph(m + 6, [(0, a), (0, b), (a, q), (a, t), (b, p), (b, t)])
         fixed = {p: 1, q: 2, t: 3}
-        steps = (3 ** (m + 1) - 1) + (5 * 3 ** m - 1) + m + 3
-        assert steps == 653
-        # The count charges 3 cells at vertex 0 and 18 at each later level.
-        monkeypatch.setattr(counting, "_MAX_CELLS", 111)
-        assert count_colorings_bruteforce(g, fixed) == 3 ** m
-        for limit in (110, 111, steps - 1):  # the count refused, then counted
-            monkeypatch.setattr(counting, "_MAX_CELLS", limit)
-            message = f"the search of {m + 6} vertices took more than {limit} steps"
-            with pytest.raises(BruteForceCutoffError, match=message):
-                list(iter_colorings(g, fixed))
-        monkeypatch.setattr(counting, "_MAX_CELLS", steps)
+        cells = 3 + 18 * (m + 1) + 12
+        assert cells == 105
+        monkeypatch.setattr(counting, "_MAX_CELLS", cells)
         colorings = list(iter_colorings(g, fixed))
-        assert len(colorings) == 3 ** m
+        assert len(colorings) == count_colorings_bruteforce(g, fixed) == 3 ** m
         assert {(c[0], c[a], c[b]) for c in colorings} == {(3, 1, 2)}
+        monkeypatch.setattr(counting, "_MAX_CELLS", cells - 1)
+        message = f"^the search of {m + 6} vertices may make more than {cells - 1} frontier cells$"
+        with pytest.raises(BruteForceCutoffError, match=message):
+            next(iter_colorings(g, fixed))
+
+    def test_coloring_behind_many_dead_ends_lists_at_once(self):
+        # As above, a and b leave vertex 0 only color 3, but the m vertices
+        # between see 0 and a fixed vertex at color 1: with 0 at color 1 each
+        # has two colors, so a walk over partial colorings in index order
+        # meets 2^m dead ends at a before it reaches 0's color 3, which forces
+        # every one of them to color 2.  The pass holds at most 3 keys.
+        m = 25
+        a, b, p, q, t = range(m + 1, m + 6)
+        g = Graph(m + 6, [(0, a), (0, b), (a, q), (a, t), (b, p), (b, t)]
+                  + [(y, z) for y in range(1, m + 1) for z in (0, p)])
+        fixed = {p: 1, q: 2, t: 3}
+        assert 2 ** m > 2 ** 24
+        with deadline(1):
+            assert list(iter_colorings(g, fixed)) == [
+                {0: 3, **dict.fromkeys(range(1, m + 1), 2), a: 1, b: 2, **fixed}]
+
+    @pytest.mark.parametrize("limit", [0, 30, 300, 3000])
+    def test_colorings_walk_is_refused_exactly_when_the_count_is(self, limit, monkeypatch):
+        monkeypatch.setattr(counting, "_MAX_CELLS", limit)
+        cases = [tail_case(*case) for case in itertools.product(
+            range(0, 8, 3), range(6), ("before", "between", "after"), range(2))]
+        cases += [(build_T(1, 1, check=False).graph, fixed)
+                  for fixed in ({0: 1, 1: 1}, {0: 1, 1: 2}, {})]
+        cases.append((Graph(6, list(itertools.combinations(range(2, 6), 2))), {}))
+        outcomes = Counter()
+        for g, fixed in cases:
+            try:
+                count = count_colorings_bruteforce(g, fixed, force=True)
+            except BruteForceCutoffError as error:
+                with pytest.raises(BruteForceCutoffError) as listed:
+                    next(iter_colorings(g, fixed))
+                assert str(listed.value) == str(error)
+                outcomes["refused"] += 1
+            else:
+                assert len(list(iter_colorings(g, fixed))) == count
+                outcomes["listed"] += 1
+        assert outcomes["refused"] > 0 and outcomes["listed"] > 0
+
+    def test_narrow_frontier_memory_follows_the_cells(self, monkeypatch):
+        # K_{1,15} with the centre last: leaf j extends 3^j keys of j colors,
+        # so under 2^18 cells the pass builds 3^9 keys and is refused at the
+        # tenth leaf.  A key packed into one int keeps the peak at 1.66 MiB
+        # (tracemalloc, CPython 3.11); a tuple per key reached 3.60 MiB.
+        star = Graph(16, [(i, 15) for i in range(15)])
+        monkeypatch.setattr(counting, "_MAX_CELLS", 2 ** 18)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BruteForceCutoffError):
+                count_colorings_bruteforce(star, force=True)
+            assert tracemalloc.get_traced_memory()[1] < 2.5 * 1024 * 1024
+        finally:
+            tracemalloc.stop()
 
     def test_forced_gadget_counts_match_the_dp(self):
         # Every T(k, ell) with at most MAX_FREE_VERTICES free vertices once
