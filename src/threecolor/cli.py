@@ -91,7 +91,7 @@ def cmd_count(args) -> int:
         counting.check_free_vertices(n - (0 if fix is None else 2))
         gadget = build_T(args.k, args.ell, check=False)
         fixed = None if fix is None else {0: fix[0], 1: fix[1]}
-        value = counting.count_colorings_bruteforce(gadget.graph, fixed, force=True)  # no cutoff
+        value = counting.count_colorings_bruteforce(gadget.graph, fixed)
     if args.json:
         doc = {
             "k": args.k,

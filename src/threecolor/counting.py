@@ -20,9 +20,9 @@ check them:
   `_MAX_CELLS` frontier cells.  Listing walks only the pass's live keys,
 * a left-to-right transfer counter for the fan (`_path_interior_transfer`),
 * the frame level as a sum over the 13 proper frame colorings with
-  terminals (1,2) (`_frame_combine_patterns`), read off the 84 proper
-  colorings of P(u,v,5), which `iter_colorings` lists once, at import;
-  the tests tie the ratio step to it as a polynomial identity in (S, D),
+  terminals (1,2), which the tests build from `_FRAME_EQUALITIES`, the 84
+  proper colorings of P(u,v,5) that `iter_colorings` lists once, at import;
+  they tie the ratio step to it as a polynomial identity in (S, D),
 * a per-coloring extension counter for colorings of the inner vertex set,
   which checks and counts a coloring by one lookup per frame, the seven
   vertices of one copy of P(u,v,5) as the gadget writer recorded them, in
@@ -49,9 +49,9 @@ from .gadgets import CHILD_PAIRS, FRAME_EDGES, Gadget, build_P, check_k_ell
 from .graphs import COLORS, Graph, induced_subgraph
 
 DEFAULT_BIT_BUDGET = 10 ** 7
-DEFAULT_BRUTE_FORCE_CUTOFF = 20
-# The oracle refuses more free vertices than this; `count --method brute` and
-# `verify --suite remark` check it before they build anything.
+# The oracle refuses more free vertices than this: it bounds `_prepare`'s plan,
+# built before any cell is charged, and `count --method brute` and `verify
+# --suite remark` check it first.  Kept from the recursive oracle, not re-measured.
 MAX_FREE_VERTICES = 800
 # The oracle refuses a pass that may make more frontier cells than this.
 _MAX_CELLS = 2 ** 24
@@ -60,7 +60,7 @@ _ALLOWED = tuple(tuple(bit for bit in (1, 2, 4) if not used & bit) for used in r
 
 
 class BruteForceCutoffError(ValueError):
-    """Raised when the backtracking oracle is asked for too large a graph."""
+    """Raised when the oracle's pass may make more than `_MAX_CELLS` frontier cells."""
 
 
 class BitBudgetExceededError(RuntimeError):
@@ -220,14 +220,10 @@ def iter_colorings(
 def count_colorings_bruteforce(g: Graph, fixed: Optional[Mapping[int, int]] = None, *,
                                force: bool = False) -> int:
     """Exact number of proper total 3-colorings extending `fixed`: the sum over
-    the last level of the forward pass.  Refuses graphs above
-    DEFAULT_BRUTE_FORCE_CUTOFF vertices unless `force` is given, more than
-    MAX_FREE_VERTICES free vertices, and a pass that may make more than
-    _MAX_CELLS frontier cells, charged 3 * (w + 1) per w-wide key extended."""
-    if g.vertex_count > DEFAULT_BRUTE_FORCE_CUTOFF and not force:
-        raise BruteForceCutoffError(
-            f"{g.vertex_count} vertices exceeds the brute-force cutoff"
-            f" {DEFAULT_BRUTE_FORCE_CUTOFF} (pass force=True to override)")
+    the last level of the forward pass.  Refuses, as `iter_colorings` does,
+    more than MAX_FREE_VERTICES free vertices (ValueError) and a pass that may
+    make over _MAX_CELLS frontier cells (BruteForceCutoffError).  `force` is
+    ignored; perfbench still passes it (ROADMAP item 7)."""
     state = _prepare(g, fixed)
     return 0 if state is None else sum(_forward(g, state[1]).values())
 
@@ -326,29 +322,15 @@ def path_pair_counts(b: int, *, bit_budget: int = DEFAULT_BIT_BUDGET) -> PairCou
 
 # Every level of T(u,v,k,l) is a frame P(u,v,5), and the fan's numbering
 # (u, v, v1, ..., v5) is the frame's order, so its 84 proper colorings, as
-# color tuples, serve lemma 2, the 13 frame patterns and the extension
-# tables.  Each maps to which of v1=v3, v2=v4, v3=v5 hold.
+# color tuples, serve the extension tables and the tests' 13 frame patterns.
+# Each maps to which of v1=v3, v2=v4, v3=v5 hold.
 _FRAME_EQUALITIES = {c: tuple(c[i] == c[j] for i, j in CHILD_PAIRS) for c in (
     tuple(col.values()) for col in iter_colorings(build_P(5, check=False).graph))}
-_FRAME_PATTERNS_SAME = tuple(eq for c, eq in _FRAME_EQUALITIES.items() if c[:2] == (1, 1))
-_FRAME_PATTERNS_DIFF = tuple(eq for c, eq in _FRAME_EQUALITIES.items() if c[:2] == (1, 2))
 assert len(_FRAME_EQUALITIES) == 84
-assert _FRAME_PATTERNS_SAME == ((True, True, True),) * 2
-assert len(_FRAME_PATTERNS_DIFF) == 13
-# A pattern with j equal child pairs contributes S^j D^(3-j), so this
-# profile gives the level's closed form D' = 3S^3 + 6S^2 D + 4S D^2.
-assert Counter(map(sum, _FRAME_PATTERNS_DIFF)) == {1: 4, 2: 6, 3: 3}
-
-
-def _frame_combine_patterns(child: PairCounts) -> PairCounts:
-    """Reference route for `_frame_levels`, for any (S, D): sum over proper
-    frame colorings of the product of child pair counts, one factor per
-    hosted terminal pair."""
-
-    def weight(patterns):
-        return sum(math.prod(child.same if eq else child.diff for eq in p) for p in patterns)
-
-    return PairCounts(weight(_FRAME_PATTERNS_SAME), weight(_FRAME_PATTERNS_DIFF))
+assert [eq for c, eq in _FRAME_EQUALITIES.items() if c[:2] == (1, 1)] == [(True,) * 3] * 2
+# A (1,2) pattern with j equal child pairs adds S^j D^(3-j) to D' = 3S^3 + 6S^2 D + 4S D^2.
+assert Counter(sum(eq) for c, eq in _FRAME_EQUALITIES.items()
+               if c[:2] == (1, 2)) == {1: 4, 2: 6, 3: 3}
 
 
 # Below this many bits `_square` leaves x * x to CPython's Karatsuba.  Timed on

@@ -183,6 +183,8 @@ class Graph:
         return 0 <= a < self.vertex_count and b in self.adjacency[a]
 
     def label_of(self, v: int) -> Optional[str]:
+        if not 0 <= v < self.vertex_count:
+            raise IndexError(f"vertex {v} out of range for n={self.vertex_count}")
         return None if self.labels is None else self.labels[v]
 
     def __repr__(self) -> str:

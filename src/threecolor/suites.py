@@ -58,9 +58,7 @@ def run_remark(b_max: int = 12) -> SuiteResult:
     for b in range(1, b_max + 1):
         # The transfer, not the closed form: the claim keeps two routes.
         s = counting._path_interior_transfer(b, 1, 1)
-        oracle = counting.count_colorings_bruteforce(
-            build_P(b, check=False).graph, {0: 1, 1: 1}, force=True
-        )
+        oracle = counting.count_colorings_bruteforce(build_P(b, check=False).graph, {0: 1, 1: 1})
         res.add(f"b={b}", s == 2 and oracle == 2, f"transfer={s} oracle={oracle}")
     return res
 

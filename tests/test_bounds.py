@@ -111,7 +111,7 @@ class TestTheoremChain:
         for ell in (1, 2, 3, 4):
             sub, _ = inner_subgraph(build_T(1, ell, check=False))
             assert theorem_chain_check(ell).inner_total == \
-                count_colorings_bruteforce(sub, force=True)
+                count_colorings_bruteforce(sub)
 
     @staticmethod
     def assert_refused_row_at_8(monkeypatch, budget):

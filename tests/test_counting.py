@@ -31,7 +31,6 @@ from threecolor.counting import (
     BitBudgetExceededError,
     BruteForceCutoffError,
     PairCounts,
-    _frame_combine_patterns,
     _frame_levels,
     _path_interior_transfer,
     _square,
@@ -42,7 +41,12 @@ from threecolor.counting import (
 from threecolor.gadgets import Gadget
 from threecolor.graphs import Graph, TerminalGraph
 
-from frame_polynomial import frame_combine
+from frame_polynomial import (
+    FRAME_PATTERNS_DIFF,
+    FRAME_PATTERNS_SAME,
+    frame_combine,
+    frame_combine_patterns,
+)
 from graph_strategies import graphs_with_partial_colorings, small_graphs
 
 # Fibonacci-like growth of the distinct-terminal transfer values, frozen
@@ -77,14 +81,11 @@ class TestBruteForce:
     def test_worked_gadget(self):
         assert count_colorings_bruteforce(build_T(1, 1).graph) == 1056
 
-    def test_cutoff_enforced(self):
-        g = build_T(3, 1, check=False).graph  # 31 vertices
-        with pytest.raises(BruteForceCutoffError):
-            count_colorings_bruteforce(g)
-
     def test_cutoff_override(self):
+        # No vertex cutoff: `force` is accepted and ignored, as perfbench passes it.
         g = Graph(21, [(i, i + 1) for i in range(20)])
-        assert count_colorings_bruteforce(g, force=True) == 3 * 2 ** 20
+        for force in (False, True):
+            assert count_colorings_bruteforce(g, force=force) == 3 * 2 ** 20
 
     def test_conflicting_fixed_colors_count_zero(self):
         g = Graph(2, [(0, 1)])
@@ -140,16 +141,16 @@ class TestBruteForce:
     def test_free_vertex_limit(self):
         equal = {0: 1, 1: 1}
         at = build_P(MAX_FREE_VERTICES, check=False).graph
-        assert count_colorings_bruteforce(at, equal, force=True) == 2
+        assert count_colorings_bruteforce(at, equal) == 2
         assert len(list(iter_colorings(at, equal))) == 2
         over = build_P(MAX_FREE_VERTICES + 1, check=False).graph
         message = f"{MAX_FREE_VERTICES + 1} free vertices exceed the limit of {MAX_FREE_VERTICES}"
         with pytest.raises(ValueError, match=message):
-            count_colorings_bruteforce(over, equal, force=True)
+            count_colorings_bruteforce(over, equal)
         with pytest.raises(ValueError, match=message):
             next(iter_colorings(over, equal))
         # Clashing fixed neighbors leave nothing to backtrack over.
-        assert count_colorings_bruteforce(over, {0: 1, 2: 1}, force=True) == 0
+        assert count_colorings_bruteforce(over, {0: 1, 2: 1}) == 0
         assert list(iter_colorings(over, {0: 1, 2: 1})) == []
 
     def test_iter_colorings_yields_each_once(self):
@@ -230,7 +231,7 @@ class TestStateLimit:
         outcomes = Counter()
         for g, fixed, *expected in cases:
             try:
-                got = count_colorings_bruteforce(g, fixed, force=True)
+                got = count_colorings_bruteforce(g, fixed)
             except BruteForceCutoffError as error:
                 assert str(error) == (f"the search of {g.vertex_count} vertices may make"
                                       f" more than {limit} frontier cells")
@@ -295,17 +296,17 @@ class TestStateLimit:
                  + sum(3 * 3 ** j * (m + j + 1) for j in range(9)))
         assert cells == 2_860_731
         monkeypatch.setattr(counting, "_MAX_CELLS", cells)
-        assert count_colorings_bruteforce(g, fixed, force=True) == 2 * 2 ** 8
+        assert count_colorings_bruteforce(g, fixed) == 2 * 2 ** 8
         monkeypatch.setattr(counting, "_MAX_CELLS", cells - 1)
         with pytest.raises(BruteForceCutoffError):
-            count_colorings_bruteforce(g, fixed, force=True)
+            count_colorings_bruteforce(g, fixed)
         # A charge of 3 per state, under this limit, still built the last free
         # level (a 7.09 MiB tracemalloc peak); the cells stop at 27 states.
         monkeypatch.setattr(counting, "_MAX_CELLS", 2 ** 14)
         tracemalloc.start()
         try:
             with pytest.raises(BruteForceCutoffError):
-                count_colorings_bruteforce(g, fixed, force=True)
+                count_colorings_bruteforce(g, fixed)
             assert tracemalloc.get_traced_memory()[1] < 256 * 1024
         finally:
             tracemalloc.stop()
@@ -364,18 +365,23 @@ class TestStateLimit:
             assert list(iter_colorings(g, fixed)) == [
                 {0: 3, **dict.fromkeys(range(1, m + 1), 2), a: 1, b: 2, **fixed}]
 
-    @pytest.mark.parametrize("limit", [0, 30, 300, 3000])
+    @pytest.mark.parametrize("limit", [0, 30, 300, 3000, counting._MAX_CELLS])
     def test_colorings_walk_is_refused_exactly_when_the_count_is(self, limit, monkeypatch):
+        default = counting._MAX_CELLS
         monkeypatch.setattr(counting, "_MAX_CELLS", limit)
         cases = [tail_case(*case) for case in itertools.product(
             range(0, 8, 3), range(6), ("before", "between", "after"), range(2))]
         cases += [(build_T(1, 1, check=False).graph, fixed)
                   for fixed in ({0: 1, 1: 1}, {0: 1, 1: 2}, {})]
         cases.append((Graph(6, list(itertools.combinations(range(2, 6), 2))), {}))
+        # Gadgets of 31 and 58 vertices, with 16, 25,544 and 8,192 colorings.
+        cases += [(build_T(k, ell, check=False).graph, fixed)
+                  for k, ell, fixed in ((3, 1, {0: 1, 1: 1}), (3, 1, {0: 1, 1: 2}),
+                                        (2, 2, {0: 1, 1: 1}))]
         outcomes = Counter()
         for g, fixed in cases:
             try:
-                count = count_colorings_bruteforce(g, fixed, force=True)
+                count = count_colorings_bruteforce(g, fixed)
             except BruteForceCutoffError as error:
                 with pytest.raises(BruteForceCutoffError) as listed:
                     next(iter_colorings(g, fixed))
@@ -384,7 +390,9 @@ class TestStateLimit:
             else:
                 assert len(list(iter_colorings(g, fixed))) == count
                 outcomes["listed"] += 1
-        assert outcomes["refused"] > 0 and outcomes["listed"] > 0
+        # Every case lists under the default limit; each smaller one refuses some.
+        assert outcomes["listed"] > 0
+        assert (outcomes["refused"] > 0) == (limit < default)
 
     def test_narrow_frontier_memory_follows_the_cells(self, monkeypatch):
         # K_{1,15} with the centre last: leaf j extends 3^j keys of j colors,
@@ -396,7 +404,7 @@ class TestStateLimit:
         tracemalloc.start()
         try:
             with pytest.raises(BruteForceCutoffError):
-                count_colorings_bruteforce(star, force=True)
+                count_colorings_bruteforce(star)
             assert tracemalloc.get_traced_memory()[1] < 2.5 * 1024 * 1024
         finally:
             tracemalloc.stop()
@@ -411,8 +419,8 @@ class TestStateLimit:
             for gadget in gadgets:
                 pc = gadget_pair_counts(gadget.k, gadget.ell)
                 g = gadget.graph
-                assert count_colorings_bruteforce(g, {0: 1, 1: 1}, force=True) == pc.same
-                assert count_colorings_bruteforce(g, {0: 1, 1: 2}, force=True) == pc.diff
+                assert count_colorings_bruteforce(g, {0: 1, 1: 1}) == pc.same
+                assert count_colorings_bruteforce(g, {0: 1, 1: 2}) == pc.diff
 
 
 class TestPathPairCounts:
@@ -497,13 +505,13 @@ class TestClosedFormsAgainstReferenceRoutes:
     @given(st.integers(min_value=0), st.integers(min_value=0))
     def test_frame_closed_form_matches_pattern_sum(self, s, d):
         child = PairCounts(s, d)
-        assert frame_combine(child) == _frame_combine_patterns(child)
+        assert frame_combine(child) == frame_combine_patterns(child)
 
     @pytest.mark.parametrize("ell", range(7))
     def test_inner_subgraph_counts_unchanged(self, ell):
         pc = PairCounts(1, 1)
         for _ in range(ell):
-            pc = _frame_combine_patterns(pc)
+            pc = frame_combine_patterns(pc)
         assert inner_subgraph_pair_counts(ell) == pc
 
     @pytest.mark.parametrize("k,ell", [(k, ell) for k in range(1, 5) for ell in range(5)])
@@ -511,7 +519,7 @@ class TestClosedFormsAgainstReferenceRoutes:
         b = 2 ** k
         pc = PairCounts(_path_interior_transfer(b, 1, 1), _path_interior_transfer(b, 1, 2))
         for _ in range(ell):
-            pc = _frame_combine_patterns(pc)
+            pc = frame_combine_patterns(pc)
         assert gadget_pair_counts(k, ell) == pc
 
 
@@ -725,14 +733,14 @@ class TestRatioStepIdentity:
     GRID_D = (4, 8, 12)    # r = 2D/S is an integer for every S above
 
     def test_each_pattern_has_an_equal_child_pair(self):
-        assert all(sum(p) >= 1 for p in counting._FRAME_PATTERNS_DIFF)
-        assert all(sum(p) == 3 for p in counting._FRAME_PATTERNS_SAME)
+        assert all(sum(p) >= 1 for p in FRAME_PATTERNS_DIFF)
+        assert all(sum(p) == 3 for p in FRAME_PATTERNS_SAME)
 
     def test_ratio_step_is_the_pattern_sum_on_the_grid(self):
         for s in self.GRID_S:
             e = s.bit_length() - 1
             for d in self.GRID_D:
-                assert _frame_levels(e, 2 * d // s, 1) == _frame_combine_patterns(
+                assert _frame_levels(e, 2 * d // s, 1) == frame_combine_patterns(
                     PairCounts(s, d))
 
 
@@ -829,7 +837,7 @@ class TestInnerSubgraphCounts:
         assert pc == PairCounts(16, 1688)
         assert total_colorings(pc) == 10176
         sub, _ = inner_subgraph(build_T(1, 2, check=False))
-        assert count_colorings_bruteforce(sub, force=True) == 10176
+        assert count_colorings_bruteforce(sub) == 10176
 
     def test_labels_made_on_first_read_only(self, monkeypatch):
         expected = build_T(2, 2, check=False).graph.labels
@@ -871,8 +879,8 @@ class TestFrameColorings:
     """The one list of P(u,v,5)'s colorings against routes that build none of it."""
 
     def test_patterns_match_the_hand_written_filter(self):
-        assert Counter(frame_equality_patterns(1, 1)) == Counter(counting._FRAME_PATTERNS_SAME)
-        assert Counter(frame_equality_patterns(1, 2)) == Counter(counting._FRAME_PATTERNS_DIFF)
+        assert Counter(frame_equality_patterns(1, 1)) == Counter(FRAME_PATTERNS_SAME)
+        assert Counter(frame_equality_patterns(1, 2)) == Counter(FRAME_PATTERNS_DIFF)
 
     @pytest.mark.parametrize("frames", [1, 4, 13])
     def test_tables_list_the_colorings_of_the_fan(self, frames):
@@ -1049,7 +1057,7 @@ class TestCountExtensionsByFrames:
         g = build_T(k, ell, check=False)
         for psi in random.Random(k).sample(list(inner_colorings(g)), 25):
             assert count_extensions(k, ell, psi, gadget=g) == \
-                count_colorings_bruteforce(g.graph, psi, force=True)
+                count_colorings_bruteforce(g.graph, psi)
 
     @pytest.mark.parametrize("bad", [0, 4, None, [1]])
     @pytest.mark.parametrize("vertex", [0, 4, 33])  # u, a shared v3, a leaf terminal

@@ -75,6 +75,18 @@ class TestGraph:
         with pytest.raises(ValueError):
             Graph(2, [(0, 1)], labels=["a"])
 
+    @pytest.mark.parametrize("v", [-1, -13, 13, 100])
+    def test_label_of_refuses_a_vertex_out_of_range(self, v):
+        # T(1,1) has 13 vertices; a negative index must not read from the end.
+        labelled = build_T(1, 1, check=False).graph
+        assert labelled.vertex_count == 13 and labelled.label_of(12) == labelled.labels[12]
+        with pytest.raises(IndexError, match=f"^vertex {v} out of range for n=13$"):
+            labelled.label_of(v)
+        unlabelled = Graph(13, [(0, 1)])
+        assert unlabelled.label_of(12) is None
+        with pytest.raises(IndexError, match=f"^vertex {v} out of range for n=13$"):
+            unlabelled.label_of(v)
+
     def test_immutable(self):
         g = Graph(2, [(0, 1)])
         with pytest.raises(AttributeError):

@@ -50,8 +50,9 @@ def test_a_command_past_the_timeout_is_a_difference(tmp_path, monkeypatch, capsy
     tool = load_tool("cli_equivalence")
     monkeypatch.setattr(tool, "TIMEOUT_S", 1)
     assert tool.main([str(before), str(after)]) == 1
-    slow, fast, total = capsys.readouterr().out.splitlines()
+    slow, fast, total, lines = capsys.readouterr().out.splitlines()
     assert slow.startswith("slow  [exit None, ")
     assert slow.endswith("DIFFERENT: after timed out after 1 s; stdout")
     assert fast.startswith("fast  [exit 0, ") and fast.endswith("same")
     assert total == "1/2 commands identical"
+    assert lines == "src/threecolor/*.py: 1 -> 4 lines"  # the two cli.py sources

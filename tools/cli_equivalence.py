@@ -9,8 +9,9 @@ command runs once per checkout, as `python -m threecolor.cli ARGS` (a demo as
 `python <checkout>/demos/NAME`), in its own empty working directory with
 `PYTHONPATH=<checkout>/src`.  Stdout, stderr, the exit code and every file
 the command writes are compared byte for byte.  A command still running
-after TIMEOUT_S seconds is killed and counts as a difference.  Exits 1 if
-anything differs, 0 otherwise.  Standard library only.
+after TIMEOUT_S seconds is killed and counts as a difference.  The last
+line gives the lines of `src/threecolor/*.py` in each checkout, as `wc -l`
+counts them.  Exits 1 if anything differs, 0 otherwise.  Standard library only.
 """
 from __future__ import annotations
 
@@ -62,6 +63,11 @@ def run(checkout: Path, command: list[str], where: Path) -> int | None:
             return None
 
 
+def source_lines(checkout: Path) -> int:
+    """The newlines in the checkout's `src/threecolor/*.py`, the total of `wc -l`."""
+    return sum(p.read_bytes().count(b"\n") for p in (checkout / "src" / "threecolor").glob("*.py"))
+
+
 def written_files(cwd: Path) -> set[str]:
     return {str(p.relative_to(cwd)) for p in cwd.rglob("*") if p.is_file()}
 
@@ -110,6 +116,7 @@ def main(argv=None) -> int:
             failed += bool(found)
             shutil.rmtree(where[0].parent)
     print(f"{len(commands) - failed}/{len(commands)} commands identical")
+    print("src/threecolor/*.py: {} -> {} lines".format(*map(source_lines, checkouts)))
     return 1 if failed else 0
 
 
