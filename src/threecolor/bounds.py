@@ -21,12 +21,11 @@ exponent itself is never evaluated.  No check ever compares floats.
 `theorem_chain_check` alone counts a level and makes its row, a refused level's
 too, with c exact.  It compares c with powers of two by bit length, so nothing
 larger than c is built; `bound_exponent` alone forms eq3's and lemma 3's
-exponents E and refuses 2^E over the bit budget.
+exponents E and refuses 2^E over the bit budget; `serialize` writes rows as JSON.
 """
 from __future__ import annotations
 
 import decimal
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -195,30 +194,6 @@ def int_to_decimal(value: int) -> str:
 
     with decimal.localcontext(_EXACT):
         return str(convert(value, value.bit_length()))
-
-
-def report_to_json(rows: tuple[BoundReport, ...], *, full: bool = False) -> str:
-    """The report's rows as JSON, indented by 2, each n written by `int_to_decimal` in
-    place of a 0, as str() refuses a far level's n (a string's quotes are escaped).
-    With `full`, each counted row also gives its c as a decimal string."""
-    doc = {
-        "version": 1,
-        "rows": [
-            {
-                "ell": row.ell,
-                "k": row.k,
-                "n": 0,
-                "c_bits": row.c_bits,
-                **({"c_decimal": int_to_decimal(row.c)} if full and row.c is not None else {}),
-                "checks": row.checks,
-                **({"error": row.error} if row.error is not None else {}),
-            }
-            for row in rows
-        ],
-    }
-    head, *rest = json.dumps(doc, indent=2).split('"n": 0,')
-    return head + "".join(f'"n": {int_to_decimal(row.n)},{text}'
-                          for row, text in zip(rows, rest))
 
 
 def report_to_text(rows: tuple[BoundReport, ...]) -> str:

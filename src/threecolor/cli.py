@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
 from typing import Iterable
@@ -24,14 +23,15 @@ EXIT_IO = 3
 
 
 def _bit_budget(flag: int | None = None) -> int:
-    """The --bit-budget flag if given, else $THREECOLOR_BIT_BUDGET or the default."""
-    if flag is not None:
-        return flag
+    """The --bit-budget flag if given, else $THREECOLOR_BIT_BUDGET or the default, if >= 0."""
     raw = os.environ.get("THREECOLOR_BIT_BUDGET", str(bounds.DEFAULT_BIT_BUDGET))
     try:
-        return int(raw)
+        budget = int(raw) if flag is None else flag
     except ValueError as exc:
         raise ValueError(f"invalid THREECOLOR_BIT_BUDGET: {raw!r}") from exc
+    if budget < 0:
+        raise ValueError(f"the bit budget must be >= 0, not {budget}")
+    return budget
 
 
 def _write_output(chunks: Iterable[str], path: str | None) -> None:
@@ -102,7 +102,7 @@ def cmd_count(args) -> int:
         }
         if args.full:  # exact in JSON: a decimal string, never a number
             doc["count"]["decimal_string"] = bounds.int_to_decimal(value)
-        print(json.dumps(doc, indent=2))
+        _write_output(serialize.json_chunks(doc), None)
     else:
         print(f"bit_length: {value.bit_length()}")
         if args.full:
@@ -142,7 +142,7 @@ def cmd_verify(args) -> int:
                 for r in results
             ],
         }
-        print(json.dumps(doc, indent=2))
+        _write_output(serialize.json_chunks(doc), None)
     else:
         for r in results:
             for line in r.lines():
@@ -154,7 +154,7 @@ def cmd_report(args) -> int:
     rows = bounds.emit_report(range(args.ell_min, args.ell_max + 1),
                               bit_budget=_bit_budget(args.bit_budget))
     if args.json:
-        print(bounds.report_to_json(rows, full=args.full))
+        print(serialize.report_to_json(rows, full=args.full))
     else:
         print(bounds.report_to_text(rows))
         if args.full:

@@ -6,9 +6,10 @@ character (offset 63).  graph6 is quadratic in the vertex count, so a graph
 with more than GRAPH6_MAX_VERTICES vertices, whose line would be longer than
 GRAPH6_MAX_BYTES, is refused before it is encoded.
 
-The JSON descriptor is written in the layout of `json.dumps(doc, indent=2)`
-by `json_chunks`, which yields it in chunks of at most CHUNK_ITEMS numbers
-or strings, so a large gadget's text is never held as one string.
+Every JSON document, the gadget descriptor and the CLI's alike, is written in
+the layout of `json.dumps(doc, indent=2)` by `json_chunks`, which yields it in
+chunks of at most CHUNK_ITEMS numbers or strings, so a large gadget's text is
+never held as one string, and writes an int of any size by `int_to_decimal`.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ from json.encoder import encode_basestring_ascii
 from operator import sub
 from typing import Callable, Iterator
 
+from .bounds import BoundReport, int_to_decimal
 from .gadgets import Gadget
 from .graphs import Graph, ascending_edges, facial_walks
 
@@ -151,24 +153,47 @@ def gadget_to_json(gadget: Gadget, *, include_faces: bool = False) -> str:
         return str(view[:buf.tell()], "ascii")
 
 
+def report_to_json(rows: tuple[BoundReport, ...], *, full: bool = False) -> str:
+    """The report's rows as JSON, indented by 2, each n in full however long.
+    With `full`, each counted row also gives its c as a decimal string."""
+    return "".join(json_chunks({
+        "version": 1,
+        "rows": [
+            {
+                "ell": row.ell,
+                "k": row.k,
+                "n": row.n,
+                "c_bits": row.c_bits,
+                **({"c_decimal": int_to_decimal(row.c)} if full and row.c is not None else {}),
+                "checks": row.checks,
+                **({"error": row.error} if row.error is not None else {}),
+            }
+            for row in rows
+        ],
+    }))
+
+
 def json_chunks(doc: dict) -> Iterator[str]:
-    """`json.dumps(doc, indent=2)` for a document shaped like the descriptor,
-    in chunks of at most CHUNK_ITEMS numbers or strings each."""
+    """`json.dumps(doc, indent=2)` for any document that `_chunks` takes, in
+    chunks of at most CHUNK_ITEMS numbers or strings each, every int scalar
+    written by `int_to_decimal`, as str() refuses one of over 4,300 digits."""
     return _chunks(doc, "")
 
 
 def _chunks(value, pad: str) -> Iterator[str]:
-    """`value` at indent `pad`: a dict, a sequence of ints, of strings or of
-    int sequences, or a scalar, which goes to `json.dumps`."""
+    """`value` at indent `pad`: a dict, a sequence of dicts, of ints, of strings
+    or of int sequences, an int (not a bool), or a scalar for `json.dumps`."""
     if isinstance(value, dict):
         yield from _dict(value, pad)
     elif isinstance(value, (list, tuple)) and value:
         first = next(iter(value))
-        if isinstance(first, (list, tuple)):
-            yield from _rows(value, pad)
+        if isinstance(first, (list, tuple, dict)):
+            yield from _rows(value, pad, isinstance(first, dict))
         else:
             yield from _items(value, pad, encode_basestring_ascii
                               if isinstance(first, str) else int.__repr__)
+    elif type(value) is int:
+        yield int_to_decimal(value)
     else:
         yield json.dumps(value)
 
@@ -193,17 +218,17 @@ def _items(items, pad: str, encode) -> Iterator[str]:
     yield f"\n{pad}]"
 
 
-def _rows(rows, pad: str) -> Iterator[str]:
-    """A nonempty sequence of int sequences.  Rows are %-formatted by one
-    template per row length, as many whole rows to a chunk as the widest
-    leaves room for; a row wider than a chunk goes through `_chunks`.  A
-    LazyRows knows its widths, so its rows are made once, as they are written."""
+def _rows(rows, pad: str, dicts: bool) -> Iterator[str]:
+    """A nonempty sequence of int sequences, or of dicts if `dicts`.  Rows are
+    %-formatted by one template per row length, as many whole rows to a chunk as
+    the widest leaves room for; a dict or a row wider than a chunk goes through
+    `_chunks`.  A LazyRows knows its widths, so its rows are made once, as written."""
     inner = pad + "  "
     row_sep = ",\n" + inner
     opener = "[" + row_sep[1:]
     widths = rows.widths if isinstance(rows, LazyRows) else set(map(len, rows))
     width = max(widths)
-    if width > CHUNK_ITEMS:
+    if dicts or width > CHUNK_ITEMS:
         for row in rows:
             yield opener
             yield from _chunks(row, inner)

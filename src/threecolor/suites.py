@@ -75,20 +75,20 @@ def run_lemma3(ell_max: int = 2,
     for k, ell in LEMMA3_DEFAULT_CASES:
         if ell > ell_max:
             continue
+        # The bound, then the count, are charged to the budget before any coloring is listed.
+        bound = bounds.lemma3_bound(k, ell, bit_budget=bit_budget)
+        dp_total = counting.total_colorings(
+            counting.gadget_pair_counts(k, ell, bit_budget=bit_budget))
         gadget = build_T(k, ell, check=False)
         sub, index_map = counting.inner_subgraph(gadget)
         kept = sorted(index_map)  # new index i is old vertex kept[i]
-        bound = bounds.lemma3_bound(k, ell, bit_budget=bit_budget)
-        worst = 0
-        sigma = 0
-        count = 0
+        worst = sigma = count = 0
         for col in counting.iter_colorings(sub):
             psi = dict(zip(kept, col.values()))  # col lists vertices 0, 1, ...
             ext = counting.count_extensions(k, ell, psi, gadget=gadget)
             worst = max(worst, ext)
             sigma += ext
             count += 1
-        dp_total = counting.total_colorings(counting.gadget_pair_counts(k, ell))
         res.add(
             f"(k={k},ell={ell}) extension bound",
             worst <= bound,

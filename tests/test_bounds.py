@@ -25,9 +25,9 @@ from threecolor.bounds import (
     _below_pow2,
     int_to_decimal,
     lemma3_bound,
-    report_to_json,
 )
 from threecolor.gadgets import choose_k, vertex_count_closed_form
+from threecolor.serialize import report_to_json
 
 
 class TestLemma3Bound:

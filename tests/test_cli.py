@@ -215,19 +215,20 @@ class TestCount:
         assert (code, out) == (2, "")
         assert err == "error: --fix expects two comma-separated colors, e.g. 1,2\n"
 
-    @pytest.mark.parametrize("budget", ["-5", "0"])
-    def test_nonpositive_bit_budget_flag_exit_2(self, capsys, budget):
+    @pytest.mark.parametrize("budget, error", [
+        ("-5", "the bit budget must be >= 0, not -5"),  # refused before the count
+        ("0", "the count of T(1,1) may need up to 11 bits, over the budget of 0"),
+    ], ids=["-5", "0"])
+    def test_nonpositive_bit_budget_flag_exit_2(self, capsys, budget, error):
         code, out, err = run_cli(capsys, "count", "--k", "1", "--ell", "1",
                                  "--bit-budget", budget)
         assert (code, out) == (2, "")
-        assert err == ("error: the count of T(1,1) may need up to 11 bits,"
-                       f" over the budget of {budget}\n")
+        assert err == f"error: {error}\n"
 
     def test_negative_bit_budget_env_exit_2(self):
         proc = run_cli_process("count", "--k", "1", "--ell", "1", timeout=10, budget_env="-1")
         assert (proc.returncode, proc.stdout) == (2, "")
-        assert proc.stderr == ("error: the count of T(1,1) may need up to 11 bits,"
-                               " over the budget of -1\n")
+        assert proc.stderr == "error: the bit budget must be >= 0, not -1\n"
 
     def test_json_output(self, capsys):
         code, out, _ = run_cli(capsys, "count", "--k", "1", "--ell", "1",
@@ -351,6 +352,39 @@ class TestCount:
         assert out.strip() == "bit_length: 7211279"
 
 
+NEGATIVE_BUDGET_COMMANDS = [
+    ("count", "--k", "1", "--ell", "1"),
+    ("count", "--k", "1", "--ell", "1", "--method", "brute"),
+    ("verify", "--suite", "lemma2"),
+    ("verify", "--suite", "eq3", "--ell-max", "1"),
+    ("report", "--ell-max", "1"),
+]
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_BUDGET_COMMANDS, ids=" ".join)
+@pytest.mark.parametrize("budget", ["-1", "-5"])
+def test_negative_bit_budget_env_refused(argv, budget, capsys, monkeypatch):
+    monkeypatch.setenv("THREECOLOR_BIT_BUDGET", budget)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: the bit budget must be >= 0, not {budget}\n")
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_BUDGET_COMMANDS, ids=" ".join)
+def test_negative_bit_budget_flag_refused(argv, capsys, monkeypatch):
+    # Refused before the flag is checked against the method or suite.
+    monkeypatch.delenv("THREECOLOR_BIT_BUDGET", raising=False)
+    code, out, err = run_cli(capsys, *argv, "--bit-budget", "-1")
+    assert (code, out, err) == (2, "", "error: the bit budget must be >= 0, not -1\n")
+
+
+@pytest.mark.parametrize("argv", [("count", "--k", "1", "--ell", "1", "--method", "brute"),
+                                  ("verify", "--suite", "lemma2")], ids=" ".join)
+def test_zero_bit_budget_env_is_a_budget(argv, capsys, monkeypatch):
+    monkeypatch.setenv("THREECOLOR_BIT_BUDGET", "0")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "") and out
+
+
 # SHA-256 of stdout, recorded before the closed forms and the divide-and-
 # conquer decimal conversion replaced the transfer, the pattern sum and str().
 GOLDEN_STDOUT_SHA256 = {
@@ -374,6 +408,26 @@ GOLDEN_STDOUT_SHA256 = {
         "072639be746da8ccda381a60c1b7160928c8aefd7fb75cbfefdaddc4cbf7f0ee",
     ("verify", "--suite", "theorem", "--ell-max", "8", "--json"):
         "77f72d28f45adfec6177fdfb4deee8265a80700cb74498e4e2203b6d3d1df7de",
+    # Recorded while `report --json` still spliced each n into a json.dumps
+    # text and `count --json` and `verify --json` called json.dumps.
+    ("verify", "--suite", "all", "--json"):
+        "01ce90cfcacc071fda35e9ba22dbe4241df97406d3a91f2a7bb5496f1bcdcd09",
+    ("count", "--k", "3", "--ell", "2", "--fix", "1,2", "--full", "--json"):
+        "46629d34f249c9abd7b25739b38c4afbfb636ab16d3160fe150c5414624f756d",
+    ("count", "--k", "1", "--ell", "1", "--method", "brute", "--json"):  # fixed colors null
+        "b1a7a26337614ebdd2ef1b0eb69a090b64203082d7e137692f444df328223f07",
+    ("report", "--ell-min", "5", "--ell-max", "3", "--json"):  # no rows
+        "e4dd91440397c613126d4c083297feff7fb5815c7231e225ee6f9c849180c55a",
+    ("report", "--ell-min", "7", "--ell-max", "9", "--bit-budget", "30000", "--json"):
+        "f291784f2187436209625c456c7fc34c3e67af07de743fbc6687f52ec4665943",
+    # An n of 4,312 digits, past the default int-to-str limit.
+    ("report", "--ell-min", "6600", "--ell-max", "6600", "--json"):
+        "0b0a5cce9b2dfadcce87e71f4c4ea1ac15bcbd4284d2abb2012b55b9a83f2f45",
+}
+# The golden commands that exit other than 0: each has a refused level.
+GOLDEN_EXIT_CODE = {
+    ("report", "--ell-min", "7", "--ell-max", "9", "--bit-budget", "30000", "--json"): 1,
+    ("report", "--ell-min", "6600", "--ell-max", "6600", "--json"): 1,
 }
 
 
@@ -381,7 +435,7 @@ GOLDEN_STDOUT_SHA256 = {
 def test_golden_stdout(argv, capsys, monkeypatch):
     monkeypatch.delenv("THREECOLOR_BIT_BUDGET", raising=False)
     code, out, _ = run_cli(capsys, *argv)
-    assert code == 0
+    assert code == GOLDEN_EXIT_CODE.get(argv, 0)
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == GOLDEN_STDOUT_SHA256[argv]
 
 
@@ -422,6 +476,20 @@ class TestVerify:
                                  "--bit-budget", budget)
         assert code == 2
         assert out == "" and err == f"error: {power}, over the budget of {budget}\n"
+
+    @pytest.mark.parametrize("argv, code, err", [
+        (("--bit-budget", "26"), 2,
+         "error: the count of T(2,2) may need up to 29 bits, over the budget of 26\n"),
+        (("--bit-budget", "28"), 2,
+         "error: the count of T(2,2) may need up to 29 bits, over the budget of 28\n"),
+        (("--bit-budget", "29"), 0, ""),
+        (("--ell-max", "1", "--bit-budget", "12"), 2,
+         "error: the count of T(2,1) may need up to 13 bits, over the budget of 12\n"),
+    ], ids=["26", "28", "29", "ell1-12"])
+    def test_lemma3_charges_the_gadget_totals(self, argv, code, err, capsys):
+        got, out, got_err = run_cli(capsys, "verify", "--suite", "lemma3", *argv)
+        assert (got, got_err) == (code, err)
+        assert out.endswith("suite lemma3: PASS\n") if code == 0 else out == ""
 
     def test_bit_budget_env_reaches_suite_all(self, capsys, monkeypatch):
         monkeypatch.setenv("THREECOLOR_BIT_BUDGET", "25")
@@ -543,13 +611,17 @@ class TestReport:
         assert code == 1
         assert "ERROR" in out
 
-    def test_negative_bit_budget_gives_error_rows_and_exit_1(self, capsys):
+    def test_negative_bit_budget_exit_2(self, capsys):
+        # Refused before any row; a budget of 0 still gives error rows.
+        code, out, err = run_cli(capsys, "report", "--ell-min", "1", "--ell-max", "2",
+                                 "--bit-budget", "-1")
+        assert (code, out, err) == (2, "", "error: the bit budget must be >= 0, not -1\n")
         code, out, _ = run_cli(capsys, "report", "--ell-min", "1", "--ell-max", "2",
-                               "--bit-budget", "-1")
+                               "--bit-budget", "0")
         assert code == 1
         rows = out.splitlines()[2:]
-        assert rows[0].endswith("ERROR: 2^16 needs 17 bits, over the budget of -1")
-        assert rows[1].endswith("ERROR: 2^52 needs 53 bits, over the budget of -1")
+        assert rows[0].endswith("ERROR: 2^16 needs 17 bits, over the budget of 0")
+        assert rows[1].endswith("ERROR: 2^52 needs 53 bits, over the budget of 0")
         assert rows[2] == "result: FAILURES PRESENT"
 
     def test_budget_error_row_names_the_eq3_power(self, capsys, monkeypatch):

@@ -10,8 +10,10 @@ from functools import partial
 import networkx as nx
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from threecolor import build_P, build_T, gadget_to_json, to_dot, to_graph6
+from threecolor.bounds import int_to_decimal
 from threecolor.cli import _write_output
 from threecolor.embedding import trace_faces
 from threecolor.graphs import Graph, ascending_edges
@@ -279,7 +281,43 @@ class TestGadgetToJson:
 CHUNK_CHARS = 32 * CHUNK_ITEMS
 
 
+# Documents shaped like the CLI's: dicts whose values are dicts, lists of
+# dicts, of ints, of strings or of int lists, or the scalars bool, None, int
+# and string.
+_VALUES = (st.none() | st.booleans() | st.integers() | st.text(max_size=6)
+           | st.lists(st.integers(), max_size=5) | st.lists(st.text(max_size=6), max_size=5)
+           | st.lists(st.lists(st.integers(), max_size=4), max_size=4))
+_DOCUMENTS = st.recursive(
+    st.dictionaries(st.text(max_size=6), _VALUES, max_size=4),
+    lambda docs: st.dictionaries(st.text(max_size=6),
+                                 _VALUES | docs | st.lists(docs, max_size=3), max_size=4),
+    max_leaves=12)
+
+
 class TestJsonChunks:
+    @given(_DOCUMENTS)
+    def test_any_cli_shaped_document_reads_like_json_dumps(self, doc):
+        assert "".join(json_chunks(doc)) == json.dumps(doc, indent=2)
+
+    def test_an_int_past_the_str_digit_limit_is_written_whole(self):
+        value = -(7 ** 6000)  # 5,072 characters
+        digits = int_to_decimal(value)
+        setter = getattr(sys, "set_int_max_str_digits", None)
+        if setter:  # at the default limit, where str() refuses the value
+            old = sys.get_int_max_str_digits()
+            setter(sys.int_info.default_max_str_digits)
+        try:
+            if setter:
+                with pytest.raises(ValueError):
+                    str(value)
+            text = "".join(json_chunks({"n": value, "rows": [{"n": value, "ok": True}]}))
+        finally:
+            if setter:
+                setter(old)
+        assert len(digits) == 5072 and digits.startswith("-") and digits[1:].isdigit()
+        assert text == ('{\n  "n": %s,\n  "rows": [\n    {\n      "n": %s,\n'
+                        '      "ok": true\n    }\n  ]\n}' % (digits, digits))
+
     @pytest.mark.parametrize("gadget", [
         build_T(4, 4), build_T(4, 6, check=False), build_P(1),
         build_P(2 * CHUNK_ITEMS + 2, check=False),
