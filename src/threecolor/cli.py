@@ -1,13 +1,16 @@
 """Command-line front end: generate, count, verify, report.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or domain error,
-3 I/O failure.  All output is deterministic for fixed flags.  The bit budget
-for bound computations defaults to $THREECOLOR_BIT_BUDGET or 10^7 bits.
+Each command returns its exit code and the chunks of its output; `main` alone
+writes them, to stdout or to `--output`.  Exit codes: 0 success, 1 verification failure,
+2 usage or domain error, 3 I/O failure.  All output is deterministic for fixed flags.
+The bit budget for bound computations defaults to $THREECOLOR_BIT_BUDGET or 10^7 bits.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
+import inspect
 import os
 import sys
 from typing import Iterable
@@ -20,6 +23,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+VERIFY_OPTIONS = ("ell_max", "k_max", "b_max", "bit_budget")
 
 
 def _bit_budget(flag: int | None = None) -> int:
@@ -46,21 +50,18 @@ def _write_output(chunks: Iterable[str], path: str | None) -> None:
             fh.write("\n")
 
 
-def cmd_generate(args) -> int:
+def cmd_generate(args) -> tuple[int, Iterable[str]]:
     if args.faces and args.format != "json":
         raise ValueError(f"--faces does not apply to --format {args.format}")
     if args.format == "graph6":  # refused before anything is built
         serialize.check_graph6_size(checked_vertex_count(args.k, args.ell))
     gadget = build_T(args.k, args.ell, check=not args.no_check)
     if args.format == "json":
-        chunks = serialize.json_chunks(
+        return EXIT_OK, serialize.json_chunks(
             serialize.gadget_descriptor(gadget, include_faces=args.faces))
-    elif args.format == "dot":
-        chunks = (serialize.to_dot(gadget.graph, name=f"T_{args.k}_{args.ell}"),)
-    else:
-        chunks = (serialize.to_graph6(gadget.graph),)
-    _write_output(chunks, args.output)
-    return EXIT_OK
+    if args.format == "dot":
+        return EXIT_OK, (serialize.to_dot(gadget.graph, name=f"T_{args.k}_{args.ell}"),)
+    return EXIT_OK, (serialize.to_graph6(gadget.graph),)
 
 
 def _parse_fix(raw: str | None):
@@ -75,7 +76,7 @@ def _parse_fix(raw: str | None):
     return cu, cv
 
 
-def cmd_count(args) -> int:
+def cmd_count(args) -> tuple[int, Iterable[str]]:
     budget = _bit_budget(args.bit_budget)  # read (and checked) for every method
     if args.bit_budget is not None and args.method != "dp":
         raise ValueError(f"--bit-budget does not apply to --method {args.method}")
@@ -102,66 +103,43 @@ def cmd_count(args) -> int:
         }
         if args.full:  # exact in JSON: a decimal string, never a number
             doc["count"]["decimal_string"] = bounds.int_to_decimal(value)
-        _write_output(serialize.json_chunks(doc), None)
-    else:
-        print(f"bit_length: {value.bit_length()}")
-        if args.full:
-            print(f"count: {bounds.int_to_decimal(value)}")
-    return EXIT_OK
+        return EXIT_OK, serialize.json_chunks(doc)
+    lines = [f"bit_length: {value.bit_length()}\n"]
+    if args.full:
+        lines.append(f"count: {bounds.int_to_decimal(value)}\n")
+    return EXIT_OK, lines
 
 
-# Each suite's runner and the options it takes; the suites own every default.
-VERIFY_SUITES = {
-    "lemma2": (suites.run_lemma2, ()),
-    "remark": (suites.run_remark, ("b_max",)),
-    "lemma3": (suites.run_lemma3, ("ell_max", "bit_budget")),
-    "eq3": (suites.run_eq3, ("ell_max", "bit_budget")),
-    "theorem": (suites.run_theorem, ("ell_max", "bit_budget")),
-    "embedding": (suites.run_embedding, ("ell_max", "k_max")),
-    "all": (suites.run_all, ("bit_budget",)),
-}
-
-
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, Iterable[str]]:
     budget = _bit_budget(args.bit_budget)  # read (and checked) for every suite
-    run, takes = VERIFY_SUITES[args.suite]
-    for name in ("ell_max", "k_max", "b_max", "bit_budget"):
+    run = suites.SUITES[args.suite]
+    takes = inspect.signature(run).parameters  # its options; it owns every default
+    for name in VERIFY_OPTIONS:
         if getattr(args, name) is not None and name not in takes:
             raise ValueError(f"--{name.replace('_', '-')} does not apply to --suite {args.suite}")
-    options = {name: getattr(args, name) for name in takes if getattr(args, name) is not None}
-    if "bit_budget" in takes:
-        options["bit_budget"] = budget
-    results = run(**options)
+    given = dict(vars(args), bit_budget=budget)  # the flag's, else the environment's
+    results = run(**{name: given[name] for name in takes if given[name] is not None})
     results = results if isinstance(results, list) else [results]
     passed = all(r.passed for r in results)
     if args.json:
-        doc = {
-            "passed": passed,
-            "suites": [
-                {"suite": r.suite, "passed": r.passed, "checks": r.checks}
-                for r in results
-            ],
-        }
-        _write_output(serialize.json_chunks(doc), None)
+        chunks = serialize.json_chunks(
+            {"passed": passed, "suites": [dataclasses.asdict(r) for r in results]})
     else:
-        for r in results:
-            for line in r.lines():
-                print(line)
-    return EXIT_OK if passed else EXIT_VERIFY_FAILED
+        chunks = [line + "\n" for r in results for line in r.lines()]
+    return EXIT_OK if passed else EXIT_VERIFY_FAILED, chunks
 
 
-def cmd_report(args) -> int:
+def cmd_report(args) -> tuple[int, Iterable[str]]:
     rows = bounds.emit_report(range(args.ell_min, args.ell_max + 1),
                               bit_budget=_bit_budget(args.bit_budget))
     if args.json:
-        print(serialize.report_to_json(rows, full=args.full))
+        chunks = serialize.report_chunks(rows, full=args.full)
     else:
-        print(bounds.report_to_text(rows))
+        chunks = [bounds.report_to_text(rows)]
         if args.full:
-            for row in rows:
-                if row.c is not None:
-                    print(f"c({row.ell}) = {bounds.int_to_decimal(row.c)}")
-    return EXIT_OK if all(row.ok for row in rows) else EXIT_VERIFY_FAILED
+            chunks += (f"\nc({row.ell}) = {bounds.int_to_decimal(row.c)}"
+                       for row in rows if row.c is not None)
+    return EXIT_OK if all(row.ok for row in rows) else EXIT_VERIFY_FAILED, chunks
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -195,11 +173,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cnt.set_defaults(func=cmd_count)
 
     p_ver = sub.add_parser("verify", help="run a named verification suite")
-    p_ver.add_argument("--suite", required=True, choices=tuple(VERIFY_SUITES))
-    p_ver.add_argument("--ell-max", type=int, default=None)
-    p_ver.add_argument("--k-max", type=int, default=None)
-    p_ver.add_argument("--b-max", type=int, default=None)
-    p_ver.add_argument("--bit-budget", type=int, default=None)
+    p_ver.add_argument("--suite", required=True, choices=tuple(suites.SUITES))
+    for name in VERIFY_OPTIONS:
+        p_ver.add_argument("--" + name.replace("_", "-"), type=int, default=None)
     p_ver.add_argument("--json", action="store_true")
     p_ver.set_defaults(func=cmd_verify)
 
@@ -216,10 +192,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, chunks = args.func(args)
+        _write_output(chunks, getattr(args, "output", None))
+        return code
     except (ValueError, bounds.BitBudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -9,7 +9,7 @@ GRAPH6_MAX_BYTES, is refused before it is encoded.
 Every JSON document, the gadget descriptor and the CLI's alike, is written in
 the layout of `json.dumps(doc, indent=2)` by `json_chunks`, which yields it in
 chunks of at most CHUNK_ITEMS numbers or strings, so a large gadget's text is
-never held as one string, and writes an int of any size by `int_to_decimal`.
+never held as one string, and writes an int of any size outside a row by `int_to_decimal`.
 """
 from __future__ import annotations
 
@@ -154,9 +154,14 @@ def gadget_to_json(gadget: Gadget, *, include_faces: bool = False) -> str:
 
 
 def report_to_json(rows: tuple[BoundReport, ...], *, full: bool = False) -> str:
-    """The report's rows as JSON, indented by 2, each n in full however long.
-    With `full`, each counted row also gives its c as a decimal string."""
-    return "".join(json_chunks({
+    """The text that `report --json` writes, less its closing newline."""
+    return "".join(report_chunks(rows, full=full))
+
+
+def report_chunks(rows: tuple[BoundReport, ...], *, full: bool = False) -> Iterator[str]:
+    """The report's rows as JSON chunks, indented by 2, each n in full however
+    long.  With `full`, each counted row also gives its c as a decimal string."""
+    return json_chunks({
         "version": 1,
         "rows": [
             {
@@ -170,19 +175,19 @@ def report_to_json(rows: tuple[BoundReport, ...], *, full: bool = False) -> str:
             }
             for row in rows
         ],
-    }))
+    })
 
 
 def json_chunks(doc: dict) -> Iterator[str]:
     """`json.dumps(doc, indent=2)` for any document that `_chunks` takes, in
-    chunks of at most CHUNK_ITEMS numbers or strings each, every int scalar
-    written by `int_to_decimal`, as str() refuses one of over 4,300 digits."""
+    chunks of at most CHUNK_ITEMS numbers or strings each, every int outside
+    a row written by `int_to_decimal`, as str() refuses one of over 4,300 digits."""
     return _chunks(doc, "")
 
 
 def _chunks(value, pad: str) -> Iterator[str]:
-    """`value` at indent `pad`: a dict, a sequence of dicts, of ints, of strings
-    or of int sequences, an int (not a bool), or a scalar for `json.dumps`."""
+    """`value` at indent `pad`: a dict, a sequence of dicts, of strings, of
+    other scalars or of int sequences, or a scalar."""
     if isinstance(value, dict):
         yield from _dict(value, pad)
     elif isinstance(value, (list, tuple)) and value:
@@ -191,11 +196,14 @@ def _chunks(value, pad: str) -> Iterator[str]:
             yield from _rows(value, pad, isinstance(first, dict))
         else:
             yield from _items(value, pad, encode_basestring_ascii
-                              if isinstance(first, str) else int.__repr__)
-    elif type(value) is int:
-        yield int_to_decimal(value)
+                              if isinstance(first, str) else _scalar)
     else:
-        yield json.dumps(value)
+        yield _scalar(value)
+
+
+def _scalar(value) -> str:
+    """An int (not a bool) by `int_to_decimal`, any other scalar by `json.dumps`."""
+    return int_to_decimal(value) if type(value) is int else json.dumps(value)
 
 
 def _dict(doc: dict, pad: str) -> Iterator[str]:
@@ -219,10 +227,10 @@ def _items(items, pad: str, encode) -> Iterator[str]:
 
 
 def _rows(rows, pad: str, dicts: bool) -> Iterator[str]:
-    """A nonempty sequence of int sequences, or of dicts if `dicts`.  Rows are
-    %-formatted by one template per row length, as many whole rows to a chunk as
-    the widest leaves room for; a dict or a row wider than a chunk goes through
-    `_chunks`.  A LazyRows knows its widths, so its rows are made once, as written."""
+    """A nonempty sequence of int sequences, or of dicts if `dicts`.  Rows, of ints
+    only, are %-formatted by one template per row length, as many whole rows to a
+    chunk as the widest leaves room for; a dict or a row wider than a chunk goes
+    through `_chunks`.  A LazyRows knows its widths, so its rows are made once, as written."""
     inner = pad + "  "
     row_sep = ",\n" + inner
     opener = "[" + row_sep[1:]

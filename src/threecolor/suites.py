@@ -2,7 +2,8 @@
 
 Each runner replays one family of claims at desk scale and returns a
 SuiteResult with per-check lines; everything is exact, so a suite either
-passes or exhibits a concrete failing instance.
+passes or exhibits a concrete failing instance.  SUITES maps each name of
+`verify --suite` to its runner, whose parameters are the suite's options.
 """
 from __future__ import annotations
 
@@ -167,3 +168,7 @@ def run_all(bit_budget: int = bounds.DEFAULT_BIT_BUDGET) -> list[SuiteResult]:
         run_theorem(bit_budget=bit_budget),
         run_embedding(),
     ]
+
+
+SUITES = {run.__name__.removeprefix("run_"): run for run in (
+    run_lemma2, run_remark, run_lemma3, run_eq3, run_theorem, run_embedding, run_all)}

@@ -4,11 +4,12 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import networkx as nx
 import pytest
 import threecolor
-from threecolor import counting, graphs
+from threecolor import counting, graphs, suites
 from threecolor.cli import main
 from threecolor.counting import MAX_FREE_VERTICES
 from threecolor.gadgets import MAX_VERTICES
@@ -575,6 +576,20 @@ class TestVerify:
         assert code == 0, err
         assert out.splitlines()[-1] == "suite theorem: PASS"
 
+    def test_a_suite_takes_the_options_of_its_runner(self, capsys, monkeypatch):
+        seen = []
+
+        def run_fake(ell_max=1):
+            seen.append(ell_max)
+            return suites.SuiteResult("fake")
+
+        monkeypatch.setitem(suites.SUITES, "fake", run_fake)
+        code, out, err = run_cli(capsys, "verify", "--suite", "fake", "--ell-max", "3")
+        assert (code, out, err, seen) == (0, "suite fake: PASS\n", "", [3])
+        code, out, err = run_cli(capsys, "verify", "--suite", "fake", "--k-max", "1")
+        assert (code, out, err, seen) == (
+            2, "", "error: --k-max does not apply to --suite fake\n", [3])
+
     def test_deterministic_output(self, capsys):
         _, first, _ = run_cli(capsys, "verify", "--suite", "eq3", "--ell-max", "2")
         _, second, _ = run_cli(capsys, "verify", "--suite", "eq3", "--ell-max", "2")
@@ -671,3 +686,25 @@ class TestReport:
         code, out, _ = run_cli(capsys, "report", "--ell-max", "1", "--full")
         assert code == 0
         assert "c(1) = 1056" in out
+
+    def test_json_is_written_as_it_is_made(self, monkeypatch):
+        class Sink:
+            """Counts what it is given and keeps none of it."""
+            length = 0
+
+            def write(self, text):
+                self.length += len(text)
+
+        sink = Sink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        monkeypatch.delenv("THREECOLOR_BIT_BUDGET", raising=False)
+        tracemalloc.start()
+        try:
+            code = main(["report", "--ell-max", "2000", "--json"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The rows are held, and their n of up to 1,300 digits; the text,
+        # 1.7 MB, is not, so the peak stays under 2.5 times its length.
+        assert code == 1 and sink.length > 1_600_000
+        assert peak < 2.5 * sink.length

@@ -318,6 +318,28 @@ class TestJsonChunks:
         assert text == ('{\n  "n": %s,\n  "rows": [\n    {\n      "n": %s,\n'
                         '      "ok": true\n    }\n  ]\n}' % (digits, digits))
 
+    @given(st.dictionaries(st.text(max_size=6), st.lists(st.booleans(), max_size=5)
+                           | st.lists(st.none(), max_size=5) | st.lists(st.integers(), max_size=5)
+                           | st.lists(st.booleans() | st.none() | st.integers(), max_size=5),
+                           max_size=4))
+    def test_lists_of_bools_none_and_ints_read_like_json_dumps(self, doc):
+        # The first item does not choose the encoder of the rest: a bool is
+        # `true`, not `1`, and None is `null`, wherever it stands in a list.
+        assert "".join(json_chunks(doc)) == json.dumps(doc, indent=2)
+
+    def test_a_list_may_hold_an_int_past_the_str_digit_limit(self):
+        value = 7 ** 6000  # 5,071 digits
+        setter = getattr(sys, "set_int_max_str_digits", None)
+        if setter:  # at the default limit, where str() refuses the value
+            old = sys.get_int_max_str_digits()
+            setter(sys.int_info.default_max_str_digits)
+        try:
+            text = "".join(json_chunks({"a": [1, value, True]}))
+        finally:
+            if setter:
+                setter(old)
+        assert text == '{\n  "a": [\n    1,\n    %s,\n    true\n  ]\n}' % int_to_decimal(value)
+
     @pytest.mark.parametrize("gadget", [
         build_T(4, 4), build_T(4, 6, check=False), build_P(1),
         build_P(2 * CHUNK_ITEMS + 2, check=False),
