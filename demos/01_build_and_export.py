@@ -28,7 +28,7 @@ print()
 print("graph6 line:", to_graph6(gadget.graph))
 print()
 print("DOT document:")
-print(to_dot(gadget.graph, name="T_1_1"))
+print("".join(to_dot(gadget.graph, name="T_1_1")))
 
 print("JSON descriptor (truncated):")
 text = gadget_to_json(gadget)

@@ -10,7 +10,7 @@ round.
 from threecolor import emit_report, report_to_text, theorem_chain_check
 
 report = emit_report(range(1, 9))
-print(report_to_text(report))
+print("".join(report_to_text(report)), end="")
 print()
 
 row = theorem_chain_check(1)

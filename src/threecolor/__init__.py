@@ -5,7 +5,7 @@ T(u,v,k,l), certifying their plane embeddings, counting their proper
 3-colorings exactly, and machine-verifying the inequality chain that bounds
 the count by 64^(n^g) with g = log base 9/2 of 3.
 """
-from .bounds import emit_report, report_to_text, theorem_chain_check
+from .bounds import emit_report, theorem_chain_check
 from .counting import (
     count_colorings_bruteforce,
     count_extensions,
@@ -18,7 +18,7 @@ from .counting import (
 )
 from .embedding import certify
 from .gadgets import build_P, build_T, vertex_count_closed_form
-from .serialize import gadget_to_json, to_dot, to_graph6
+from .serialize import gadget_to_json, report_to_text, to_dot, to_graph6
 
 __version__ = "0.1.0"
 

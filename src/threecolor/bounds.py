@@ -21,7 +21,7 @@ exponent itself is never evaluated.  No check ever compares floats.
 `theorem_chain_check` alone counts a level and makes its row, a refused level's
 too, with c exact.  It compares c with powers of two by bit length, so nothing
 larger than c is built; `bound_exponent` alone forms eq3's and lemma 3's
-exponents E and refuses 2^E over the bit budget; `serialize` writes rows as JSON.
+exponents E and refuses 2^E over the bit budget; `serialize` writes the rows as text or JSON.
 """
 from __future__ import annotations
 
@@ -195,20 +195,3 @@ def int_to_decimal(value: int) -> str:
     with decimal.localcontext(_EXACT):
         return str(convert(value, value.bit_length()))
 
-
-def report_to_text(rows: tuple[BoundReport, ...]) -> str:
-    """Fixed-width human-readable table, one row per level."""
-    header = f"{'ell':>4} {'k':>3} {'n':>12} {'c_bits':>10}  checks"
-    lines = [header, "-" * len(header)]
-    for row in rows:
-        n = int_to_decimal(row.n)
-        if row.error is not None:
-            lines.append(f"{row.ell:>4} {row.k:>3} {n:>12} {'-':>10}  ERROR: {row.error}")
-            continue
-        marks = " ".join(
-            f"{name}={'pass' if row.checks[name] else 'FAIL'}" for name in CHECK_NAMES
-        )
-        lines.append(f"{row.ell:>4} {row.k:>3} {n:>12} {row.c_bits:>10}  {marks}")
-    verdict = "all checks pass" if all(row.ok for row in rows) else "FAILURES PRESENT"
-    lines.append(f"result: {verdict if rows else 'empty report'}")
-    return "\n".join(lines)

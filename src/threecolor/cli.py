@@ -60,7 +60,7 @@ def cmd_generate(args) -> tuple[int, Iterable[str]]:
         return EXIT_OK, serialize.json_chunks(
             serialize.gadget_descriptor(gadget, include_faces=args.faces))
     if args.format == "dot":
-        return EXIT_OK, (serialize.to_dot(gadget.graph, name=f"T_{args.k}_{args.ell}"),)
+        return EXIT_OK, serialize.to_dot(gadget.graph, name=f"T_{args.k}_{args.ell}")
     return EXIT_OK, (serialize.to_graph6(gadget.graph),)
 
 
@@ -132,14 +132,9 @@ def cmd_verify(args) -> tuple[int, Iterable[str]]:
 def cmd_report(args) -> tuple[int, Iterable[str]]:
     rows = bounds.emit_report(range(args.ell_min, args.ell_max + 1),
                               bit_budget=_bit_budget(args.bit_budget))
-    if args.json:
-        chunks = serialize.report_chunks(rows, full=args.full)
-    else:
-        chunks = [bounds.report_to_text(rows)]
-        if args.full:
-            chunks += (f"\nc({row.ell}) = {bounds.int_to_decimal(row.c)}"
-                       for row in rows if row.c is not None)
-    return EXIT_OK if all(row.ok for row in rows) else EXIT_VERIFY_FAILED, chunks
+    write = serialize.report_chunks if args.json else serialize.report_to_text
+    code = EXIT_OK if all(row.ok for row in rows) else EXIT_VERIFY_FAILED
+    return code, write(rows, full=args.full)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,4 +1,4 @@
-"""Export formats: graph6, DOT, and the JSON gadget descriptor.
+"""Export formats: graph6, DOT, the JSON gadget descriptor, and the bound report.
 
 graph6 follows the standard bit packing: N(n) header, then the upper
 triangle of the adjacency matrix column by column, six bits per printable
@@ -10,18 +10,20 @@ Every JSON document, the gadget descriptor and the CLI's alike, is written in
 the layout of `json.dumps(doc, indent=2)` by `json_chunks`, which yields it in
 chunks of at most CHUNK_ITEMS numbers or strings, so a large gadget's text is
 never held as one string, and writes an int of any size outside a row by `int_to_decimal`.
+`to_dot` and `report_to_text` stream too, CHUNK_ITEMS lines or one line to a chunk.
 """
 from __future__ import annotations
 
 import json
 import mmap
+import re
 from functools import partial
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from operator import sub
 from typing import Callable, Iterator
 
-from .bounds import BoundReport, int_to_decimal
+from .bounds import CHECK_NAMES, BoundReport, int_to_decimal
 from .gadgets import Gadget
 from .graphs import Graph, ascending_edges, facial_walks
 
@@ -29,6 +31,7 @@ GRAPH6_MAX_BYTES = 2 ** 24
 # The most vertices whose graph6 line, 4 + ceil(n(n-1)/12) bytes, fits.
 GRAPH6_MAX_VERTICES = 14189
 CHUNK_ITEMS = 1024
+_DOT_KEYWORDS = frozenset({"graph", "digraph", "subgraph", "node", "edge", "strict"})
 
 _PLUS_63 = bytes.maketrans(bytes(range(64)), bytes(range(63, 127)))
 
@@ -69,19 +72,18 @@ def to_graph6(g: Graph) -> str:
     return (_graph6_size_bytes(n) + body.translate(_PLUS_63)).decode("ascii")
 
 
-def to_dot(g: Graph, name: str = "G") -> str:
-    """Undirected DOT document; vertex labels preserved when present."""
-    lines = [f"graph {name} {{"]
-    for v in range(g.vertex_count):
-        label = g.label_of(v)
-        if label is None:
-            lines.append(f"  {v};")
-        else:
-            escaped = label.replace("\\", "\\\\").replace('"', '\\"')
-            lines.append(f'  {v} [label="{escaped}"];')
-    lines.extend(f"  {a} -- {b};" for a, b in ascending_edges(g.adjacency))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+def to_dot(g: Graph, name: str = "G") -> Iterator[str]:
+    """Undirected DOT document, CHUNK_ITEMS lines to a chunk; vertex labels
+    preserved when present.  ValueError for a name that is not a plain DOT ID."""
+    if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name) or name.lower() in _DOT_KEYWORDS:
+        raise ValueError(f"the DOT graph name must be a plain ID and no keyword, not {name!r}")
+    labels = g.labels
+    vertices = (f"  {v};\n" for v in range(g.vertex_count)) if labels is None else (
+        '  %d [label="%s"];\n' % (v, label.replace("\\", "\\\\").replace('"', '\\"'))
+        for v, label in enumerate(labels))
+    edges = ("  %d -- %d;\n" % edge for edge in ascending_edges(g.adjacency))
+    lines = chain((f"graph {name} {{\n",), vertices, edges, ("}\n",))
+    return iter(lambda: "".join(islice(lines, CHUNK_ITEMS)), "")
 
 
 class LazyRows(list):
@@ -153,9 +155,23 @@ def gadget_to_json(gadget: Gadget, *, include_faces: bool = False) -> str:
         return str(view[:buf.tell()], "ascii")
 
 
-def report_to_json(rows: tuple[BoundReport, ...], *, full: bool = False) -> str:
-    """The text that `report --json` writes, less its closing newline."""
-    return "".join(report_chunks(rows, full=full))
+def report_to_text(rows: tuple[BoundReport, ...], *, full: bool = False) -> Iterator[str]:
+    """The report as `report` writes it: a fixed-width table, one line per level,
+    and its verdict; with `full`, then each counted row's c in decimal."""
+    header = f"{'ell':>4} {'k':>3} {'n':>12} {'c_bits':>10}  checks"
+    yield f"{header}\n{'-' * len(header)}\n"
+    for row in rows:
+        if row.error is None:
+            bits = row.c_bits
+            checks = " ".join(f"{name}={'pass' if row.checks[name] else 'FAIL'}"
+                              for name in CHECK_NAMES)
+        else:
+            bits, checks = "-", f"ERROR: {row.error}"
+        yield f"{row.ell:>4} {row.k:>3} {int_to_decimal(row.n):>12} {bits:>10}  {checks}\n"
+    verdict = "all checks pass" if all(row.ok for row in rows) else "FAILURES PRESENT"
+    yield f"result: {verdict if rows else 'empty report'}\n"
+    yield from (f"c({row.ell}) = {int_to_decimal(row.c)}\n"
+                for row in rows if full and row.c is not None)
 
 
 def report_chunks(rows: tuple[BoundReport, ...], *, full: bool = False) -> Iterator[str]:

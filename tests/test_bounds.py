@@ -2,6 +2,7 @@ import contextlib
 import json
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -27,7 +28,7 @@ from threecolor.bounds import (
     lemma3_bound,
 )
 from threecolor.gadgets import choose_k, vertex_count_closed_form
-from threecolor.serialize import report_to_json
+from threecolor.serialize import report_chunks
 
 
 class TestLemma3Bound:
@@ -171,7 +172,7 @@ class TestEmitReport:
     def test_empty_range(self):
         rows = emit_report(range(1, 1))
         assert rows == ()
-        assert "empty report" in report_to_text(rows)
+        assert "empty report" in "".join(report_to_text(rows))
 
     def test_budget_error_isolated_per_row(self):
         # eq3 exponents: 12844 bits at ell=7, 34436 at ell=8
@@ -179,10 +180,10 @@ class TestEmitReport:
         assert [row.error is None for row in rows] == [True, False, False]
         assert [row.inner_total is None for row in rows] == [False, True, True]
         assert [row.ok for row in rows] == [True, False, False]
-        assert "ERROR" in report_to_text(rows)
+        assert "ERROR" in "".join(report_to_text(rows))
 
     def test_json_schema(self):
-        doc = json.loads(report_to_json(emit_report(range(1, 3))))
+        doc = json.loads("".join(report_chunks(emit_report(range(1, 3)))))
         assert doc["version"] == 1
         assert [row["ell"] for row in doc["rows"]] == [1, 2]
         for row in doc["rows"]:
@@ -191,12 +192,13 @@ class TestEmitReport:
             assert all(isinstance(v, bool) for v in row["checks"].values())
 
     def test_json_decimal_roundtrip(self):
-        doc = json.loads(report_to_json(emit_report(range(1, 2)), full=True))
+        doc = json.loads("".join(report_chunks(emit_report(range(1, 2)), full=True)))
         assert doc["rows"][0]["c_decimal"] == "1056"
 
     def test_json_decimal_only_on_counted_rows(self):
         # row 14's eq3 exponent, 2^23 + 4*3^14, is over the default budget
-        row13, row14 = json.loads(report_to_json(emit_report(range(13, 15)), full=True))["rows"]
+        text = "".join(report_chunks(emit_report(range(13, 15)), full=True))
+        row13, row14 = json.loads(text)["rows"]
         assert row13["c_decimal"] == int_to_decimal(total_colorings(gadget_pair_counts(8, 13)))
         assert "error" not in row13
         assert row14["error"].startswith("2^") and "c_decimal" not in row14
@@ -228,10 +230,30 @@ class TestEmitReport:
             assert rows == []
 
     def test_text_table_lists_all_checks(self):
-        text = report_to_text(emit_report(range(1, 2)))
+        text = "".join(report_to_text(emit_report(range(1, 2))))
         for name in CHECK_NAMES:
             assert name in text
         assert "all checks pass" in text
+
+    def test_text_lines_end_in_newlines_and_full_counts_only_counted_rows(self):
+        rows = emit_report(range(7, 10), bit_budget=30000)
+        chunks = list(report_to_text(rows, full=True))
+        assert all(chunk.endswith("\n") and chunk.count("\n") == 1 for chunk in chunks[1:])
+        assert chunks[-2:] == ["result: FAILURES PRESENT\n",
+                               f"c(7) = {int_to_decimal(rows[0].c)}\n"]
+        assert "".join(report_to_text(rows)) == "".join(chunks[:-1])
+
+    def test_text_is_written_as_it_is_made(self):
+        rows = emit_report(range(1, 2001))  # held, as the CLI holds them
+        tracemalloc.start()
+        try:
+            length = sum(map(len, report_to_text(rows)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The table is 1.51 MB; only one line, and its n, is held at a time.
+        assert length > 1_500_000
+        assert peak < length
 
 
 @contextlib.contextmanager
@@ -270,7 +292,7 @@ class TestFarLevels:
         default = getattr(sys.int_info, "default_max_str_digits", 0)
         with int_str_limit(default), deadline(10):
             rows = emit_report(range(ell, ell + 1))
-            text = report_to_text(rows)
+            text = "".join(report_to_text(rows))
         [row] = rows
         assert (row.k + ell, row.checks) == (power, {})
         assert row.error == (f"2^(2^{power} + 4*3^{ell}) needs over 2^{power} bits,"
@@ -310,7 +332,7 @@ class TestFarLevels:
         default = getattr(sys.int_info, "default_max_str_digits", 0)
         with int_str_limit(default), deadline(10):
             rows = emit_report(range(ell, ell + 1))
-            text = report_to_json(rows)
+            text = "".join(report_chunks(rows))
         [row] = rows
         assert not row.ok and row.error is not None
         with int_str_limit(0):  # parsing n's digits needs no limit either

@@ -708,3 +708,24 @@ class TestReport:
         # 1.7 MB, is not, so the peak stays under 2.5 times its length.
         assert code == 1 and sink.length > 1_600_000
         assert peak < 2.5 * sink.length
+
+    def test_text_is_written_as_it_is_made(self, monkeypatch):
+        class Sink:
+            """Counts what it is given and keeps none of it."""
+            length = 0
+
+            def write(self, text):
+                self.length += len(text)
+
+        sink = Sink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        monkeypatch.delenv("THREECOLOR_BIT_BUDGET", raising=False)
+        tracemalloc.start()
+        try:
+            code = main(["report", "--ell-max", "2000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # As with --json, the rows are held and the 1.51 MB table is not.
+        assert code == 1 and sink.length > 1_500_000
+        assert peak < 2.5 * sink.length

@@ -113,24 +113,25 @@ class TestGraph6:
 
 class TestDot:
     def test_labels_preserved(self):
-        text = to_dot(build_P(2).graph)
+        text = "".join(to_dot(build_P(2).graph))
         assert 'label="u"' in text and 'label="v2"' in text
         assert "0 -- 2;" in text and "2 -- 3;" in text
 
     def test_unlabeled_graph(self):
-        text = to_dot(Graph(2, [(0, 1)]))
+        text = "".join(to_dot(Graph(2, [(0, 1)])))
         assert "label" not in text
         assert "0 -- 1;" in text
 
     def test_deterministic(self):
         g = build_T(1, 1, check=False).graph
-        assert to_dot(g) == to_dot(g)
+        assert "".join(to_dot(g)) == "".join(to_dot(g))
 
     def test_quoted_labels_read_back(self):
         # A backslash is escaped before a quote is, so a label's own
         # backslash cannot escape the closing quote.
         labels = ["a\\", 'b"', '\\"', '"\\', "c\\\\d", "plain"]
-        lines = to_dot(Graph(len(labels), [(0, 1)], labels)).splitlines()[1:len(labels) + 1]
+        text = "".join(to_dot(Graph(len(labels), [(0, 1)], labels)))
+        lines = text.splitlines()[1:len(labels) + 1]
         read = [re.fullmatch(r'  (\d+) \[label="((?:[^"\\]|\\.)*)"\];', line) for line in lines]
         assert all(read), lines
         assert [int(m[1]) for m in read] == list(range(len(labels)))
@@ -138,8 +139,40 @@ class TestDot:
 
     @given(small_graphs())
     def test_edge_lines_follow_the_edge_order(self, g):
-        lines = [line for line in to_dot(g).splitlines() if " -- " in line]
+        lines = [line for line in "".join(to_dot(g)).splitlines() if " -- " in line]
         assert lines == [f"  {a} -- {b};" for a, b in g.edges]
+
+    @pytest.mark.parametrize("name", ["my graph", "graph", "Graph", "DIGRAPH", "subgraph",
+                                      "node", "Edge", "strict", "", "1T", "T-1", "T\n", "é",
+                                      '"G"'])
+    def test_name_that_is_no_plain_id_refused(self, name):
+        with pytest.raises(ValueError, match="plain ID"):
+            to_dot(Graph(2, [(0, 1)]), name=name)
+
+    @pytest.mark.parametrize("name", ["G", "T_1_1", "T_6_8", "_", "graphs", "strict_"])
+    def test_plain_id_names_the_graph(self, name):
+        assert next(to_dot(Graph(2, [(0, 1)]), name=name)).startswith(f"graph {name} {{\n")
+
+    def test_chunks_hold_whole_lines(self):
+        g = build_P(2 * CHUNK_ITEMS + 2, check=False).graph
+        chunks = list(to_dot(g))
+        lines = g.vertex_count + g.edge_count + 2
+        assert [chunk.count("\n") for chunk in chunks] == (
+            [CHUNK_ITEMS] * (lines // CHUNK_ITEMS) + [lines % CHUNK_ITEMS])
+        assert all(chunk.endswith("\n") for chunk in chunks)
+
+    def test_written_as_it_is_made(self):
+        g = build_T(4, 5, check=False).graph
+        g.labels  # made before measuring, as `to_dot` only reads them
+        tracemalloc.start()
+        try:
+            length = sum(map(len, to_dot(g, name="T_4_5")))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The whole text is 293 KB; only a chunk of lines, and its parts, is held.
+        assert length > 250_000
+        assert peak < length
 
 
 def edge_rows(g: Graph) -> LazyRows:
@@ -150,7 +183,7 @@ def edge_rows(g: Graph) -> LazyRows:
 def _edge_orders(g: Graph) -> tuple[list, list, list]:
     """The edges as `Graph.edges`, the rows view and the DOT edge lines give them."""
     dot = [tuple(map(int, re.fullmatch(r"  (\d+) -- (\d+);", line).groups()))
-           for line in to_dot(g).splitlines() if " -- " in line]
+           for line in "".join(to_dot(g)).splitlines() if " -- " in line]
     return list(g.edges), list(edge_rows(g)), dot
 
 
