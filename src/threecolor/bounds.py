@@ -19,9 +19,9 @@ g = log base 9/2 of 3, since 3^l <= n^g follows monotonically; the irrational
 exponent itself is never evaluated.  No check ever compares floats.
 
 `theorem_chain_check` alone counts a level and makes its row, a refused level's
-too, with c exact.  It compares c with powers of two by bit length, so nothing
-larger than c is built; `bound_exponent` alone forms eq3's and lemma 3's
-exponents E and refuses 2^E over the bit budget; `serialize` writes the rows as text or JSON.
+too, with c exact and the checks named in the order above.  It compares c with
+powers of two by bit length, so nothing larger than c is built; `bound_exponent`
+alone forms eq3's and lemma 3's exponents E and refuses 2^E over the bit budget.
 """
 from __future__ import annotations
 
@@ -38,15 +38,6 @@ from .counting import (  # the budget and its error live in counting; re-exporte
 )
 from .gadgets import check_k_ell, choose_k, inner_set_size, vertex_count_closed_form
 
-CHECK_NAMES = (
-    "eq1",
-    "eq2",
-    "k_window",
-    "lemma3_exponent",
-    "eq3",
-    "c_le_2pow6_3ell",
-    "n_ge_9half_ell",
-)
 REPORT_MAX_DIGITS = 2 ** 24
 
 
@@ -126,7 +117,6 @@ def theorem_chain_check(ell: int, *, bit_budget: int = DEFAULT_BIT_BUDGET) -> Bo
         "c_le_2pow6_3ell": _below_pow2(c - 1, 6 * p3),
         "n_ge_9half_ell": 9 ** ell <= n * 2 ** ell,
     }
-    assert set(checks) == set(CHECK_NAMES)
     return BoundReport(ell=ell, k=k, n=n, checks=checks, c=c, inner_total=inner_total)
 
 

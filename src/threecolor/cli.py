@@ -143,6 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Triangle-free planar gadgets with few 3-colorings: "
         "generation, exact counting, and bound verification.",
     )
+    parser.set_defaults(output=None)  # only `generate` takes --output
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("generate", help="build T(u,v,k,ell) and export it")
@@ -190,7 +191,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code, chunks = args.func(args)
-        _write_output(chunks, getattr(args, "output", None))
+        _write_output(chunks, args.output)
         return code
     except (ValueError, bounds.BitBudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -198,7 +199,3 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -473,8 +473,6 @@ def count_extensions(
     if (gadget.k, gadget.ell) != (k, ell):
         raise ValueError("gadget does not match (k, ell)")
     flat = gadget.checked_frames
-    if flat is None:
-        raise ValueError("the gadget's frames are not those of T(u,v,k,ell)")
     inner = gadget.registry.inner_set
     # Exactly a dict: a subclass's __missing__ could color a vertex psi lacks.
     psi = psi if type(psi) is dict else dict(psi)

@@ -109,7 +109,6 @@ def certify(tg, rot: RotationSystem) -> dict:
         "triangle_count": triangles,
         "euler": euler,
         "terminals_nonadjacent": not g.has_edge(u, v),
-        "terminals_on_outer_face": True,  # the outer face is the walk that holds them
         "outer_face_length": lengths[outer],
         "min_bounded_face_length": min_bounded,
         "bounded_faces_ge_4": min_bounded is None or min_bounded >= 4,

@@ -16,10 +16,10 @@ frame's rotations take its children's terminal fans on the side facing
 their quadrilateral, and each leaf fan's path rows are written in bulk.
 A frame is the seven vertices (u, v, v1, ..., v5) of one copy of P(u,v,5),
 in P(u,v,5)'s own numbering; the writer records each frame as it writes the
-frame's rows, the registry keeps them, and the inner set is read off them.
-This module knows only that layout: a gadget checks once, on first use,
-that the frames' P(u,v,5) edges are exactly the edges inside the inner set,
-and `counting` owns the colorings of a frame.
+frame's rows, the registry keeps them, and the leaf pairs and the inner set
+are read off them.  This module knows only that layout: a gadget checks
+once, on first use, that the frames' P(u,v,5) edges are exactly the edges
+inside the inner set, and `counting` owns the colorings of a frame.
 """
 from __future__ import annotations
 
@@ -37,22 +37,28 @@ CHILD_PAIRS = ((2, 4), (3, 5), (4, 6))
 
 @dataclass(frozen=True)
 class LeafPairRegistry:
-    """The leaf pairs (x_i, y_i), the inner vertex set and the frames of a gadget.
+    """The frames of a gadget, and the leaf pairs and inner set read off them.
 
-    A built T(u,v,k,l) contains 3^l innermost copies of P(x,y,2^k); `pairs`
-    lists their terminal pairs in construction order.  `inner_set` holds the
-    vertices outside all leaf-copy interiors (leaf terminals included).
-    `frames` lists the (3^l - 1)/2 frames (u, v, v1, ..., v5) as the writer
-    recorded them, top level first, so the last 3^(l-1) host the leaf pairs
-    at positions CHILD_PAIRS; position i of a frame is vertex i of P(u,v,5).
-    The inner set is {0, 1} and the frames' vertices.  `frames` is empty for
-    a fan and for a registry made by hand, and takes no part in comparisons.
+    `frames` lists the (3^l - 1)/2 frames (u, v, v1, ..., v5) of T(u,v,k,l)
+    as the writer recorded them, top level first, so the last 3^(l-1) host
+    the leaf pairs at positions CHILD_PAIRS; position i of a frame is vertex
+    i of P(u,v,5).  A fan has no frame.  `leaf_b` is the b of the leaf fans.
     """
 
-    pairs: tuple[tuple[int, int], ...]
-    inner_set: frozenset[int]
+    frames: tuple[tuple[int, ...], ...] = field(repr=False)
     leaf_b: int
-    frames: tuple[tuple[int, ...], ...] = field(default=(), compare=False, repr=False)
+
+    @cached_property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """The terminal pairs (x_i, y_i) of the 3^l leaf copies of P(x,y,b),
+        in construction order; (0, 1) alone for a fan."""
+        bottom = self.frames[len(self.frames) // 3:]  # 3^(l-1) of (3^l - 1)/2
+        return tuple((f[i], f[j]) for f in bottom for i, j in CHILD_PAIRS) or ((0, 1),)
+
+    @cached_property
+    def inner_set(self) -> frozenset[int]:
+        """V_l, the vertices outside all leaf-copy interiors: {0, 1} and the frames'."""
+        return frozenset(chain((0, 1), *self.frames))
 
 
 @dataclass(frozen=True)
@@ -74,26 +80,21 @@ class Gadget:
         return self.tg.graph
 
     @cached_property
-    def checked_frames(self) -> Optional[tuple[int, ...]]:
+    def checked_frames(self) -> tuple[int, ...]:
         """The registry's frames, flattened in the order the writer recorded
         them, so that an inner coloring is checked and counted seven
         vertices at a time against the colorings of P(u,v,5).
 
-        Returns None unless the registry has frames, P(u,v,5)'s edges mapped
-        through every frame are exactly the edges inside the inner set (so an
-        edge among a frame's vertices is checked by some frame's table), and
-        the bottom frames' child pairs are `registry.pairs`.
+        Raises ValueError unless the registry has frames and P(u,v,5)'s edges
+        mapped through every frame are exactly the edges inside the inner set
+        (so an edge among a frame's vertices is checked by some frame's table).
         """
         frames = self.registry.frames
-        if not frames:
-            return None
         adjacency, inner = self.graph.adjacency, self.registry.inner_set
-        bottom = frames[len(frames) // 3:]  # 3^(ell-1) of (3^ell - 1)/2
-        if ({(f[i], f[j]) for f in frames for i, j in FRAME_EDGES}
-                != {(a, b) for a in inner for b in adjacency[a] if a < b and b in inner}
-                or tuple((f[i], f[j]) for f in bottom for i, j in CHILD_PAIRS)
-                != self.registry.pairs):
-            return None
+        if not frames or ({(f[i], f[j]) for f in frames for i, j in FRAME_EDGES}
+                          != {(a, b) for a in inner for b in adjacency[a]
+                              if a < b and b in inner}):
+            raise ValueError("the gadget's frames are not those of T(u,v,k,ell)")
         return tuple(chain.from_iterable(frames))
 
 
@@ -101,14 +102,14 @@ class Gadget:
 MAX_VERTICES = 2 ** 21
 
 def _write(b: int, ell: int):
-    """The rotation rows, leaf pairs and frames of T(.,.,k,ell) with leaf
-    fans P(.,.,b).  Each row is made once, of elements of `ids` only, so the
-    rows share one int object per vertex.  Each level's frames are walked in
-    order, each followed by its three children in slot order, and recorded
-    as they are written, level by level from the top: the last 3^(ell-1)
-    are the bottom frames, which host the leaf pairs.  The u-fan of a child
-    at base c is ids[c:c+w:2], w being b for a leaf and 5 for a frame, and
-    its v-fan runs back down the even path vertices."""
+    """The rotation rows and frames of T(.,.,k,ell) with leaf fans P(.,.,b).
+    Each row is made once, of elements of `ids` only, so the rows share one
+    int object per vertex.  Each level's frames are walked in order, each
+    followed by its three children in slot order, and recorded as they are
+    written, level by level from the top: the last 3^(ell-1) are the bottom
+    frames, which host the leaf pairs.  The u-fan of a child at base c is
+    ids[c:c+w:2], w being b for a leaf and 5 for a frame, and its v-fan runs
+    back down the even path vertices."""
     sizes = list(accumulate(range(ell), lambda m, _: 5 + 3 * m, initial=b))
     ids, rows = list(range(sizes[-1] + 2)), [None] * (sizes[-1] + 2)
     w = b if ell == 0 else 5
@@ -135,7 +136,7 @@ def _write(b: int, ell: int):
         rows[base + 1:end - 1:2] = zip(repeat(v), ids[base + 2:end:2], ids[base:end - 2:2])
         rows[end - 1] = (u if b % 2 else v, ids[end - 2])  # for b = 1, rewritten below
         rows[base] = (ids[base + 1], u) if b > 1 else (u,)
-    return rows, tuple((u, v) for u, v, _ in level), tuple(frames)
+    return rows, tuple(frames)
 
 
 # P(u,v,5)'s edges, ascending, as positions in a frame (u, v, v1, ..., v5).
@@ -152,7 +153,7 @@ def _labels(b: int, ell: int) -> list[str]:
 
 
 def _assemble(leaf_b: int, k: Optional[int], ell: Optional[int], check: bool) -> Gadget:
-    order, pairs, frames = _write(leaf_b, ell or 0)
+    order, frames = _write(leaf_b, ell or 0)
     g = Graph.from_rotation(order, partial(_labels, leaf_b, ell or 0))
     tg = TerminalGraph(g, 0, 1)
     outer = None  # the rows were checked and walked once, by from_rotation
@@ -161,8 +162,7 @@ def _assemble(leaf_b: int, k: Optional[int], ell: Optional[int], check: bool) ->
         if not report["ok"]:
             raise AssertionError(f"constructed gadget failed certification: {report}")
         outer = report["outer_face_id"]
-    registry = LeafPairRegistry(pairs, frozenset(chain((0, 1), *frames)), leaf_b, frames)
-    return Gadget(tg, k, ell, registry, RotationSystem(g.adjacency, outer))
+    return Gadget(tg, k, ell, LeafPairRegistry(frames, leaf_b), RotationSystem(g.adjacency, outer))
 
 
 def build_P(b: int, *, check: bool = True) -> Gadget:

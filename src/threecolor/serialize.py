@@ -3,14 +3,15 @@
 graph6 follows the standard bit packing: N(n) header, then the upper
 triangle of the adjacency matrix column by column, six bits per printable
 character (offset 63).  graph6 is quadratic in the vertex count, so a graph
-with more than GRAPH6_MAX_VERTICES vertices, whose line would be longer than
-GRAPH6_MAX_BYTES, is refused before it is encoded.
+whose line would be longer than GRAPH6_MAX_BYTES (one of over 14,189
+vertices) is refused, by its size alone, before it is encoded.
 
 Every JSON document, the gadget descriptor and the CLI's alike, is written in
-the layout of `json.dumps(doc, indent=2)` by `json_chunks`, which yields it in
-chunks of at most CHUNK_ITEMS numbers or strings, so a large gadget's text is
-never held as one string, and writes an int of any size outside a row by `int_to_decimal`.
-`to_dot` and `report_to_text` stream too, CHUNK_ITEMS lines or one line to a chunk.
+the layout of `json.dumps(doc, indent=2)` by `json_chunks`, in chunks of at
+most CHUNK_ITEMS numbers or strings, so a large gadget's text is never held as
+one string; an int of any size outside a row is written by `int_to_decimal`.
+`to_dot` and `report_to_text` stream too, CHUNK_ITEMS lines or one line to a
+chunk; a report row's checks are written in the order of its `checks` dict.
 """
 from __future__ import annotations
 
@@ -23,13 +24,11 @@ from json.encoder import encode_basestring_ascii
 from operator import sub
 from typing import Callable, Iterator
 
-from .bounds import CHECK_NAMES, BoundReport, int_to_decimal
+from .bounds import BoundReport, int_to_decimal
 from .gadgets import Gadget
 from .graphs import Graph, ascending_edges, facial_walks
 
 GRAPH6_MAX_BYTES = 2 ** 24
-# The most vertices whose graph6 line, 4 + ceil(n(n-1)/12) bytes, fits.
-GRAPH6_MAX_VERTICES = 14189
 CHUNK_ITEMS = 1024
 _DOT_KEYWORDS = frozenset({"graph", "digraph", "subgraph", "node", "edge", "strict"})
 
@@ -37,20 +36,19 @@ _PLUS_63 = bytes.maketrans(bytes(range(64)), bytes(range(63, 127)))
 
 
 def _graph6_size_bytes(n: int) -> bytes:
-    """The N(n) header for 0 <= n <= GRAPH6_MAX_VERTICES."""
+    """The N(n) header for a size that `check_graph6_size` accepts."""
     if n <= 62:
         return bytes([n + 63])
     return bytes([126]) + bytes(((n >> shift) & 63) + 63 for shift in (12, 6, 0))
 
 
 def check_graph6_size(n: int) -> int:
-    """The length of the graph6 line of n vertices; ValueError for n over
-    GRAPH6_MAX_VERTICES, the most whose line fits in GRAPH6_MAX_BYTES."""
+    """The length of the graph6 line of n vertices, or ValueError if over GRAPH6_MAX_BYTES."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     header = 1 if n <= 62 else 4 if n <= 258047 else 8
     size = header + (n * (n - 1) // 2 + 5) // 6
-    if n > GRAPH6_MAX_VERTICES:
+    if size > GRAPH6_MAX_BYTES:
         raise ValueError(f"the graph6 line of {n} vertices would take {size} bytes,"
                          f" over the limit of {GRAPH6_MAX_BYTES}")
     return size
@@ -163,8 +161,8 @@ def report_to_text(rows: tuple[BoundReport, ...], *, full: bool = False) -> Iter
     for row in rows:
         if row.error is None:
             bits = row.c_bits
-            checks = " ".join(f"{name}={'pass' if row.checks[name] else 'FAIL'}"
-                              for name in CHECK_NAMES)
+            checks = " ".join(f"{name}={'pass' if ok else 'FAIL'}"
+                              for name, ok in row.checks.items())
         else:
             bits, checks = "-", f"ERROR: {row.error}"
         yield f"{row.ell:>4} {row.k:>3} {int_to_decimal(row.n):>12} {bits:>10}  {checks}\n"

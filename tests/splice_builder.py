@@ -4,7 +4,9 @@ This is the construction the library used before it replicated whole
 levels.  It allocates every vertex with its label while recursing, and
 splices each child's terminal fans into the host rotations by a linear
 search for the gap.  The tests compare the library's builder with it byte
-for byte.
+for byte.  It records the frames depth-first and keeps the writer's order,
+level by level, by a stable sort on depth; its own leaf pairs and inner
+vertices, gathered by the recursion, must be the registry's derived views.
 """
 from threecolor.embedding import RotationSystem, certify
 from threecolor.gadgets import Gadget, LeafPairRegistry
@@ -56,10 +58,11 @@ def _build_path(builder: _Builder, b: int, u: int, v: int, prefix: str):
             rot[w[i - 1]] = [v, w[i], w[i - 2]]
     u_fan = [w[i - 1] for i in range(1, b + 1) if i % 2 == 1]
     v_fan = [w[i - 1] for i in range(b, 0, -1) if i % 2 == 0]
-    return [(u, v)], [u, v], u_fan, v_fan
+    return [(u, v)], [u, v], [], u_fan, v_fan
 
 
 def _build_gadget(builder: _Builder, leaf_b: int, ell: int, u: int, v: int, prefix: str):
+    """(pairs, inner, frames, u_fan, v_fan); `frames` holds (ell, frame) in DFS order."""
     if ell == 0:
         return _build_path(builder, leaf_b, u, v, prefix)
 
@@ -81,18 +84,20 @@ def _build_gadget(builder: _Builder, leaf_b: int, ell: int, u: int, v: int, pref
     )
     pairs: list[tuple[int, int]] = []
     inner = [u, v, f1, f2, f3, f4, f5]
+    frames = [(ell, (u, v, f1, f2, f3, f4, f5))]
     for slot, (cu, cv, gap_u, gap_v) in enumerate(slots, start=1):
-        c_pairs, c_inner, c_ufan, c_vfan = _build_gadget(
+        c_pairs, c_inner, c_frames, c_ufan, c_vfan = _build_gadget(
             builder, leaf_b, ell - 1, cu, cv, f"{prefix}T{slot}."
         )
         _insert_between(rot[cu], gap_u[0], gap_u[1], c_ufan)
         _insert_between(rot[cv], gap_v[0], gap_v[1], c_vfan)
         pairs.extend(c_pairs)
         inner.extend(c_inner)
+        frames.extend(c_frames)
 
     u_fan = [f1, f3, f5]
     v_fan = [f4, f2]
-    return pairs, inner, u_fan, v_fan
+    return pairs, inner, frames, u_fan, v_fan
 
 
 def build_reference(leaf_b: int, k, ell, *, check: bool = True) -> Gadget:
@@ -101,13 +106,17 @@ def build_reference(leaf_b: int, k, ell, *, check: bool = True) -> Gadget:
     builder = _Builder()
     u = builder.alloc("u")
     v = builder.alloc("v")
-    pairs, inner, u_fan, v_fan = _build_gadget(builder, leaf_b, ell or 0, u, v, "")
+    pairs, inner, frames, u_fan, v_fan = _build_gadget(builder, leaf_b, ell or 0, u, v, "")
     builder.rot[u] = u_fan
     builder.rot[v] = v_fan
 
     graph = Graph.from_rotation(builder.rot, lambda: builder.labels)
     tg = TerminalGraph(graph, u, v)
-    registry = LeafPairRegistry(tuple(pairs), frozenset(inner), leaf_b)
+    # Top level first: sorted stably by depth, each level's frames stay in DFS order.
+    frames.sort(key=lambda entry: -entry[0])
+    registry = LeafPairRegistry(tuple(frame for _, frame in frames), leaf_b)
+    assert registry.pairs == tuple(pairs)
+    assert registry.inner_set == frozenset(inner)
     outer = None
     if check:
         report = certify(tg, RotationSystem(graph.adjacency))

@@ -21,7 +21,6 @@ from threecolor import (
 from threecolor import bounds
 from threecolor.bounds import (
     _BASE_BITS,
-    CHECK_NAMES,
     BitBudgetExceededError,
     _below_pow2,
     int_to_decimal,
@@ -29,6 +28,10 @@ from threecolor.bounds import (
 )
 from threecolor.gadgets import choose_k, vertex_count_closed_form
 from threecolor.serialize import report_chunks
+
+# The seven checks of the chain, in the order every report writes them.
+CHECK_NAMES = ("eq1", "eq2", "k_window", "lemma3_exponent", "eq3", "c_le_2pow6_3ell",
+               "n_ge_9half_ell")
 
 
 class TestLemma3Bound:
@@ -89,7 +92,13 @@ class TestTheoremChain:
         assert row.ok
 
     def test_check_names_stable(self):
-        assert set(theorem_chain_check(2).checks) == set(CHECK_NAMES)
+        assert tuple(theorem_chain_check(2).checks) == CHECK_NAMES
+
+    def test_readme_exponent_bounds_in_integers(self):
+        # g = log_{9/2} 3 > 0.73 iff 3^100 > (9/2)^73 = 3^146 / 2^73, and
+        # g < 0.731 iff 3^1000 < (9/2)^731 = 3^1462 / 2^731.
+        assert 3 ** 46 < 2 ** 73
+        assert 2 ** 731 < 3 ** 462
 
     @pytest.mark.parametrize("ell", range(1, 9))
     def test_chain_passes(self, ell):
@@ -188,7 +197,7 @@ class TestEmitReport:
         assert [row["ell"] for row in doc["rows"]] == [1, 2]
         for row in doc["rows"]:
             assert set(row) == {"ell", "k", "n", "c_bits", "checks"}
-            assert set(row["checks"]) == set(CHECK_NAMES)
+            assert tuple(row["checks"]) == CHECK_NAMES
             assert all(isinstance(v, bool) for v in row["checks"].values())
 
     def test_json_decimal_roundtrip(self):
@@ -231,8 +240,8 @@ class TestEmitReport:
 
     def test_text_table_lists_all_checks(self):
         text = "".join(report_to_text(emit_report(range(1, 2))))
-        for name in CHECK_NAMES:
-            assert name in text
+        checks = text.splitlines()[2].split("  ")[-1].split()
+        assert checks == [f"{name}=pass" for name in CHECK_NAMES]
         assert "all checks pass" in text
 
     def test_text_lines_end_in_newlines_and_full_counts_only_counted_rows(self):

@@ -23,14 +23,14 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_cli_process(*argv, timeout, budget_env=None, module="threecolor.cli"):
-    """Run the CLI as `python -m module` in a fresh interpreter, with
+def run_cli_process(*argv, timeout, budget_env=None):
+    """Run the CLI as `python -m threecolor` in a fresh interpreter, with
     $THREECOLOR_BIT_BUDGET set to `budget_env`, or unset for the default bit budget."""
     env = {k: v for k, v in os.environ.items() if k != "THREECOLOR_BIT_BUDGET"}
     env["PYTHONPATH"] = str(SRC)
     if budget_env is not None:
         env["THREECOLOR_BIT_BUDGET"] = budget_env
-    return subprocess.run([sys.executable, "-m", module, *argv],
+    return subprocess.run([sys.executable, "-m", "threecolor", *argv],
                           capture_output=True, text=True, env=env, timeout=timeout)
 
 
@@ -453,11 +453,22 @@ class TestVerify:
         assert code == 0
         assert "ell=3" in out
 
-    def test_lemma3_ell0_exit_2(self, capsys):
-        code, _, err = run_cli(capsys, "verify", "--suite", "lemma3",
-                               "--ell-max", "0")
-        assert code == 2
-        assert err == "error: the extension bound needs ell >= 1\n"
+    @pytest.mark.parametrize("suite, flag, message", [
+        ("lemma3", "--ell-max", "the extension bound needs ell >= 1"),
+        ("theorem", "--ell-max", "the bound chain starts at ell = 1"),
+        ("eq3", "--ell-max", "the bound chain starts at ell = 1"),
+        ("embedding", "--k-max", "need ell_max >= 0 and k_max >= 1"),
+    ])
+    def test_option_below_the_suite_domain_exit_2(self, suite, flag, message, capsys):
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, flag, "0")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_lemma3_ell_max_1_runs_the_ell_1_cases_only(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--suite", "lemma3", "--ell-max", "1")
+        assert (code, err) == (0, "")
+        assert [line.split(")")[0] for line in out.splitlines()[:-1]] == \
+            ["[pass] lemma3: (k=1,ell=1"] * 2 + ["[pass] lemma3: (k=2,ell=1"] * 2
+        assert out.splitlines()[-1] == "suite lemma3: PASS"
 
     def test_lemma3_past_its_sweep_exit_2(self, capsys):
         # Level 3 has about 1.1e9 inner colorings; the sweep stops at ell = 2.
@@ -608,10 +619,21 @@ class TestReport:
         doc = json.loads(out)
         assert [r["ell"] for r in doc["rows"]] == [1, 2]
 
+    @pytest.mark.parametrize("argv", [("report", "--ell-max", "3"),
+                                      ("count", "--k", "1", "--ell", "1"),
+                                      ("verify", "--suite", "lemma2")], ids=" ".join)
+    def test_output_flag_only_on_generate(self, argv, tmp_path, capsys):
+        target = tmp_path / "out.txt"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "-o", str(target)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: -o" in capsys.readouterr().err
+        assert not target.exists()
+
     def test_python_m_threecolor_runs_the_cli(self, capsys, monkeypatch):
         monkeypatch.delenv("THREECOLOR_BIT_BUDGET", raising=False)
         code, out, _ = run_cli(capsys, "report", "--ell-max", "2")
-        proc = run_cli_process("report", "--ell-max", "2", timeout=30, module="threecolor")
+        proc = run_cli_process("report", "--ell-max", "2", timeout=30)
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, "")
 
     def test_empty_range_succeeds(self, capsys):

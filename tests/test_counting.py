@@ -588,6 +588,11 @@ class TestGadgetPairCounts:
         with pytest.raises(ValueError):
             gadget_pair_counts(1, -1)
 
+    @pytest.mark.parametrize("same, diff", [(-1, 0), (0, -1)])
+    def test_negative_counts_rejected(self, same, diff):
+        with pytest.raises(ValueError, match="^counts must be nonnegative$"):
+            PairCounts(same, diff)
+
     def test_total_colorings_expansion(self):
         assert total_colorings(PairCounts(2, 3)) == 24
         assert total_colorings(PairCounts(0, 0)) == 0
@@ -920,6 +925,12 @@ class TestLemma2Classify:
         with pytest.raises(ValueError, match="partial"):
             lemma2_classify({0: 1, 1: 2})
 
+    def test_invalid_color_rejected(self):
+        # Proper on every edge of P(u,v,5), with u colored 4.
+        with pytest.raises(ValueError) as exc:
+            lemma2_classify({0: 4, 1: 1, 2: 2, 3: 3, 4: 2, 5: 3, 6: 2})
+        assert str(exc.value) == "vertex 0 assigned invalid color 4"
+
     def test_improper_rejected(self):
         with pytest.raises(ValueError, match="improper"):
             lemma2_classify({0: 1, 1: 1, 2: 1, 3: 2, 4: 1, 5: 2, 6: 1})
@@ -1049,8 +1060,8 @@ class TestCountExtensionsByFrames:
         assert len(flat) == 7 * (3 ** ell - 1) // 2
 
     def test_fans_have_no_frames(self):
-        assert build_T(2, 0, check=False).checked_frames is None
-        assert build_P(5, check=False).checked_frames is None
+        for fan in (build_T(2, 0, check=False), build_P(5, check=False)):
+            assert outcome(lambda: fan.checked_frames) == FRAMES_REFUSED
 
     @pytest.mark.parametrize("k,ell", [(1, 2), (2, 2)])
     def test_sample_matches_oracle(self, k, ell):
@@ -1117,7 +1128,7 @@ class TestCountExtensionsByFrames:
         a, b = frame_at(built, slot)[i], frame_at(built, slot)[j]
         graph = Graph(built.graph.vertex_count, [e for e in built.graph.edges if e != (a, b)])
         g = Gadget(TerminalGraph(graph, 0, 1), 1, 2, built.registry, built.rotation)
-        assert g.checked_frames is None
+        assert outcome(lambda: g.checked_frames) == FRAMES_REFUSED
         cases = random.Random(slot).sample(list(inner_colorings(g)), 20)
         cases.append(one_fault_coloring(built, a, b))  # proper once (a, b) is gone
         for other in (0, 1, 2, 3):  # the same frame edge improper in each frame
@@ -1133,7 +1144,7 @@ class TestCountExtensionsByFrames:
         cut = {(f[i], f[j]) for f in built.registry.frames}
         graph = Graph(built.graph.vertex_count, [e for e in built.graph.edges if e not in cut])
         g = Gadget(TerminalGraph(graph, 0, 1), 1, 2, built.registry, built.rotation)
-        assert g.checked_frames is None  # its frames are not P(u,v,5)
+        assert outcome(lambda: g.checked_frames) == FRAMES_REFUSED  # its frames are not P(u,v,5)
         cases = random.Random(j).sample(list(inner_colorings(g)), 30)
         assert any(psi[a] == psi[b] for psi in cases for a, b in cut)
         for psi in cases:

@@ -402,17 +402,17 @@ class TestCertify:
     @pytest.mark.parametrize("build,expected", [
         (lambda: build_P(1), {
             "vertices": 3, "edges": 1, "faces": 1, "outer_face_id": 0, "triangle_count": 0,
-            "euler": True, "terminals_nonadjacent": True, "terminals_on_outer_face": True,
+            "euler": True, "terminals_nonadjacent": True,
             "outer_face_length": 2, "min_bounded_face_length": None,
             "bounded_faces_ge_4": True, "face_length_histogram": {2: 1}, "ok": True}),
         (lambda: build_P(5), {
             "vertices": 7, "edges": 9, "faces": 4, "outer_face_id": 2, "triangle_count": 0,
-            "euler": True, "terminals_nonadjacent": True, "terminals_on_outer_face": True,
+            "euler": True, "terminals_nonadjacent": True,
             "outer_face_length": 6, "min_bounded_face_length": 4,
             "bounded_faces_ge_4": True, "face_length_histogram": {4: 3, 6: 1}, "ok": True}),
         (lambda: build_T(2, 2), {
             "vertices": 58, "edges": 99, "faces": 43, "outer_face_id": 2, "triangle_count": 0,
-            "euler": True, "terminals_nonadjacent": True, "terminals_on_outer_face": True,
+            "euler": True, "terminals_nonadjacent": True,
             "outer_face_length": 6, "min_bounded_face_length": 4,
             "bounded_faces_ge_4": True, "face_length_histogram": {5: 24, 6: 1, 4: 18},
             "ok": True}),

@@ -13,7 +13,7 @@ from splice_builder import build_reference
 from threecolor import build_P, build_T, gadget_pair_counts, gadget_to_json, gadgets
 from threecolor import vertex_count_closed_form
 from threecolor.bounds import lemma3_bound
-from threecolor.counting import predicted_count_bits
+from threecolor.counting import inner_subgraph_pair_counts, predicted_count_bits
 from threecolor.gadgets import choose_k, inner_set_size
 from threecolor.graphs import induced_subgraph, triangle_count
 
@@ -239,6 +239,12 @@ class TestKEllDomain:
         with pytest.raises(ValueError) as info:
             func(k, ell)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("func", [inner_set_size, choose_k, inner_subgraph_pair_counts])
+    def test_negative_ell_message(self, func):
+        with pytest.raises(ValueError) as info:
+            func(-1)
+        assert str(info.value) == "ell must be >= 0"
 
     def test_lemma3_bound_shares_the_k_message(self):
         with pytest.raises(ValueError) as info:

@@ -63,6 +63,10 @@ class TestGraph:
         with pytest.raises(ValueError, match="out of range"):
             Graph(2, [(0, 2)])
 
+    def test_rejects_negative_vertex_count(self):
+        with pytest.raises(ValueError, match="^vertex_count must be nonnegative$"):
+            Graph(-1, [])
+
     def test_deduplicates_parallel_edges(self):
         g = Graph(2, [(0, 1), (1, 0)])
         assert g.edge_count == 1
@@ -248,6 +252,11 @@ class TestTerminalGraph:
     def test_rejects_equal_terminals(self):
         with pytest.raises(ValueError, match="distinct"):
             TerminalGraph(Graph(2, []), 0, 0)
+
+    @pytest.mark.parametrize("u, v", [(0, 2), (2, 0), (-1, 1), (0, -1)])
+    def test_rejects_out_of_range_terminal(self, u, v):
+        with pytest.raises(ValueError, match="^terminal out of range$"):
+            TerminalGraph(Graph(2, []), u, v)
 
 
 class TestTriangleCount:

@@ -17,7 +17,7 @@ from threecolor.bounds import int_to_decimal
 from threecolor.cli import _write_output
 from threecolor.embedding import trace_faces
 from threecolor.graphs import Graph, ascending_edges
-from threecolor.serialize import (CHUNK_ITEMS, GRAPH6_MAX_BYTES, GRAPH6_MAX_VERTICES, LazyRows,
+from threecolor.serialize import (CHUNK_ITEMS, GRAPH6_MAX_BYTES, LazyRows,
                                   check_graph6_size, gadget_descriptor, json_chunks)
 
 from graph_strategies import graphs_with_rotations, small_graphs
@@ -72,6 +72,10 @@ class TestGraph6:
         for n in range(130):
             assert check_graph6_size(n) == len(to_graph6(Graph(n, [])))
 
+    def test_negative_vertex_count_refused(self):
+        with pytest.raises(ValueError, match="^n must be nonnegative$"):
+            check_graph6_size(-1)
+
     def test_line_over_the_limit_refused(self):
         assert check_graph6_size(14189) <= GRAPH6_MAX_BYTES
         with pytest.raises(ValueError, match="over the limit of 16777216"):
@@ -80,10 +84,9 @@ class TestGraph6:
             to_graph6(Graph(14190, []))
 
     def test_limit_is_by_vertex_count(self):
-        n = GRAPH6_MAX_VERTICES
+        n = 14189
         assert check_graph6_size(n) == 4 + math.ceil(n * (n - 1) / 12) <= GRAPH6_MAX_BYTES
         assert 4 + math.ceil((n + 1) * n / 12) > GRAPH6_MAX_BYTES  # the most that fit
-        assert n == 14189
         for over in (14190, 258048):  # the header grows to 8 bytes at 258,048
             with pytest.raises(ValueError, match=f"graph6 line of {over} vertices"):
                 check_graph6_size(over)
@@ -91,7 +94,7 @@ class TestGraph6:
             to_graph6(Graph(258048, []))
 
     def test_line_at_the_limit(self):
-        n = GRAPH6_MAX_VERTICES
+        n = 14189
         line = to_graph6(Graph(n, [(0, n - 1), (n - 2, n - 1)]))
         assert len(line) == check_graph6_size(n)
         assert graph6_edges(line) == (n, {(0, n - 1), (n - 2, n - 1)})

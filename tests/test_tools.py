@@ -32,10 +32,11 @@ def test_readme_commands_skip_prose_with_an_unpaired_quote(tmp_path):
 
 
 def fake_checkout(root, cli_source):
-    """A checkout whose README lists `threecolor slow` and `threecolor fast`
-    and whose `threecolor.cli` module is `cli_source`."""
+    """A checkout whose README lists `threecolor slow` and `threecolor fast`,
+    whose `threecolor.cli` module is `cli_source` and runs as `python -m threecolor`."""
     (root / "src" / "threecolor").mkdir(parents=True)
     (root / "src" / "threecolor" / "__init__.py").write_text("")
+    (root / "src" / "threecolor" / "__main__.py").write_text("from . import cli\n")
     (root / "src" / "threecolor" / "cli.py").write_text(cli_source)
     (root / "demos").mkdir()
     (root / "README.md").write_text(
@@ -55,4 +56,4 @@ def test_a_command_past_the_timeout_is_a_difference(tmp_path, monkeypatch, capsy
     assert slow.endswith("DIFFERENT: after timed out after 1 s; stdout")
     assert fast.startswith("fast  [exit 0, ") and fast.endswith("same")
     assert total == "1/2 commands identical"
-    assert lines == "src/threecolor/*.py: 1 -> 4 lines"  # the two cli.py sources
+    assert lines == "src/threecolor/*.py: 2 -> 5 lines"  # the cli.py sources and __main__.py

@@ -5,7 +5,7 @@
 
 The commands are every `threecolor ...` line of the README's "Command line"
 section, then each `--extra` command, then every `demos/*.py` script.  Each
-command runs once per checkout, as `python -m threecolor.cli ARGS` (a demo as
+command runs once per checkout, as `python -m threecolor ARGS` (a demo as
 `python <checkout>/demos/NAME`), in its own empty working directory with
 `PYTHONPATH=<checkout>/src`.  Stdout, stderr, the exit code and every file
 the command writes are compared byte for byte.  A command still running
@@ -53,7 +53,7 @@ def run(checkout: Path, command: list[str], where: Path) -> int | None:
     if command[0].startswith("demos/"):
         argv = [sys.executable, str(checkout / command[0])]
     else:
-        argv = [sys.executable, "-m", "threecolor.cli", *command]
+        argv = [sys.executable, "-m", "threecolor", *command]
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     with open(where / "stdout", "wb") as out, open(where / "stderr", "wb") as err:
         try:
