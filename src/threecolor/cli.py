@@ -199,3 +199,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
+
+
+if __name__ == "__main__":  # the old module form: refuse it rather than do nothing
+    sys.exit(print("error: run `python -m threecolor ARGS`", file=sys.stderr) or EXIT_USAGE)

@@ -17,18 +17,19 @@ check them:
   vertices in index order that counts the partial colorings per frontier key,
   the color bits, in 3-bit slots, of the earlier free vertices a later one
   sees; it refuses too many free vertices, or a pass that may make over
-  `_MAX_CELLS` frontier cells.  Listing walks only the pass's live keys,
+  `_MAX_CELLS` frontier cells.  Listing walks only the pass's live keys and
+  yields copies of one running coloring, in which each step sets one vertex,
 * a left-to-right transfer counter for the fan (`_path_interior_transfer`),
 * the frame level as a sum over the 13 proper frame colorings with
   terminals (1,2), which the tests build from `_FRAME_EQUALITIES`, the 84
   proper colorings of P(u,v,5) that `iter_colorings` lists once, at import;
   they tie the ratio step to it as a polynomial identity in (S, D),
 * a per-coloring extension counter for colorings of the inner vertex set,
-  which checks and counts a coloring by one lookup per frame, the seven
-  vertices of one copy of P(u,v,5) as the gadget writer recorded them, in
-  a table of those 84 colorings.  The frames are checked once per gadget
-  against the gadget's inner edges and leaf pairs; a gadget whose frames
-  fail that check is refused.
+  which checks and counts a coloring by one lookup per frame, in a table of
+  those 84 colorings, of the seven colors that the frame's reader takes,
+  the vertices of one copy of P(u,v,5) as the gadget writer recorded them.
+  The frames are checked once per gadget against its inner edges, then made
+  into the readers; a gadget whose frames fail that check is refused.
 
 Pair counts (S, D) are the number of colorings with the two terminals fixed
 to the same color (1,1) resp. to the ordered pair (1,2); by color-permutation
@@ -42,7 +43,6 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from operator import getitem
 from typing import Iterator, Mapping, Optional
 
 from .gadgets import CHILD_PAIRS, FRAME_EDGES, Gadget, build_P, check_k_ell
@@ -176,18 +176,18 @@ def _forward(g: Graph, plan: list, levels: Optional[list] = None) -> dict[int, i
 def iter_colorings(
     g: Graph, fixed: Optional[Mapping[int, int]] = None
 ) -> Iterator[dict[int, int]]:
-    """Yield every proper total 3-coloring extending `fixed` (as dicts) in the index
-    order, refused exactly where `count_colorings_bruteforce` is.  A backward sweep
-    over the pass's levels gives each key with a completion the (color, next key's
-    pairs) that lead to one; an explicit stack walks them, the last level inline."""
+    """Yield every proper total 3-coloring extending `fixed` in the index order, each
+    a new dict keyed 0..n-1 in order, refused exactly where `count_colorings_bruteforce`
+    is.  A backward sweep over the pass's levels gives each key with a completion the
+    (color, next key's pairs) that lead to one; an explicit stack walks them, the last
+    level inline, setting in one running coloring only the vertex whose level moved."""
     state = _prepare(g, fixed)
     if state is None:
         return
     bits, plan = state
-    colors = [b.bit_length() for b in bits]
-    vertices = range(len(colors))
+    current = dict(enumerate(b.bit_length() for b in bits))  # the running coloring
     if not plan:
-        yield dict(zip(vertices, colors))
+        yield current
         return
     live = _forward(g, plan, levels := [])
     for _, used, shifts, keep, table, _ in reversed(plan):
@@ -206,13 +206,13 @@ def iter_colorings(
     while stack:
         i = len(stack) - 1
         for c, nxt in stack[i]:
-            colors[free[i]] = c
+            current[free[i]] = c
             if i + 1 < last:
                 stack.append(iter(nxt))
                 break
             for c, _ in nxt if i < last else ((c, nxt),):
-                colors[free[last]] = c
-                yield dict(zip(vertices, colors))
+                current[free[last]] = c
+                yield current.copy()
         else:
             stack.pop()
 
@@ -464,22 +464,22 @@ def count_extensions(
     once.  A leaf interior has 2 colorings when its pair's ends agree and
     F(b+2) when not, so with p leaf pairs, e of them agreeing, the count is
     the closed form 2^e * F(b+2)^(p-e).  psi, as a dict, is checked and
-    counted by one lookup per frame (`Gadget.checked_frames`) in a table of
-    P(u,v,5)'s colorings; a gadget whose frames do not check is refused, and
-    a lookup that misses is a fault in psi, which the checks after it name.
+    counted frame by frame: a frame's reader (`Gadget.checked_frames`) takes
+    its seven colors, which one lookup finds in a table of P(u,v,5)'s colorings.
+    A gadget whose frames do not check is refused, and a miss is a fault in psi.
     """
     if ell < 1:
         raise ValueError("extension counting needs ell >= 1")
     if (gadget.k, gadget.ell) != (k, ell):
         raise ValueError("gadget does not match (k, ell)")
-    flat = gadget.checked_frames
+    readers = gadget.checked_frames
     inner = gadget.registry.inner_set
     # Exactly a dict: a subclass's __missing__ could color a vertex psi lacks.
     psi = psi if type(psi) is dict else dict(psi)
     if len(psi) == len(inner):
-        tables, fib = _extension_tables(len(flat) // 7, gadget.registry.leaf_b)
+        tables, fib = _extension_tables(len(readers), gadget.registry.leaf_b)
         try:  # a missing vertex, an invalid color or an improper edge misses a table
-            equal = sum(map(getitem, tables, zip(*[map(psi.__getitem__, flat)] * 7)))
+            equal = sum([table[read(psi)] for table, read in zip(tables, readers)])
         except (KeyError, TypeError):
             pass  # the checks below name the fault
         else:

@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, repeat, starmap
+from operator import itemgetter
 from typing import Optional
 
 from .embedding import RotationSystem, certify
@@ -80,10 +81,10 @@ class Gadget:
         return self.tg.graph
 
     @cached_property
-    def checked_frames(self) -> tuple[int, ...]:
-        """The registry's frames, flattened in the order the writer recorded
-        them, so that an inner coloring is checked and counted seven
-        vertices at a time against the colorings of P(u,v,5).
+    def checked_frames(self) -> tuple[itemgetter, ...]:
+        """One reader per frame, in the order the writer recorded them: the
+        `itemgetter` of its seven vertices, so that an inner coloring is read,
+        checked and counted a frame at a time against P(u,v,5)'s colorings.
 
         Raises ValueError unless the registry has frames and P(u,v,5)'s edges
         mapped through every frame are exactly the edges inside the inner set
@@ -95,7 +96,7 @@ class Gadget:
                           != {(a, b) for a in inner for b in adjacency[a]
                               if a < b and b in inner}):
             raise ValueError("the gadget's frames are not those of T(u,v,k,ell)")
-        return tuple(chain.from_iterable(frames))
+        return tuple(starmap(itemgetter, frames))
 
 
 # Largest gadget that build_T and build_P make; T(6,9) has 1,308,919 vertices.

@@ -23,15 +23,21 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_cli_process(*argv, timeout, budget_env=None):
-    """Run the CLI as `python -m threecolor` in a fresh interpreter, with
+def run_cli_process(*argv, timeout, budget_env=None, module="threecolor"):
+    """Run the CLI as `python -m threecolor` (or `module`) in a fresh interpreter, with
     $THREECOLOR_BIT_BUDGET set to `budget_env`, or unset for the default bit budget."""
     env = {k: v for k, v in os.environ.items() if k != "THREECOLOR_BIT_BUDGET"}
     env["PYTHONPATH"] = str(SRC)
     if budget_env is not None:
         env["THREECOLOR_BIT_BUDGET"] = budget_env
-    return subprocess.run([sys.executable, "-m", "threecolor", *argv],
+    return subprocess.run([sys.executable, "-m", module, *argv],
                           capture_output=True, text=True, env=env, timeout=timeout)
+
+
+def test_the_old_module_form_is_refused():
+    proc = run_cli_process("report", "--ell-max", "1", timeout=10, module="threecolor.cli")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines() == ["error: run `python -m threecolor ARGS`"]
 
 
 class TestGenerate:

@@ -159,6 +159,43 @@ class TestBruteForce:
         assert len(seen) == len(set(seen)) == count_colorings_bruteforce(g)
 
 
+def v2_of_t12():
+    """The subgraph induced by V_2 of T(1,2)."""
+    return inner_subgraph(build_T(1, 2, check=False))[0]
+
+
+class TestCopyOnYield:
+    """`iter_colorings` yields copies of one running coloring: each yielded
+    dict is its own, keyed 0..n-1 in index order, whatever the caller does
+    to the ones before it."""
+
+    PATH = Graph(3, [(0, 1), (1, 2)])
+
+    @pytest.mark.parametrize("g,fixed", [
+        (PATH, {0: 1, 1: 2, 2: 1}),  # every vertex fixed: an empty plan
+        (PATH, {0: 1, 2: 1}),  # one free vertex: last == 0
+        (PATH, {0: 1}),  # two free vertices
+        (v2_of_t12(), None),
+    ], ids=["all-fixed", "one-free", "two-free", "V_2"])
+    def test_each_coloring_is_its_own_dict(self, g, fixed):
+        expected = list(iter_colorings(g, fixed))
+        held = []
+        for i, col in enumerate(iter_colorings(g, fixed)):
+            assert type(col) is dict and list(col) == list(range(g.vertex_count))
+            assert col == expected[i]
+            held.append(col)
+            if i % 2:  # spoil it: a dict shared with a later coloring would show
+                col.clear()
+            else:
+                col[0] = col[g.vertex_count - 1] = 99
+        assert len(held) == len(expected) == len({id(col) for col in held})
+
+    def test_v2_lists_every_coloring_in_rising_order(self):
+        values = [tuple(col.values()) for col in iter_colorings(v2_of_t12())]
+        assert len(values) == total_colorings(inner_subgraph_pair_counts(2)) == 10_176
+        assert all(a < b for a, b in zip(values, values[1:]))
+
+
 def tail_case(pattern, free, placement, seed):
     """A graph whose last min(3, free) free vertices carry the edges among
     them selected by the bits of `pattern`, with two fixed vertices placed
@@ -1056,8 +1093,12 @@ def frame_at(gadget, slot):
 class TestCountExtensionsByFrames:
     @pytest.mark.parametrize("k,ell", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 3)])
     def test_built_gadgets_pass_the_layout_check(self, k, ell):
-        flat = build_T(k, ell, check=False).checked_frames
-        assert len(flat) == 7 * (3 ** ell - 1) // 2
+        g = build_T(k, ell, check=False)
+        readers = g.checked_frames
+        assert g.checked_frames is readers  # checked and built once per gadget
+        assert len(readers) == (3 ** ell - 1) // 2
+        identity = {v: v for v in range(g.graph.vertex_count)}
+        assert tuple(read(identity) for read in readers) == g.registry.frames
 
     def test_fans_have_no_frames(self):
         for fan in (build_T(2, 0, check=False), build_P(5, check=False)):
@@ -1079,6 +1120,20 @@ class TestCountExtensionsByFrames:
         with pytest.raises(ValueError) as exc:
             count_extensions(1, 2, psi, gadget=g)
         assert str(exc.value) == f"vertex {vertex} assigned invalid color {bad}"
+
+    # An unhashable color is `test_invalid_color`'s [1]; a missing and an extra
+    # vertex at once, which keep the length and reach the readers, the test below.
+    @pytest.mark.parametrize("fault", ["missing", "extra"])
+    def test_not_total_on_the_inner_set(self, fault):
+        g = build_T(1, 2, check=False)
+        psi = next(inner_colorings(g))
+        if fault == "missing":
+            del psi[6]  # the top frame's v5
+        else:
+            psi[g.graph.vertex_count - 1] = 1  # a leaf interior vertex
+        with pytest.raises(ValueError) as exc:
+            count_extensions(1, 2, psi, gadget=g)
+        assert str(exc.value) == "coloring must be total on the inner vertex set V_ell"
 
     def test_same_length_with_a_non_inner_key(self):
         g = build_T(1, 2, check=False)
